@@ -2,9 +2,12 @@
 
 Ensures ``src/`` is importable even when the package has not been installed
 (e.g. offline environments where editable installs cannot build wheels), and
-arms a hung-worker watchdog around every test marked ``process_engine``: a
-deadlocked or orphaned worker process would otherwise hang the whole suite at
-a pipe ``recv``, and CI kills the job with no useful traceback.
+wraps every test marked ``process_engine`` twice over.  A hung-worker watchdog:
+a deadlocked or orphaned worker process would otherwise hang the whole suite
+at a pipe ``recv``, and CI kills the job with no useful traceback.  And a
+shared-memory audit: a test that passes but leaves a new name in ``/dev/shm``
+(a dataset block or an exchange slab nobody unlinked) fails there and then,
+not later as somebody else's "entries left behind".
 """
 
 import os
@@ -23,6 +26,14 @@ if str(_SRC) not in sys.path:
 _PROCESS_TEST_TIMEOUT = float(os.environ.get("REPRO_TEST_TIMEOUT", "180"))
 
 
+_SHM_DIR = Path("/dev/shm")
+
+
+def _shm_names():
+    """Names in ``/dev/shm``; empty where the platform has no such directory."""
+    return set(os.listdir(_SHM_DIR)) if _SHM_DIR.is_dir() else set()
+
+
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_call(item):
     if item.get_closest_marker("process_engine") is None or not hasattr(
@@ -37,10 +48,18 @@ def pytest_runtest_call(item):
             "(REPRO_TEST_TIMEOUT) — worker processes are likely hung"
         )
 
+    shm_before = _shm_names()
     previous = signal.signal(signal.SIGALRM, _timed_out)
     signal.setitimer(signal.ITIMER_REAL, _PROCESS_TEST_TIMEOUT)
     try:
-        yield
+        outcome = yield
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+    leaked = _shm_names() - shm_before
+    if leaked and outcome.excinfo is None:
+        outcome.force_exception(
+            AssertionError(
+                f"test left shared memory behind in {_SHM_DIR}: {sorted(leaked)}"
+            )
+        )

@@ -27,6 +27,9 @@ PLN008    error     a step with an unknown footprint runs while a
                     transfer is in flight (cannot prove it safe)
 PLN009    warning   a step reads a key that no earlier step wrote and
                     the initial context does not provide
+PLN010    error     a collective's payload reads per-worker state
+                    (``worker:<key>``) or has an unknown footprint: its
+                    buffers are not provably the same on every replica
 ========  ========  ====================================================
 
 ``report.ok`` is "no error-severity findings" and is calibrated to agree
@@ -34,6 +37,15 @@ with the runtime in-flight guard: a plan whose steps have exact footprints
 is ``ok`` iff :func:`execute_plan` would not raise a
 :class:`ScheduleError` for a schedule-structure reason (the differential
 hypothesis suite in ``tests/test_analysis_properties.py`` pins this).
+
+PLN010 is the exception: no runtime check stands behind it.  On the process
+engine every rank executes the plan on its own replica and only *its own*
+worker's state is current there; the ranks exchange local-step results (which
+land in the context, identically everywhere) and nothing else, so a
+collective folds whatever its payload builds from the replica.  A payload
+that reads the context is replica-consistent by construction; one that reads
+``worker:<key>`` state is not, and one nothing is known about cannot be
+shown to be.
 """
 
 from __future__ import annotations
@@ -41,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.analysis.effects import plan_effects
+from repro.analysis.effects import WORKER_PREFIX, plan_effects
 from repro.distributed.schedule import (
     Barrier,
     Collective,
@@ -63,6 +75,7 @@ PLAN_RULES: Dict[str, Tuple[str, str]] = {
     "PLN007": ("warning", "joint_with_previous with no preceding collective"),
     "PLN008": ("error", "unknown step footprint while a transfer is in flight"),
     "PLN009": ("warning", "step reads a key no earlier step wrote"),
+    "PLN010": ("error", "collective payload is not replica-consistent"),
 }
 
 ERROR, WARNING = "error", "warning"
@@ -312,6 +325,27 @@ def verify_plan(plan: RoundPlan, profile: Any = None) -> PlanReport:
                 )
             seen_collective = True
             collectives += 1
+            worker_reads = sorted(
+                k for k in eff.reads if k.startswith(WORKER_PREFIX)
+            )
+            if worker_reads or not (eff.ctx_exact or eff.state_exact):
+                report.findings.append(
+                    Finding(
+                        "PLN010",
+                        ERROR,
+                        f"payload of collective {step.name!r} "
+                        + (
+                            f"reads per-worker state {worker_reads}"
+                            if worker_reads
+                            else "has an unknown footprint"
+                        )
+                        + "; each replica only updates its own worker's "
+                        "state, so the buffers may differ between ranks — "
+                        "build them from a LocalStep's results in the context",
+                        step_index=index,
+                        step_name=step.name,
+                    )
+                )
             if step.opens_round:
                 rounds += 1
             if step.overlap:

@@ -131,38 +131,3 @@ def tuned_network(
         allgather_algorithm=allgather_algorithm,
     )
 
-
-# ---------------------------------------------------------------------------
-# Real-transport (process engine) IPC cost model
-# ---------------------------------------------------------------------------
-#: pickle + pipe throughput of a star-topology allgather on one host
-#: (order-of-magnitude; measured on local unix pipes, not tuned per machine)
-PIPE_BANDWIDTH_BYTES_PER_S = 1.5e9
-
-#: per-message overhead of one pipe send/recv (syscalls + pickle framing)
-PIPE_MESSAGE_OVERHEAD_S = 40e-6
-
-
-def star_allgather_ipc_seconds(
-    n_workers: int,
-    nbytes: float,
-    *,
-    bandwidth: float = PIPE_BANDWIDTH_BYTES_PER_S,
-    overhead: float = PIPE_MESSAGE_OVERHEAD_S,
-) -> float:
-    """Estimated real IPC cost of the process engine's pipe allgather.
-
-    The transport in :mod:`repro.distributed.process_engine` is a star rooted
-    at rank 0: ``N - 1`` sequential receives of one buffer each, then
-    ``N - 1`` sends of the assembled ``N``-buffer list — ``O(N)`` messages
-    and ``O(N^2)`` bytes per collective, the price paid for a deterministic
-    rank-ordered reduction on pipes.  This estimator is the "when do modelled
-    and wall-clock times diverge" half of ``docs/performance.md``: a solver
-    whose per-round compute sits below this cost cannot show real speedup,
-    no matter what the modelled interconnect says.
-    """
-    if n_workers <= 1:
-        return 0.0
-    inbound = (n_workers - 1) * (overhead + nbytes / bandwidth)
-    outbound = (n_workers - 1) * (overhead + n_workers * nbytes / bandwidth)
-    return inbound + outbound

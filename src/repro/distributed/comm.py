@@ -3,6 +3,10 @@
 The communicator performs the actual data movement in-process (plain NumPy)
 and *models* what the same collective would cost on the configured
 interconnect, advancing the cluster's :class:`~repro.utils.timer.SimulatedClock`.
+That holds on every engine: on the process engine each rank already holds the
+full rank-ordered buffer list when a collective is issued (the ranks exchange
+local-step results in ``map_workers``, nowhere else), so a collective is the
+same left-fold and the same accounting there, and nothing moves twice.
 It also counts *communication rounds*: the paper's central systems claim is
 that Newton-ADMM needs exactly one round (a gather + a scatter) per outer
 iteration versus GIANT's three; integration tests assert those counts through
@@ -110,31 +114,8 @@ class Communicator:
         #: callers from silently communicating across a cut link.
         self.fault_state = fault_state
         self.log = CommunicationLog()
-        #: optional real transport (process engine).  While active, every
-        #: collective moves its buffers between OS processes for real: each
-        #: rank contributes its own buffer and receives the full rank-ordered
-        #: list, which then flows through the *same* reduction code as the
-        #: simulated path — the fold order is what keeps fp64 iterates
-        #: bit-identical across engines.  Modelled accounting is unchanged.
-        self.transport = None
 
     # -- internals -------------------------------------------------------
-    def _transport_active(self) -> bool:
-        t = self.transport
-        return t is not None and t.active
-
-    def _exchange(self, buffers, participants, label: str):
-        """Swap locally built buffers for really-transported ones (process
-        engine); the simulated engines return them unchanged."""
-        if not self._transport_active():
-            return buffers
-        if participants is not None:
-            raise RuntimeError(
-                "the process engine does not support degraded membership; "
-                "simulate faults on engine='event'"
-            )
-        t = self.transport
-        return t.allgather(buffers[t.rank], label=label)
     def _check_reachable(self, participants: Optional[Sequence[int]]) -> None:
         """Raise PartitionError when a participant sits behind an open cut."""
         fs = self.fault_state
@@ -233,7 +214,6 @@ class Communicator:
         """Gather one buffer per (participating) worker at the master."""
         ids, n = self._membership(participants, overlap)
         buffers = self._check_buffers(buffers, n)
-        buffers = self._exchange(buffers, ids, "gather")
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.gather(n, per_worker)
         self._account("gather", per_worker * n, seconds,
@@ -252,14 +232,6 @@ class Communicator:
         """Send a distinct buffer from the master to each (participating) worker."""
         ids, n = self._membership(participants, overlap)
         buffers = self._check_buffers(buffers, n)
-        if self._transport_active():
-            if ids is not None:
-                raise RuntimeError(
-                    "the process engine does not support degraded membership; "
-                    "simulate faults on engine='event'"
-                )
-            # Master-authoritative: rank 0's buffers are the ones scattered.
-            buffers = self.transport.broadcast(buffers, label="scatter")
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.scatter(n, per_worker)
         self._account("scatter", per_worker * n, seconds,
@@ -278,13 +250,6 @@ class Communicator:
         """Replicate a master buffer on every (participating) worker."""
         ids, n = self._membership(participants, overlap)
         buffer = ensure_float_array(buffer)
-        if self._transport_active():
-            if ids is not None:
-                raise RuntimeError(
-                    "the process engine does not support degraded membership; "
-                    "simulate faults on engine='event'"
-                )
-            buffer = self.transport.broadcast(buffer, label="broadcast")
         seconds = self.network.broadcast(n, _nbytes(buffer))
         self._account("broadcast", _nbytes(buffer) * n, seconds,
                       joint_with_previous=joint_with_previous, overlap=overlap,
@@ -302,7 +267,6 @@ class Communicator:
         """Element-wise sum of one buffer per worker, result visible everywhere."""
         ids, n = self._membership(participants, overlap)
         buffers = self._check_buffers(buffers, n)
-        buffers = self._exchange(buffers, ids, "allreduce")
         shapes = {b.shape for b in buffers}
         if len(shapes) != 1:
             raise ValueError(f"allreduce buffers must share a shape, got {shapes}")
@@ -334,7 +298,6 @@ class Communicator:
         """Every (participating) worker receives every participant's buffer."""
         ids, n = self._membership(participants, overlap)
         buffers = self._check_buffers(buffers, n)
-        buffers = self._exchange(buffers, ids, "allgather")
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.allgather(n, per_worker)
         self._account("allgather", per_worker * n, seconds,
@@ -354,15 +317,6 @@ class Communicator:
         if len(values) != n:
             raise ValueError(
                 f"expected {n} scalars, got {len(values)}"
-            )
-        if self._transport_active():
-            if ids is not None:
-                raise RuntimeError(
-                    "the process engine does not support degraded membership; "
-                    "simulate faults on engine='event'"
-                )
-            values = self.transport.allgather(
-                float(values[self.transport.rank]), label="reduce_scalar"
             )
         seconds = self.network.reduce(n, 8.0)
         self._account("reduce_scalar", 8.0 * n, seconds,

@@ -11,20 +11,50 @@ SPMD replication
     shipping steps, the runtime ships the *solver* (hyper-parameters only —
     cheap and picklable) and every rank runs the identical ``fit`` loop on its
     own replica of the cluster, computing only its own worker's
-    :class:`~repro.distributed.schedule.LocalStep` and exchanging results
-    through real collectives.  This is exactly how the paper's mpi4py
+    :class:`~repro.distributed.schedule.LocalStep` and exchanging the
+    results once per local round.  This is exactly how the paper's mpi4py
     implementation is structured: one program, N ranks, rank 0 doubling as
     the master.  The parent process *is* rank 0; ``n_workers - 1`` children
     are spawned (never forked — see the fork-safety notes below).
 
 Determinism contract
-    Every collective gathers the per-rank contributions into a list ordered
-    by rank and reduces it with the *same left-fold* the simulated
-    :class:`~repro.distributed.comm.Communicator` uses, so fp64 iterates are
-    bit-identical to the ``event``/``lockstep`` engines.  Modelled clocks and
+    :meth:`ProcessRole.map_workers` is the engine's only data movement: it
+    leaves every rank holding the full list of per-worker results, ordered
+    by rank.  The plan's collectives then run on those replicated buffers
+    through the unmodified :class:`~repro.distributed.comm.Communicator` —
+    the *same left-fold* and the same modelled accounting as on the
+    simulated engines, moving nothing — so fp64 iterates are bit-identical
+    to the ``event``/``lockstep`` engines.  (That a collective's payload
+    reads only replicated context, never one worker's private state, is
+    what ``verify_plan`` rule PLN010 checks.)  Modelled clocks and
     per-worker timelines keep running exactly as on the ``event`` engine
     (every rank drives an identical :class:`EventEngine` replica); real time
     is recorded separately, as per-rank wall-clock timelines.
+
+Slab transport
+    One exchange moves each rank's ``(result, modelled_time, flops)`` payload
+    to every other rank.  Every ``ndarray`` in the payload is written to the
+    sending rank's *slab* — a shared-memory block created and unlinked by
+    the parent (:class:`ShmArena`), attached by name in the children — and
+    the pipe carries only the pickled structure, with an ``(offset, shape,
+    dtype, order)`` placeholder where each array was.  The topology is a
+    star rooted at rank 0: children send their descriptor, rank 0 forwards
+    to each child the descriptors of the *other* ranks, and every receiver
+    copies the arrays out of the senders' slabs, so results own their
+    memory.  A payload that outgrows its slab makes the parent replace the
+    block with a larger one; the descriptor names the block it refers to.
+
+    *When a slab may be rewritten.*  Each rank has two slabs and writes
+    round ``k`` (the transport's ``seq``) to slab ``k % 2``.  A rank sends
+    its round-``k+1`` descriptor only after it has finished copying round
+    ``k``; rank 0 forwards round ``k+1`` only after it has every such
+    descriptor (and its own round-``k`` copies are done); a rank starts
+    round ``k+2`` only after it has received round ``k+1``.  So when slab
+    ``k % 2`` is written again — or replaced by a larger block — in round
+    ``k+2``, no peer is still reading round ``k`` from it.  Across fits the
+    same holds through the ``done``/``fit`` messages, which is why ``seq``
+    may restart at 0.  The pipe stays the synchronization and control
+    channel, so liveness polling and the watchdog work as before.
 
 Zero-copy shards
     The parent places the full training set plus every worker's shard into
@@ -52,12 +82,13 @@ Failure semantics (the chaos harness)
     injection and straggler models stay with the simulated engines.
 
 A ``torch.distributed`` (gloo) transport is probed by
-:func:`process_engine_info` and reported by ``python -m repro engines``; on
-NumPy-only installs the pipe transport below is the implementation.
+:func:`process_engine_info` and reported by ``python -m repro engines``; the
+slab transport below is the implementation.
 """
 
 from __future__ import annotations
 
+import io
 import multiprocessing as mp
 import os
 import pickle
@@ -66,7 +97,7 @@ import time
 import traceback
 import weakref
 from multiprocessing import shared_memory
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -120,16 +151,20 @@ def process_engine_info() -> Dict[str, Any]:
 # Shared-memory placement (zero-copy shard handoff)
 # ---------------------------------------------------------------------------
 class ShmArena:
-    """Owns shared-memory blocks holding datasets; parent side.
+    """Owns every shared-memory block of one worker pool; parent side.
 
     ``place_dataset`` copies a dataset's arrays into fresh blocks exactly
     once and returns a picklable *spec* children use to attach zero-copy
-    views.  ``placements`` counts blocks ever created — the transfer counter
-    the zero-copy tests assert stays constant across fits.
+    views.  ``placements``/``bytes_placed`` count those dataset blocks — the
+    transfer counter the zero-copy tests assert stays constant across fits.
+    The ranks' exchange slabs (:meth:`slab`) live here too, so that the
+    parent unlinks them whatever happens to the rank that writes them; they
+    are not placements and are not counted as such.
     """
 
     def __init__(self) -> None:
         self._blocks: List[shared_memory.SharedMemory] = []
+        self._slabs: Dict[Tuple[int, int], shared_memory.SharedMemory] = {}
         self.placements = 0
         self.bytes_placed = 0
 
@@ -164,15 +199,41 @@ class ShmArena:
             spec["X"] = self._place_array(np.asarray(dataset.X))
         return spec
 
+    def slab(
+        self, rank: int, parity: int, nbytes: int = 0
+    ) -> shared_memory.SharedMemory:
+        """The block behind exchange slab ``parity`` of ``rank``, replaced by
+        a larger one (at least doubling) when it cannot hold ``nbytes``.
+
+        Replacing unlinks the old block at once: by the ordering argument in
+        the module docstring no rank reads it any more, and peers that still
+        have it mapped re-attach when a descriptor names the new block.
+        """
+        old = self._slabs.get((rank, parity))
+        if old is not None and old.size >= nbytes:
+            return old
+        size = max(1, nbytes)
+        if old is not None:
+            size = max(size, 2 * old.size)
+            self._release(old)
+        block = shared_memory.SharedMemory(create=True, size=size)
+        self._slabs[rank, parity] = block
+        return block
+
+    @staticmethod
+    def _release(block: shared_memory.SharedMemory) -> None:
+        try:
+            block.close()
+            block.unlink()
+        except (FileNotFoundError, OSError):  # pragma: no cover
+            pass
+
     def close(self) -> None:
         """Release and unlink every block (parent owns the lifetime)."""
-        for block in self._blocks:
-            try:
-                block.close()
-                block.unlink()
-            except (FileNotFoundError, OSError):  # pragma: no cover
-                pass
+        for block in self._blocks + list(self._slabs.values()):
+            self._release(block)
         self._blocks = []
+        self._slabs = {}
 
 
 #: child-side: attached blocks must outlive the views built on their buffers
@@ -218,25 +279,73 @@ def attach_dataset(spec: Dict[str, Any]) -> ClassificationDataset:
 
 
 # ---------------------------------------------------------------------------
-# Pipe transport: deterministic star-topology collectives rooted at rank 0
+# Slab transport: one rank-ordered exchange, arrays through shared memory
 # ---------------------------------------------------------------------------
 class ProcessTransportError(RuntimeError):
     """A worker process failed (exception in a child, protocol desync)."""
 
 
+#: slab offsets are multiples of this, so array views are aligned
+_SLAB_ALIGN = 64
+
+#: what crosses the pipe for one rank's payload: the name of the block its
+#: arrays sit in (``None`` without arrays) and the pickled structure
+_Descriptor = Tuple[Optional[str], bytes]
+
+
+class _SlabPickler(pickle.Pickler):
+    """Pickles a payload's structure and lays its arrays out in a slab.
+
+    Every ``ndarray`` becomes a persistent id ``(offset, shape, dtype,
+    order)``; the arrays themselves are kept in ``arrays`` for the caller to
+    write once the total size (``nbytes``) is known.
+    """
+
+    def __init__(self, file: io.BytesIO) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.arrays: List[Tuple[int, str, np.ndarray]] = []
+        self.nbytes = 0
+
+    def persistent_id(self, obj: Any) -> Optional[tuple]:
+        if type(obj) is not np.ndarray:
+            return None
+        offset = -(-self.nbytes // _SLAB_ALIGN) * _SLAB_ALIGN
+        flags = obj.flags
+        order = "F" if flags.f_contiguous and not flags.c_contiguous else "C"
+        self.arrays.append((offset, order, obj))
+        self.nbytes = offset + obj.nbytes
+        return (offset, obj.shape, obj.dtype, order)
+
+
+class _SlabUnpickler(pickle.Unpickler):
+    """Rebuilds a payload, copying each array out of the sender's slab."""
+
+    def __init__(self, file: io.BytesIO, buf: Optional[memoryview]) -> None:
+        super().__init__(file)
+        self._buf = buf
+        self.nbytes = 0
+
+    def persistent_load(self, pid: tuple) -> np.ndarray:
+        offset, shape, dtype, order = pid
+        array = np.ndarray(
+            shape, dtype=dtype, buffer=self._buf, offset=offset, order=order
+        ).copy(order)
+        self.nbytes += array.nbytes
+        return array
+
+
 class _Transport:
-    """Collective primitives every rank calls symmetrically.
+    """The exchange every rank calls symmetrically (see *Slab transport* in
+    the module docstring).
 
-    The topology is a star rooted at rank 0 (the parent — the master is
-    co-located with worker 0, as in the paper): an ``allgather`` is a gather
-    of each child's contribution in rank order followed by a broadcast of
-    the assembled list.  Gathering *in rank order* is what makes the
-    left-fold reductions downstream bit-identical to the simulated engines.
+    ``allgather`` returns the per-rank values in rank order — what makes the
+    left-fold reductions downstream bit-identical to the simulated engines —
+    with a rank's own value handed back as is and every other one a private
+    copy.
 
-    ``active`` is toggled by the runtime around each fit; an inactive
-    transport makes the Communicator fall back to its simulated (local)
-    data path, which is how the same cluster object also serves async
-    solvers that cannot run SPMD.
+    ``active`` is toggled by the runtime around each fit; while inactive the
+    cluster runs its simulated (local) path, which is how the same cluster
+    object also serves async solvers that cannot run SPMD.
     """
 
     rank: int = 0
@@ -246,23 +355,67 @@ class _Transport:
         self.active = False
         self.seq = 0
         self.wall: Optional[WorkerTimeline] = None
+        #: per fit: bytes written to + copied from slabs (``seq`` is the
+        #: number of exchanges made)
         self.bytes_exchanged = 0
-
-    # -- wall-clock recording ---------------------------------------------
-    def _record(self, t0: float, kind: str, label: str) -> None:
-        if self.wall is not None:
-            self.wall.advance(time.perf_counter() - t0, kind, label)  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
 
     def reset(self, wall: Optional[WorkerTimeline]) -> None:
         self.seq = 0
         self.wall = wall
         self.bytes_exchanged = 0
 
+    def counters(self) -> Dict[str, int]:
+        return {
+            "rank": self.rank,
+            "exchanges": self.seq,
+            "bytes": self.bytes_exchanged,
+        }
+
     def allgather(self, value: Any, *, label: str = "allgather") -> List[Any]:
+        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
+        parts = self._exchange(value)
+        self.seq += 1
+        if self.wall is not None:
+            self.wall.advance(time.perf_counter() - t0, "comm", label)  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
+        return parts
+
+    def _exchange(self, value: Any) -> List[Any]:
         raise NotImplementedError
 
-    def broadcast(self, value: Any, *, label: str = "broadcast") -> Any:
+    def _own_slab(self, nbytes: int) -> shared_memory.SharedMemory:
+        """This rank's slab ``seq % 2``, holding at least ``nbytes``."""
         raise NotImplementedError
+
+    def _peer_slab(self, rank: int, name: str) -> shared_memory.SharedMemory:
+        """Slab ``seq % 2`` of ``rank``, which its descriptor says is block
+        ``name``."""
+        raise NotImplementedError
+
+    def _publish(self, value: Any) -> _Descriptor:
+        """Write ``value``'s arrays to this rank's slab; the rest is the
+        descriptor."""
+        body = io.BytesIO()
+        pickler = _SlabPickler(body)
+        pickler.dump(value)
+        if not pickler.arrays:
+            return None, body.getvalue()
+        block = self._own_slab(pickler.nbytes)
+        for offset, order, array in pickler.arrays:
+            np.ndarray(
+                array.shape, dtype=array.dtype, buffer=block.buf,
+                offset=offset, order=order,
+            )[...] = array
+            self.bytes_exchanged += array.nbytes
+        return block.name, body.getvalue()
+
+    def _collect(self, rank: int, descriptor: _Descriptor) -> Any:
+        """Rebuild ``rank``'s value from its descriptor and its slab."""
+        name, body = descriptor
+        buf = None if name is None else self._peer_slab(rank, name).buf
+        unpickler = _SlabUnpickler(io.BytesIO(body), buf)
+        value = unpickler.load()
+        self.bytes_exchanged += unpickler.nbytes
+        return value
 
 
 class MasterTransport(_Transport):
@@ -274,8 +427,19 @@ class MasterTransport(_Transport):
         self.rank = 0
         self.n_ranks = runtime.n_ranks
 
+    def _own_slab(self, nbytes: int) -> shared_memory.SharedMemory:
+        return self._runtime.arena.slab(0, self.seq % 2, nbytes)
+
+    def _peer_slab(self, rank: int, name: str) -> shared_memory.SharedMemory:
+        # The parent created every slab, so it never attaches by name.
+        return self._runtime.arena.slab(rank, self.seq % 2)
+
     def _recv_tx(self, rank: int) -> Any:
         tag, seq, payload = self._runtime.recv_from(rank)
+        while tag == "grow" and seq == self.seq:
+            block = self._runtime.arena.slab(rank, seq % 2, payload)
+            self._runtime.send_to(rank, ("slab", seq, block.name))
+            tag, seq, payload = self._runtime.recv_from(rank)
         if tag == "error":
             raise ProcessTransportError(
                 f"worker process {rank} failed:\n{payload}"
@@ -287,24 +451,20 @@ class MasterTransport(_Transport):
             )
         return payload
 
-    def allgather(self, value: Any, *, label: str = "allgather") -> List[Any]:
-        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-        parts: List[Any] = [value] + [None] * (self.n_ranks - 1)
+    def _exchange(self, value: Any) -> List[Any]:
+        if self.n_ranks == 1:
+            return [value]
+        descriptors: List[Optional[_Descriptor]] = [self._publish(value)]
         for rank in range(1, self.n_ranks):
-            parts[rank] = self._recv_tx(rank)
+            descriptors.append(self._recv_tx(rank))
         for rank in range(1, self.n_ranks):
-            self._runtime.send_to(rank, ("tx", self.seq, parts))
-        self.seq += 1
-        self._record(t0, "comm", label)
-        return parts
-
-    def broadcast(self, value: Any, *, label: str = "broadcast") -> Any:
-        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-        for rank in range(1, self.n_ranks):
-            self._runtime.send_to(rank, ("tx", self.seq, value))
-        self.seq += 1
-        self._record(t0, "comm", label)
-        return value
+            others = list(descriptors)
+            others[rank] = None  # a rank keeps its own value
+            self._runtime.send_to(rank, ("tx", self.seq, others))
+        return [value] + [
+            self._collect(rank, descriptors[rank])
+            for rank in range(1, self.n_ranks)
+        ]
 
 
 class ChildTransport(_Transport):
@@ -316,6 +476,8 @@ class ChildTransport(_Transport):
         self.n_ranks = int(n_ranks)
         self.conn = conn
         self.timeout = float(timeout)
+        #: attached slabs by (rank, parity); they live as long as the pool
+        self._attached: Dict[Tuple[int, int], shared_memory.SharedMemory] = {}
 
     def _recv(self) -> Any:
         deadline = time.monotonic() + self.timeout  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
@@ -333,29 +495,39 @@ class ChildTransport(_Transport):
         except EOFError:
             sys.exit(1)
 
-    def _recv_tx(self) -> Any:
+    def _recv_tagged(self, expected: str) -> Any:
         tag, seq, payload = self._recv()
-        if tag != "tx" or seq != self.seq:
+        if tag != expected or seq != self.seq:
             raise ProcessTransportError(
-                f"rank {self.rank} desynchronized: expected tx #{self.seq}, "
-                f"got {tag!r} #{seq}"
+                f"rank {self.rank} desynchronized: expected {expected} "
+                f"#{self.seq}, got {tag!r} #{seq}"
             )
         return payload
 
-    def allgather(self, value: Any, *, label: str = "allgather") -> List[Any]:
-        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-        self.conn.send(("tx", self.seq, value))
-        parts = self._recv_tx()
-        self.seq += 1
-        self._record(t0, "comm", label)
-        return list(parts)
+    def _own_slab(self, nbytes: int) -> shared_memory.SharedMemory:
+        block = self._attached.get((self.rank, self.seq % 2))
+        if block is not None and block.size >= nbytes:
+            return block
+        self.conn.send(("grow", self.seq, nbytes))
+        return self._peer_slab(self.rank, self._recv_tagged("slab"))
 
-    def broadcast(self, value: Any, *, label: str = "broadcast") -> Any:
-        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-        value = self._recv_tx()
-        self.seq += 1
-        self._record(t0, "comm", label)
-        return value
+    def _peer_slab(self, rank: int, name: str) -> shared_memory.SharedMemory:
+        key = (rank, self.seq % 2)
+        block = self._attached.get(key)
+        if block is None or block.name != name:
+            if block is not None:
+                block.close()
+            # Same resource-tracker reasoning as _attach_array.
+            block = self._attached[key] = shared_memory.SharedMemory(name=name)
+        return block
+
+    def _exchange(self, value: Any) -> List[Any]:
+        self.conn.send(("tx", self.seq, self._publish(value)))
+        descriptors = self._recv_tagged("tx")
+        return [
+            value if rank == self.rank else self._collect(rank, descriptor)
+            for rank, descriptor in enumerate(descriptors)
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +540,8 @@ class ProcessRole:
     :meth:`map_workers` computes only this rank's worker and allgathers
     ``(result, modelled_time, flops)`` triples so every rank binds the full
     per-worker result list — and advances the *same* modelled clocks the
-    ``event`` engine would.
+    ``event`` engine would.  This is the only point at which ranks exchange
+    data: whatever a plan's collectives fold is already replicated here.
     """
 
     def __init__(self, transport: _Transport) -> None:
@@ -448,7 +621,6 @@ class ProcessRuntime:
         self.child_info: Dict[int, dict] = {}
         self._finalizer = weakref.finalize(self, _finalize_runtime, self)
         cluster._process_role = self.role
-        cluster.comm.transport = self.role.transport
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -663,6 +835,7 @@ class ProcessRuntime:
             self.role.deactivate()
         elapsed = time.perf_counter() - t0  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
         walls: Dict[int, dict] = {0: self.role.wall.to_dict()}
+        transports = [self.role.transport.counters()]
         for rank in range(1, self.n_ranks):
             tag, _, payload = self.recv_from(rank)
             if tag == "error":
@@ -676,6 +849,7 @@ class ProcessRuntime:
                     f"worker {rank}: expected fit completion, got {tag!r}"
                 )
             walls[rank] = payload["wall"]
+            transports.append(payload["transport"])
         rows = [walls[r] for r in sorted(walls)]
         trace.info["wall_clock"] = {
             "engine": "process",
@@ -684,6 +858,7 @@ class ProcessRuntime:
             "elapsed_seconds": float(elapsed),
             "workers": rows,
             "summary": wall_clock_summary(rows),
+            "transport": transports,
         }
         return trace
 
@@ -736,7 +911,6 @@ def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
         )
         role = ProcessRole(transport)
         cluster._process_role = role
-        cluster.comm.transport = transport
         conn.send(
             (
                 "ready",
@@ -789,6 +963,15 @@ def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
             continue
         role.deactivate()
         try:
-            conn.send(("done", 0, {"wall": role.wall.to_dict()}))
+            conn.send(
+                (
+                    "done",
+                    0,
+                    {
+                        "wall": role.wall.to_dict(),
+                        "transport": transport.counters(),
+                    },
+                )
+            )
         except (BrokenPipeError, OSError):
             return

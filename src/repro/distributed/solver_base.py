@@ -74,7 +74,7 @@ class DistributedSolver(ABC):
     #: whether this solver's schedule can run replicated across real OS
     #: processes (``engine="process"``).  True for every declarative
     #: synchronous solver — identical replicas reach identical RoundPlans
-    #: and meet at real collectives.  Asynchronous solvers set this False:
+    #: and meet at every local round.  Asynchronous solvers set this False:
     #: their schedules emerge from a single shared event queue that has no
     #: SPMD equivalent, so they fall back to the in-process event engine.
     supports_process_engine: bool = True

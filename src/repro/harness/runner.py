@@ -151,13 +151,20 @@ def run_method(
     ``on_record``/``should_stop`` stream per-epoch progress and request
     cooperative cancellation (see :meth:`DistributedSolver.fit`) — the
     training-job API of :mod:`repro.serving` runs every job through them.
+    A cluster built here is also closed here (on the process engine that
+    stops its worker processes and unlinks their shared memory).
     """
-    if cluster is None or test is None:
+    built_here = cluster is None or test is None
+    if built_here:
         cluster, test = build_cluster(cluster_config)
     solver = make_solver(solver_config)
-    trace = solver.fit(
-        cluster, test=test, on_record=on_record, should_stop=should_stop
-    )
+    try:
+        trace = solver.fit(
+            cluster, test=test, on_record=on_record, should_stop=should_stop
+        )
+    finally:
+        if built_here:
+            cluster.close()
     trace.info["solver_config"] = {"name": solver_config.name, **solver_config.kwargs}
     trace.info["cluster_config"] = vars(cluster_config).copy()
     return trace

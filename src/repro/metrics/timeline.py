@@ -221,9 +221,10 @@ def wall_clock_summary(rows: Sequence[dict]) -> dict:
 
     ``rows`` are serialized :class:`WorkerTimeline` dicts where segments hold
     real ``perf_counter`` durations instead of modelled seconds: ``busy`` is
-    time inside local compute, ``comm`` is time blocked in a real collective
-    (which includes waiting for slower ranks — on a pipe transport the two
-    are indistinguishable).  The summary reports the makespan (slowest rank)
+    time inside local compute, ``comm`` is time blocked in the exchange that
+    ends a local round (which includes waiting for slower ranks — a rank
+    cannot tell that from transfer time, the pipe it blocks on carries
+    both).  The summary reports the makespan (slowest rank)
     and the parallel efficiency ``sum(busy) / (n * makespan)`` — the number
     that says how much of the machine the run actually used, and the honest
     counterpart of the modelled speedups the simulated engines report.

@@ -259,13 +259,19 @@ class SoftmaxCrossEntropy(Objective):
         return self.scale * self._as_vector(out)
 
     # -- prediction --------------------------------------------------------
+    def _predict_logits(self, w, X):
+        """``X @ W``; on the objective's own data (``X is None``) the
+        per-iterate forward cache's logits, which are that same product at
+        every precision (``"mixed"`` caches the float32 GEMM it promotes)."""
+        if X is None:
+            return self._forward(w)["logits"]
+        return self._eval_matrix(X) @ self._as_matrix(w)
+
     def predict_proba(self, w, X=None) -> np.ndarray:
         """Class probabilities ``(n, C)`` under weights ``w`` for ``X``
         (returned on the host; one device-to-host transfer)."""
         xp = self._backend.xp
-        W = self._as_matrix(w)
-        data = self.X if X is None else self._eval_matrix(X)
-        logits = data @ W
+        logits = self._predict_logits(w, X)
         return self._backend.to_numpy(full_class_probabilities(logits, xp=xp))
 
     def predict(self, w, X=None) -> np.ndarray:
@@ -276,10 +282,7 @@ class SoftmaxCrossEntropy(Objective):
         matrix.
         """
         xp = self._backend.xp
-        W = self._as_matrix(w)
-        data = self.X if X is None else self._eval_matrix(X)
-        logits = data @ W
-        probs = full_class_probabilities(logits, xp=xp)
+        probs = full_class_probabilities(self._predict_logits(w, X), xp=xp)
         idx = self._backend.to_numpy(xp.argmax(probs, axis=1))
         return np.asarray(idx, dtype=np.int64)
 

@@ -271,6 +271,30 @@ class TestVerifyRules:
         seeded.master(_consume("nope"), name="m1")
         assert not verify_plan(seeded).findings
 
+    def test_pln010_collective_payload_must_be_replica_consistent(self):
+        # accepted: the payload folds a local step's results, which every
+        # replica binds identically in the context
+        accepted = RoundPlan("replicated")
+        accepted.local("g1", _compute, effects={"writes": ["worker:x"]})
+        accepted.allreduce("s1", _payload("g1"), effects={"reads": ["g1"]})
+        assert not verify_plan(accepted).findings
+        # rejected: the payload reads worker state, current on one rank only
+        rejected = RoundPlan("rank-local")
+        rejected.local("g1", _compute, effects={"writes": ["worker:x"]})
+        rejected.allreduce(
+            "s1", _payload("g1"), effects={"reads": ["g1", "worker:x"]}
+        )
+        report = verify_plan(rejected)
+        assert not report.ok
+        assert [f.rule for f in report.errors] == ["PLN010"]
+        assert "worker:x" in report.errors[0].message
+        assert report.errors[0].step_name == "s1"
+        # ...and so is a payload nothing is known about
+        opaque = RoundPlan("opaque-payload")
+        opaque.local("s1", _compute)
+        opaque.allreduce("total", _OPAQUE["_opaque"])
+        assert [f.rule for f in verify_plan(opaque).errors] == ["PLN010"]
+
     def test_report_describe_is_json_serializable(self):
         plan, _ = _fitted_plan("giant")
         report = verify_plan(plan)

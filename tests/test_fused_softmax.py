@@ -11,6 +11,7 @@ the uncached composed path, and exactly one device-to-host transfer per
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.backend.testing import TracingBackend
 from repro.objectives.base import RegularizedObjective
@@ -140,6 +141,32 @@ class TestPerIterateCache:
         assert "P" not in obj._iterate_cache
         obj.gradient(w)
         assert "P" in obj._iterate_cache
+
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "mixed"])
+    def test_predict_on_own_data_reuses_cached_logits(self, precision):
+        """An epoch record predicts at the iterate it has just evaluated: on
+        the objective's own data that costs no second logits GEMM, and the
+        labels and probabilities are those of the explicit-``X`` path (on
+        the matrix as the objective stores it)."""
+        X, y = _problem()
+        obj = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        w = obj.check_weights(np.random.default_rng(7).standard_normal(obj.dim))
+        expected = obj.predict(w, obj.X), obj.predict_proba(w, obj.X)
+
+        obj.value_and_gradient(w)
+        gemms = []
+        compute = obj._logits
+        obj._logits = lambda W: gemms.append(W) or compute(W)
+        np.testing.assert_array_equal(obj.predict(w), expected[0])
+        np.testing.assert_array_equal(obj.predict_proba(w), expected[1])
+        assert gemms == []
+        # A cold cache pays the GEMM in predict, through the cache, so what
+        # follows at that iterate does not pay it again.
+        w2 = obj.check_weights(w + 1.0)
+        np.testing.assert_array_equal(obj.predict(w2), obj.predict(w2, obj.X))
+        assert len(gemms) == 1
+        obj.value(w2)
+        assert len(gemms) == 1
 
     def test_wrapped_objective_shares_the_cache(self):
         """RegularizedObjective passes the same iterate object down, so the

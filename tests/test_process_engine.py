@@ -14,11 +14,15 @@ Three pillars:
 - **Plumbing**: zero-copy shared-memory shard handoff (placement counters),
   fork-safety of session defaults under spawn, measured wall-clock timelines
   in ``trace.info``, and the async-solver fallback.
+- **Transport**: one exchange per local round, a slab stress run driving the
+  transport over bare pipes, and nothing left in ``/dev/shm``.
 """
 
 import json
+import multiprocessing as mp
 import os
 import signal
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +38,13 @@ from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.collectives import star_allgather_ipc_seconds
 from repro.distributed.faults import WorkerLostError
-from repro.distributed.process_engine import process_engine_info
+from repro.distributed.process_engine import (
+    ChildTransport,
+    MasterTransport,
+    ShmArena,
+    process_engine_info,
+)
 from repro.harness.config import default_engine, set_default_engine
 
 pytestmark = pytest.mark.process_engine
@@ -329,7 +337,212 @@ class TestDispatchPolicy:
 
 
 # ---------------------------------------------------------------------------
-# Introspection + IPC cost model
+# Transport: one exchange per local round, arrays through slabs
+# ---------------------------------------------------------------------------
+class TestOneExchangePerLocalRound:
+    @pytest.mark.parametrize("name", ["newton_admm", "sync_sgd"])
+    def test_exchanges_equal_map_workers_calls(self, name, dataset, monkeypatch):
+        calls = []
+        original = SimulatedCluster.map_workers
+
+        def counted(cluster, fn, **kwargs):
+            calls.append(fn)
+            return original(cluster, fn, **kwargs)
+
+        monkeypatch.setattr(SimulatedCluster, "map_workers", counted)
+        trace, _ = _fit(dataset, name, "process")
+        # Local rounds: x-update + dual update per Newton-ADMM epoch, one per
+        # SGD mini-batch (each followed by its all-reduce).  The collectives
+        # ride on the exchanged results and add no exchange of their own.
+        assert len(calls) == {
+            "newton_admm": 2 * len(trace.info["schedule"]["epochs"]),
+            "sync_sgd": trace.info["communication"]["collectives"],
+        }[name]
+        per_rank = trace.info["wall_clock"]["transport"]
+        assert [row["rank"] for row in per_rank] == list(range(N_WORKERS))
+        for row in per_rank:
+            assert row["exchanges"] == len(calls)
+            assert row["bytes"] > 0
+
+
+_SHM_DIR = "/dev/shm"
+needs_dev_shm = pytest.mark.skipif(
+    not os.path.isdir(_SHM_DIR), reason="no /dev/shm on this platform"
+)
+
+_STRESS_RANKS = 3  # more ranks than this suite's CI runners have cores
+_STRESS_ROUNDS = 300
+
+
+def _stress_payload(rank, k):
+    """What ``rank`` contributes in round ``k``: every leaf kind the slab
+    path has to carry, at sizes that change every round and outgrow the
+    slabs half-way through the run."""
+    if k % 11 == rank:
+        return None  # a rank outside the round's targets
+    rng = np.random.default_rng([rank, k])
+    n = (3, 20_000, 17)[k % 3] * (1 if k < _STRESS_ROUNDS // 2 else 5)
+    result = {
+        "vec": rng.standard_normal(n),
+        "f32": rng.standard_normal((n // 3 + 1, 3)).astype(np.float32),
+        "fortran": np.asfortranarray(rng.standard_normal((4, 5))),
+        "strided": rng.standard_normal(2 * n)[::2],
+        "zero_d": np.array(float(k)),
+        "empty": np.empty((0, 3)),
+        "nested": [
+            rng.integers(0, 9, size=5),
+            (np.float64(k) / 3, None, "text", k),
+        ],
+    }
+    return result, 1e-3 * k, float(n)
+
+
+def _leaves(value):
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
+def _assert_bitwise_equal(got, expected):
+    assert type(got) is type(expected)
+    if isinstance(expected, dict):
+        assert list(got) == list(expected)
+    if isinstance(expected, (dict, list, tuple)):
+        assert len(got) == len(expected)
+    for a, b in zip(_leaves(got), _leaves(expected)):
+        assert type(a) is type(b)
+        if isinstance(b, np.ndarray):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+            # layout as pickling would leave it: Fortran order kept
+            assert a.flags.f_contiguous or not b.flags.f_contiguous
+        else:
+            assert a == b
+
+
+def _stress_exchanges(transport, rounds):
+    """Run ``rounds`` exchanges as ``transport.rank``; assert every received
+    value round-trips bitwise, and that it owns its memory: it survives the
+    rewrite of the slab it came from, and scribbling on it reaches no one."""
+    transport.reset(None)
+    peers = [r for r in range(transport.n_ranks) if r != transport.rank]
+    held = {}
+    for k in range(rounds):
+        mine = _stress_payload(transport.rank, k)
+        parts = transport.allgather(mine)
+        assert parts[transport.rank] is mine
+        for peer in peers:
+            _assert_bitwise_equal(parts[peer], _stress_payload(peer, k))
+        for old in [j for j in held if j <= k - 2]:
+            for peer, value in held.pop(old).items():
+                _assert_bitwise_equal(value, _stress_payload(peer, old))
+                for leaf in _leaves(value):
+                    if isinstance(leaf, np.ndarray):
+                        assert leaf.flags.owndata and leaf.flags.writeable
+                        leaf[...] = 7
+        held[k] = {peer: parts[peer] for peer in peers}
+    counters = transport.counters()
+    assert counters["exchanges"] == rounds and counters["bytes"] > 0
+
+
+def _stress_child(rank, conn, rounds):
+    """Entry point of a stress rank (top-level: spawn-picklable)."""
+    try:
+        _stress_exchanges(ChildTransport(rank, _STRESS_RANKS, conn, 60.0), rounds)
+        conn.send(("done", 0, None))
+    except BaseException:
+        conn.send(("error", 0, traceback.format_exc()))
+        raise
+
+
+class _PipeRuntime:
+    """What a MasterTransport needs of its ProcessRuntime, over bare pipes."""
+
+    def __init__(self, conns):
+        self.n_ranks = len(conns) + 1
+        self.arena = ShmArena()
+        self._conns = conns
+
+    def send_to(self, rank, message):
+        self._conns[rank].send(message)
+
+    def recv_from(self, rank):
+        assert self._conns[rank].poll(60.0), f"rank {rank} sent nothing for 60 s"
+        return self._conns[rank].recv()
+
+
+@needs_dev_shm
+class TestSlabTransport:
+    def test_stress_round_trips_bitwise_and_owns_its_memory(self):
+        before = set(os.listdir(_SHM_DIR))
+        ctx = mp.get_context("spawn")
+        conns, procs = {}, []
+        for rank in range(1, _STRESS_RANKS):
+            conns[rank], child_conn = ctx.Pipe(duplex=True)
+            procs.append(
+                ctx.Process(
+                    target=_stress_child,
+                    args=(rank, child_conn, _STRESS_ROUNDS),
+                    daemon=True,
+                )
+            )
+            procs[-1].start()
+            child_conn.close()
+        runtime = _PipeRuntime(conns)
+        try:
+            # A failed assertion in a child arrives as its traceback.
+            _stress_exchanges(MasterTransport(runtime), _STRESS_ROUNDS)
+            for rank in conns:
+                assert runtime.recv_from(rank)[0] == "done"
+            for proc in procs:
+                proc.join(timeout=30.0)
+                assert not proc.is_alive()
+            # Two slabs per rank, replaced (not added to) when they grew.
+            assert len(set(os.listdir(_SHM_DIR)) - before) == 2 * _STRESS_RANKS
+            assert runtime.arena.placements == 0
+        finally:
+            for proc in procs:
+                proc.kill()
+            runtime.arena.close()
+        assert set(os.listdir(_SHM_DIR)) == before
+
+    def test_nothing_left_after_close(self, dataset):
+        before = set(os.listdir(_SHM_DIR))
+        cluster = SimulatedCluster(
+            dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
+        )
+        try:
+            NewtonADMM(lam=1e-3, max_epochs=2, record_accuracy=False).fit(cluster)
+            # the dataset blocks, plus the slabs the ranks wrote arrays to
+            created = set(os.listdir(_SHM_DIR)) - before
+            assert len(created) > cluster.process_runtime.shm_placements
+        finally:
+            cluster.close()
+        assert set(os.listdir(_SHM_DIR)) == before
+
+    def test_nothing_left_after_sigkill(self, dataset):
+        before = set(os.listdir(_SHM_DIR))
+        cluster = SimulatedCluster(
+            dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
+        )
+        try:
+            solver = NewtonADMM(lam=1e-3, max_epochs=2, record_accuracy=False)
+            solver.fit(cluster)  # the victim has slabs of its own by now
+            os.kill(cluster.process_runtime.worker_pids()[1], signal.SIGKILL)
+            with pytest.raises(WorkerLostError):
+                solver.fit(cluster)
+            # The parent created every block, so the loss alone releases them.
+            assert set(os.listdir(_SHM_DIR)) == before
+        finally:
+            cluster.close()
+
+
+# ---------------------------------------------------------------------------
+# Introspection
 # ---------------------------------------------------------------------------
 class TestIntrospection:
     def test_process_engine_info_shape(self):
@@ -338,13 +551,3 @@ class TestIntrospection:
         assert info["cpu_count"] >= 1
         assert info["shared_memory"] is True
         assert isinstance(info["torch_distributed"], str)
-
-    def test_star_ipc_cost_model(self):
-        assert star_allgather_ipc_seconds(1, 1e6) == 0.0
-        two = star_allgather_ipc_seconds(2, 1e6)
-        eight = star_allgather_ipc_seconds(8, 1e6)
-        assert 0.0 < two < eight
-        # O(N^2) bytes through the root: doubling workers more than
-        # doubles the cost.
-        four = star_allgather_ipc_seconds(4, 1e6)
-        assert eight / four > 2.0
