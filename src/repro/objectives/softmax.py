@@ -8,19 +8,30 @@ evaluated with the log-sum-exp shift of §6, so the objective never overflows.
 The Hessian of this loss has the block structure
 ``H = sum_i (diag(p_i) - p_i p_i^T) ⊗ (x_i x_i^T)`` and is positive
 semi-definite; it is never materialized — only Hessian-vector products are
-exposed (two GEMMs of the same shape as the gradient's).
+exposed (one pass over ``X``: per row tile, two GEMMs of the gradient's shape).
+
+Row tiles
+---------
+Every product with ``X`` runs over one sequence of row tiles (``_tiles``),
+and a kernel that needs both ``X_t @ ·`` and ``X_t.T @ ·`` does them back to
+back while the tile is in L2, so an HVP and a cold ``value_and_gradient``
+read the shard once instead of twice.  Sparse, non-C-contiguous and
+accelerator-resident matrices, and any matrix no larger than one tile, are a
+single tile, for which each kernel is exactly the whole-array expression;
+across several tiles only the association of the row sum differs.
 
 Per-iterate forward cache
 -------------------------
-The logits GEMM ``X @ W`` and its log-sum-exp / softmax are the shared prefix
+The logits ``X @ W`` and their log-sum-exp / softmax are the shared prefix
 of ``value``, ``gradient`` and every ``hvp`` at the same iterate, so they are
 computed once per *distinct iterate object* and reused.  The cache holds a
 single entry keyed on object identity (``w is cached``), exactly like the
 ``_eval_matrix`` cache: the identity-preserving ``backend.as_vector`` keeps
 one iterate one object through wrapper chains, and callers must not mutate an
 iterate in place between evaluations (no solver in this library does).  With
-the cache warm, an HVP costs two GEMMs instead of three and
-``value_and_gradient`` computes lse and probabilities in one fused pass
+the cache warm, an HVP costs one pass over ``X`` instead of two; a cold
+``value_and_gradient`` costs one as well, computing lse and probabilities per
+tile in one fused kernel
 (:meth:`~repro.backend.base.ArrayBackend.fused_lse_probs`).
 
 All kernels run on the configured :mod:`repro.backend` (NumPy by default;
@@ -55,6 +66,14 @@ from repro.utils.flops import (
     softmax_value_and_gradient_flops,
 )
 from repro.utils.validation import check_labels
+
+#: Bytes of ``X`` in one row tile.  Measured on a 4000x784 fp64 shard (one
+#: BLAS thread): a warm HVP takes 5.1-5.6 ms anywhere from 256 to 768 KiB,
+#: against 9-10 ms untiled and at 1 MiB and above, where a tile no longer
+#: survives in L2 between its two products.  512 KiB is the middle of that
+#: flat range and half of the smallest L2 assumed (1 MiB per core), leaving
+#: room for the BLAS packing buffers; docs/performance.md has the table.
+TILE_BYTES = 512 * 1024
 
 
 class SoftmaxCrossEntropy(Objective):
@@ -116,8 +135,44 @@ class SoftmaxCrossEntropy(Objective):
         self._indicator = self._backend.asarray(
             indicator, dtype=data_float_dtype(self.X)
         )
+        self._tiles = self._row_tiles()
         # Single-entry per-iterate forward cache (see module docstring).
         self._iterate_cache: Optional[dict] = None
+
+    # -- row tiles ----------------------------------------------------------
+    def _row_tiles(self):
+        """``(rows, X[rows])`` per tile of at most ``TILE_BYTES`` of ``X``.
+
+        One tile ``(slice(None), X)`` where slicing rows would copy (sparse),
+        where a row block is not a contiguous run of memory, or on an
+        accelerator, where a launch per tile costs more than the pass saves.
+        """
+        X, n = self.X, self.X.shape[0]
+        flags = getattr(X, "flags", None)
+        tiled = flags is not None and flags.c_contiguous and not (
+            self._backend.is_sparse(X) or self._backend.is_accelerator()
+        )
+        rows = max(1, TILE_BYTES // (self.n_features * X.dtype.itemsize)) if tiled else n
+        if rows >= n:
+            return [(slice(None), X)]
+        return [(slice(r, r + rows), X[r : r + rows]) for r in range(0, n, rows)]
+
+    def _join(self, parts):
+        """Per-tile row blocks as one array (the block itself for one tile)."""
+        return parts[0] if len(parts) == 1 else self._backend.xp.concatenate(parts)
+
+    def _xt_sum(self, block):
+        """``sum_t X_t.T @ block(rows_t, X_t)`` over the row tiles.
+
+        ``block`` may itself multiply by ``X_t``: both products then touch
+        the tile while it is cache-resident.  The first tile's product starts
+        the accumulator, so one tile gives exactly ``X.T @ block(:, X)``.
+        """
+        terms = (X_t.T @ block(rows, X_t) for rows, X_t in self._tiles)
+        out = next(terms)
+        for term in terms:
+            out += term
+        return out
 
     # -- weight reshaping -------------------------------------------------
     def _as_matrix(self, w):
@@ -129,7 +184,7 @@ class SoftmaxCrossEntropy(Objective):
         return W.T.ravel()
 
     def _logits(self, W):
-        return self.X @ W
+        return self._join([X_t @ W for _, X_t in self._tiles])
 
     # -- per-iterate forward cache ----------------------------------------
     def _forward(self, w, *, need_lse: bool = False, need_probs: bool = False):
@@ -168,26 +223,61 @@ class SoftmaxCrossEntropy(Objective):
         return cache
 
     # -- objective API -----------------------------------------------------
-    def value(self, w) -> float:
+    def _loss(self, cache) -> float:
         xp = self._backend.xp
-        cache = self._forward(w, need_lse=True)
         logits = cache["logits_hp"] if self.precision == "mixed" else cache["logits"]
         correct = xp.sum(logits * self._indicator, axis=1)
         return self.scale * self._backend.to_float(xp.sum(cache["lse"] - correct))
 
+    def _residual_gradient(self, cache):
+        D = cache["P"] - self._indicator
+        return self._xt_sum(lambda rows, X_t: D[rows])
+
+    def _forward_and_gradient(self, w):
+        """Cold-cache forward pass and ``X.T @ (P - Y)`` in one pass over ``X``.
+
+        Per tile: logits, fused lse + probabilities, gradient contribution.
+        Leaves the forward cache as ``_forward(w, need_lse=True,
+        need_probs=True)`` would.
+        """
+        W = w.reshape(self.n_classes - 1, self.n_features).T
+        mixed = self.precision == "mixed"
+        parts = []
+
+        def block(rows, X_t):
+            logits = X_t @ W
+            lse, P = self._backend.fused_lse_probs(
+                self._backend.promote_fp64(logits) if mixed else logits
+            )
+            if mixed:
+                P = self._backend.demote_fp32(P)
+            parts.append((logits, lse, P))
+            return P - self._indicator[rows]
+
+        G = self._xt_sum(block)
+        logits, lse, P = (self._join(column) for column in zip(*parts))
+        cache = {"w": w, "logits": logits, "lse": lse, "P": P}
+        if mixed:
+            cache["logits_hp"] = self._backend.promote_fp64(logits)
+        self._iterate_cache = cache
+        return cache, G
+
+    def value(self, w) -> float:
+        return self._loss(self._forward(w, need_lse=True))
+
     def gradient(self, w):
-        cache = self._forward(w, need_probs=True)
-        G = self.X.T @ (cache["P"] - self._indicator)
+        G = self._residual_gradient(self._forward(w, need_probs=True))
         return self.scale * self._as_vector(G)
 
     def value_and_gradient(self, w) -> Tuple[float, np.ndarray]:
-        xp = self._backend.xp
-        cache = self._forward(w, need_lse=True, need_probs=True)
-        logits = cache["logits_hp"] if self.precision == "mixed" else cache["logits"]
-        correct = xp.sum(logits * self._indicator, axis=1)
-        value = self.scale * self._backend.to_float(xp.sum(cache["lse"] - correct))
-        G = self.X.T @ (cache["P"] - self._indicator)
-        return value, self.scale * self._as_vector(G)
+        w = self.check_weights(w)
+        cache = self._iterate_cache
+        if cache is None or cache["w"] is not w:
+            cache, G = self._forward_and_gradient(w)
+        else:
+            cache = self._forward(w, need_lse=True, need_probs=True)
+            G = self._residual_gradient(cache)
+        return self._loss(cache), self.scale * self._as_vector(G)
 
     def _curvature_block(self, P, U, xp):
         """``T`` such that ``H v = scale * X.T @ T`` for ``U = X @ V``."""
@@ -199,16 +289,18 @@ class SoftmaxCrossEntropy(Objective):
         cache = self._forward(w, need_probs=True)
         v = self._backend.as_vector(v, self.dim, name="v")
         V = v.reshape(self.n_classes - 1, self.n_features).T
-        U = self.X @ V
-        out = self.X.T @ self._curvature_block(cache["P"], U, xp)
+        P = cache["P"]
+        out = self._xt_sum(
+            lambda rows, X_t: self._curvature_block(P[rows], X_t @ V, xp)
+        )
         return self.scale * self._as_vector(out)
 
     def hvp_mat(self, w, V):
-        """Hessian applied to all ``s`` columns of ``V`` — two GEMMs total.
+        """Hessian applied to all ``s`` columns of ``V`` — two GEMMs per tile.
 
         Each column of ``V`` is a flat ``(C-1)*p`` direction; the columns'
         per-class weight matrices are laid side by side into one ``(p, s*c)``
-        block so the forward and backward passes are single GEMMs of width
+        block so the forward and backward products are GEMMs of width
         ``s*c`` instead of ``s`` separate GEMMs of width ``c``.  The
         per-column results agree with ``hvp`` up to GEMM reassociation.
         """
@@ -226,13 +318,16 @@ class SoftmaxCrossEntropy(Objective):
         # Column j of V reshaped to its (p, c) weight matrix occupies columns
         # [j*c, (j+1)*c) of the stacked block.
         Vstack = V.T.reshape(s * c, p).T
-        U = self.X @ Vstack
-        blocks = [
-            self._curvature_block(P, U[:, j * c : (j + 1) * c], xp)
-            for j in range(s)
-        ]
-        T = xp.hstack(blocks) if s > 1 else blocks[0]
-        out = self.X.T @ T
+
+        def block(rows, X_t):
+            U, P_t = X_t @ Vstack, P[rows]
+            blocks = [
+                self._curvature_block(P_t, U[:, j * c : (j + 1) * c], xp)
+                for j in range(s)
+            ]
+            return xp.hstack(blocks) if s > 1 else blocks[0]
+
+        out = self._xt_sum(block)
         cols = [
             self._as_vector(out[:, j * c : (j + 1) * c]).reshape(-1, 1)
             for j in range(s)

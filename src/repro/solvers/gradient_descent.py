@@ -78,9 +78,10 @@ class GradientDescent(Solver):
                 if step == 0.0:
                     converged = True
                     break
+                w = ls.x_new
             else:
                 step = self.step_size
-            w = w + step * direction
+                w = w + step * direction
             prev_val = f_val
             f_val, grad = objective.value_and_gradient(w)
             grad_norm = float(np.linalg.norm(grad))

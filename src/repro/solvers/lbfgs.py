@@ -94,7 +94,7 @@ class LBFGS(Solver):
             if ls.step_size == 0.0:
                 converged = True
                 break
-            w_new = w + ls.step_size * direction
+            w_new = ls.x_new
             prev_val = f_val
             f_val, grad_new = objective.value_and_gradient(w_new)
 

@@ -41,12 +41,18 @@ class LineSearchResult:
         Number of objective evaluations performed.
     success:
         Whether the Armijo condition was satisfied.
+    x_new:
+        The accepted point, the very array ``f`` was last evaluated at — so
+        an identity-keyed forward cache is still warm for it, and it lies
+        along ``-g`` when ``p`` was not a descent direction.  ``None`` when
+        ``step_size`` is 0.
     """
 
     step_size: float
     f_new: float
     n_evaluations: int
     success: bool
+    x_new: Optional[np.ndarray] = None
 
 
 def armijo_backtracking(
@@ -110,7 +116,8 @@ def armijo_backtracking(
         n_evals += 1
         if f_new <= f_x + alpha * beta * slope:
             return LineSearchResult(
-                step_size=alpha, f_new=f_new, n_evaluations=n_evals, success=True
+                step_size=alpha, f_new=f_new, n_evaluations=n_evals, success=True,
+                x_new=candidate,
             )
         if i == max_iter:
             break
@@ -118,7 +125,8 @@ def armijo_backtracking(
 
     if accept_on_failure and f_new < f_x:
         return LineSearchResult(
-            step_size=alpha, f_new=f_new, n_evaluations=n_evals, success=False
+            step_size=alpha, f_new=f_new, n_evaluations=n_evals, success=False,
+            x_new=candidate,
         )
     return LineSearchResult(
         step_size=0.0, f_new=f_x, n_evaluations=n_evals, success=False

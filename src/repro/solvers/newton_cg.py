@@ -139,7 +139,7 @@ class NewtonCG(Solver):
                 converged = True
                 break
 
-            w = w + ls.step_size * direction
+            w = ls.x_new
             prev_val = f_val
             f_val, grad, hvp_op = objective.value_and_gradient_and_hvp_operator(w)
             grad_norm = backend.norm(grad)

@@ -160,7 +160,7 @@ class NewtonSketch(Solver):
                 converged = True
                 break
 
-            w = w + ls.step_size * direction
+            w = ls.x_new
             prev_val = f_val
             f_val, grad = objective.value_and_gradient(w)
             grad_norm = float(np.linalg.norm(grad))

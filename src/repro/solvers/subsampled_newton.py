@@ -166,7 +166,7 @@ class SubsampledNewton(Solver):
                 converged = True
                 break
 
-            w = w + ls.step_size * direction
+            w = ls.x_new
             prev_val = f_val
             f_val, grad = objective.value_and_gradient(w)
             grad_norm = float(np.linalg.norm(grad))

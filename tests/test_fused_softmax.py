@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.backend.testing import TracingBackend
+from repro.objectives import softmax
 from repro.objectives.base import RegularizedObjective
 from repro.objectives.logistic import BinaryLogistic
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
+from repro.solvers.newton_cg import NewtonCG
 
 #: xp ufuncs only the softmax forward pass issues — their counts proxy
 #: "number of forward passes" without depending on GEMM tracing.
@@ -168,6 +171,22 @@ class TestPerIterateCache:
         obj.value(w2)
         assert len(gemms) == 1
 
+    def test_newton_step_reuses_the_line_search_forward_pass(self):
+        """The line search hands back the array it last evaluated, so the
+        value+gradient at the accepted point finds that trial's logits: a
+        solve reads ``X`` for the start point and once per trial, not once
+        more per iteration."""
+        X, y = _problem()
+        loss = SoftmaxCrossEntropy(X, y, 4)
+        passes = []
+        for name in ("_logits", "_forward_and_gradient"):
+            inner = getattr(loss, name)
+            setattr(loss, name, lambda a, inner=inner: passes.append(1) or inner(a))
+        obj = RegularizedObjective(loss, L2Regularizer(loss.dim, 1e-3))
+        result = NewtonCG(max_iterations=5).minimize(obj)
+        assert result.n_iterations > 1
+        assert len(passes) == 1 + result.info["total_line_search_evals"]
+
     def test_wrapped_objective_shares_the_cache(self):
         """RegularizedObjective passes the same iterate object down, so the
         solver-visible wrapper chain still gets one forward pass."""
@@ -237,3 +256,187 @@ class TestSingleTransferPredictions:
         np.testing.assert_array_equal(
             obj.predict(w), np.argmax(obj.predict_proba(w), axis=1)
         )
+
+
+class _CountingArray(np.ndarray):
+    """Counts the ``@`` products it takes part in: the operator goes to
+    ``ndarray.__matmul__``, past the TracingBackend's namespace."""
+
+    matmuls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountingArray.matmuls += 1
+        return getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+
+
+#: relative tolerance for results that differ by the association of a row sum
+TILE_RTOL = {"fp64": 1e-12, "fp32": 2e-5, "mixed": 2e-5}
+
+#: ``TILE_BYTES`` for the 300x20 problem: 43 (fp64) / 87 (fp32) rows a tile
+#: with a ragged last tile, and one row a tile
+SMALL_TILES = (7000, 1)
+
+
+def _evaluate(obj, w, v, V):
+    """Every kernel with a product with ``X``, each from a cold cache, as
+    flat arrays."""
+    out = {}
+    for name, call in (
+        ("value", lambda: obj.value(w)),
+        ("gradient", lambda: obj.gradient(w)),
+        ("value_and_gradient", lambda: obj.value_and_gradient(w)),
+        ("hvp", lambda: obj.hvp(w, v)),
+        ("hvp_mat", lambda: obj.hvp_mat(w, V)),
+        ("predict_proba", lambda: obj.predict_proba(w)),
+    ):
+        obj._iterate_cache = None
+        result = call()
+        parts = result if isinstance(result, tuple) else (result,)
+        out[name] = np.hstack([np.ravel(part) for part in parts])
+    return out
+
+
+class TestRowTiles:
+    """One tile sequence under every product with ``X`` (``TILE_BYTES``
+    patched small so a 300x20 problem spans several tiles)."""
+
+    @staticmethod
+    def _setup(seed=11):
+        X, y = _problem(n=300, p=20, c=4, seed=seed)
+        rng = np.random.default_rng(seed)
+        dim = 20 * 3
+        w = rng.standard_normal(dim) * 0.1
+        return X, y, w, rng.standard_normal(dim), rng.standard_normal((dim, 3))
+
+    @pytest.mark.parametrize("tile_bytes", SMALL_TILES)
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "mixed"])
+    def test_tiled_results_match_single_tile(self, monkeypatch, precision, tile_bytes):
+        X, y, w, v, V = self._setup()
+        single = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        assert len(single._tiles) == 1
+        monkeypatch.setattr(softmax, "TILE_BYTES", tile_bytes)
+        tiled = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        rows = max(1, tile_bytes // (20 * tiled.X.dtype.itemsize))
+        assert len(tiled._tiles) == -(-300 // rows) > 1
+        last = tiled._tiles[-1][1]
+        assert last.shape[0] == 300 - rows * (len(tiled._tiles) - 1) <= rows
+        if tile_bytes > 1:
+            assert last.shape[0] < rows  # ragged
+
+        w, v, V = (a.astype(tiled.X.dtype) for a in (w, v, V))
+        expected, got = _evaluate(single, w, v, V), _evaluate(tiled, w, v, V)
+        rtol = TILE_RTOL[precision]
+        for name in expected:
+            scale = np.max(np.abs(expected[name]))
+            np.testing.assert_allclose(
+                got[name], expected[name], rtol=0, atol=rtol * scale, err_msg=name
+            )
+        np.testing.assert_array_equal(tiled.predict(w), single.predict(w))
+        if precision == "fp64":
+            np.testing.assert_allclose(
+                tiled.hvp_per_class(w, v), got["hvp"], rtol=1e-10, atol=1e-13
+            )
+
+    @pytest.mark.parametrize("tile_bytes", SMALL_TILES)
+    @pytest.mark.parametrize("precision", ["fp64", "fp32", "mixed"])
+    def test_entry_points_agree_bitwise_within_a_tiling(
+        self, monkeypatch, precision, tile_bytes
+    ):
+        """Same tiles in the same order everywhere: separate and fused, cold
+        and warm calls are the same floating-point program."""
+        monkeypatch.setattr(softmax, "TILE_BYTES", tile_bytes)
+        X, y, w, v, _ = self._setup()
+        obj = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        fresh = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        assert len(obj._tiles) > 1
+        w, v = w.astype(obj.X.dtype), v.astype(obj.X.dtype)
+
+        value, grad = obj.value_and_gradient(w)  # cold: fused per tile
+        warm_hvp = obj.hvp(w, v)
+        assert fresh.value(w) == value  # cold: logits, then lse
+        np.testing.assert_array_equal(fresh.gradient(w), grad)  # after value(w)
+        fresh._iterate_cache = None
+        np.testing.assert_array_equal(fresh.gradient(w), grad)  # cold
+        fresh._iterate_cache = None
+        np.testing.assert_array_equal(fresh.hvp(w, v), warm_hvp)  # cold HVP
+        warm_value, warm_grad = fresh.value_and_gradient(w)  # warm: from the cache
+        assert warm_value == value
+        np.testing.assert_array_equal(warm_grad, grad)
+
+    @pytest.mark.parametrize("precision", ["fp64", "mixed"])
+    def test_cold_value_and_gradient_fills_the_cache_in_one_pass(
+        self, monkeypatch, precision
+    ):
+        """2 products per tile for a cold value+gradient and per warm HVP; the
+        cache the fused pass leaves serves HVPs and predictions with no
+        further forward pass."""
+        monkeypatch.setattr(softmax, "TILE_BYTES", 7000)
+        X, y, w, v, _ = self._setup()
+        bk = TracingBackend()
+        obj = SoftmaxCrossEntropy(X, y, 4, backend=bk, precision=precision)
+        obj.X = obj.X.view(_CountingArray)
+        obj._tiles = obj._row_tiles()
+        tiles = len(obj._tiles)
+        assert tiles > 1
+        w = obj.check_weights(bk.asarray(w.astype(obj.X.dtype)))
+        reference = SoftmaxCrossEntropy(X, y, 4, precision=precision)
+        expected = reference._forward(np.asarray(w), need_lse=True, need_probs=True)
+
+        bk.reset()
+        _CountingArray.matmuls = 0
+        obj.value_and_gradient(w)
+        assert _CountingArray.matmuls == 2 * tiles
+        assert bk.calls["fused_lse_probs"] == tiles
+        cache = obj._iterate_cache
+        assert set(cache) == set(expected)
+        for key in set(expected) - {"w"}:
+            assert cache[key].dtype == expected[key].dtype
+            np.testing.assert_array_equal(cache[key], expected[key], err_msg=key)
+
+        forward_ops = _forward_count(bk)
+        for _ in range(3):
+            obj.hvp(w, v.astype(obj.X.dtype))
+        assert _CountingArray.matmuls == 2 * tiles + 3 * 2 * tiles
+        obj.value(w)
+        obj.gradient(w)  # X.T @ (P - Y) only
+        assert _CountingArray.matmuls == 9 * tiles
+        assert _forward_count(bk) == forward_ops
+        obj.predict(w)  # its softmax runs on the cached logits
+        assert _CountingArray.matmuls == 9 * tiles
+
+    def test_one_tile_for_sparse_fortran_and_small_inputs(self, monkeypatch):
+        X, y, *_ = self._setup()
+        assert len(SoftmaxCrossEntropy(X, y, 4)._tiles) == 1  # rows >= n
+        monkeypatch.setattr(softmax, "TILE_BYTES", 1)
+        assert len(SoftmaxCrossEntropy(X, y, 4)._tiles) == 300
+        for data in (sp.csr_matrix(X), np.asfortranarray(X)):
+            obj = SoftmaxCrossEntropy(data, y, 4)
+            assert len(obj._tiles) == 1 and obj._tiles[0][1] is obj.X
+
+    @pytest.mark.parametrize("layout", ["csr", "fortran", "small"])
+    def test_single_tile_inputs_are_the_whole_array_expressions(
+        self, monkeypatch, layout
+    ):
+        """Inputs the tile rule leaves whole compute the literal ``X @ W`` and
+        ``X.T @ T``, bit for bit (holds before the tile loop existed too)."""
+        X, y, w, v, _ = self._setup()
+        if layout != "small":
+            monkeypatch.setattr(softmax, "TILE_BYTES", 1, raising=False)
+        data = {"csr": sp.csr_matrix, "fortran": np.asfortranarray, "small": np.asarray}[
+            layout
+        ](X)
+        obj = SoftmaxCrossEntropy(data, y, 4, scale=1.0)
+        if layout == "fortran":
+            assert obj.X.flags.f_contiguous and not obj.X.flags.c_contiguous
+        XM, W, V = obj.X, w.reshape(3, 20).T, v.reshape(3, 20).T
+        logits = XM @ W
+        np.testing.assert_array_equal(obj._forward(w)["logits"], logits)
+        P = obj._forward(w, need_probs=True)["P"]
+        G = XM.T @ (P - obj._indicator)
+        np.testing.assert_array_equal(obj.gradient(w), G.T.ravel())
+        obj._iterate_cache = None
+        np.testing.assert_array_equal(obj.value_and_gradient(w)[1], G.T.ravel())
+        PU = P * (XM @ V)
+        H = XM.T @ (PU - P * np.sum(PU, axis=1, keepdims=True))
+        np.testing.assert_array_equal(obj.hvp(w, v), H.T.ravel())

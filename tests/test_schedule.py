@@ -26,6 +26,7 @@ from repro.distributed.schedule import (
 )
 from repro.harness.plotting import format_schedule, plot_gantt
 from repro.metrics.timeline import slice_epoch
+from repro.objectives.softmax import TILE_BYTES, SoftmaxCrossEntropy
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedule_equivalence.json"
 
@@ -255,6 +256,21 @@ class TestGoldenEquivalence:
         assert cluster.comm.log.n_rounds == expected["comm_rounds"]
         assert cluster.comm.log.n_collectives == expected["n_collectives"]
         assert cluster.comm.log.bytes_transferred == expected["bytes_transferred"]
+
+    def test_golden_problems_fit_one_row_tile(self, dataset, binary_dataset):
+        """The goldens pin bits, and a design matrix spanning several row
+        tiles sums its rows in another association: the training set and
+        every worker's shard must stay one tile under the shipped constant."""
+        for data in (dataset, binary_dataset):
+            shards = [w.shard for w in SimulatedCluster(data, 4, random_state=0).workers]
+            for part in [data, *shards]:
+                loss = SoftmaxCrossEntropy(part.X, part.y, data.n_classes)
+                assert len(loss._tiles) == 1, (
+                    f"softmax.TILE_BYTES = {TILE_BYTES} splits a golden problem "
+                    f"({part.X.shape[0]}x{part.X.shape[1]}) into {len(loss._tiles)} row "
+                    "tiles; the golden mismatches that follow are reassociation, "
+                    "not a solver bug — keep golden problems single-tile"
+                )
 
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
     def test_schedule_declares_expected_rounds(

@@ -42,6 +42,38 @@ class TestArmijoBacktracking:
         result = armijo_backtracking(quadratic, x, p, g, quadratic(x))
         assert result.f_new <= quadratic(x)
 
+    def test_ascent_direction_returns_the_point_it_searched(self):
+        """With ``p @ g > 0`` the search runs along ``-g``: the accepted point
+        is ``x - alpha * g`` and lowers ``f``, whereas ``x + alpha * p`` — what
+        a caller rebuilding the step from ``step_size`` would take — raises it."""
+        x = np.array([1.0, -2.0])
+        g = x.copy()
+        p = 3.0 * g  # hand-made ascent direction
+        result = armijo_backtracking(quadratic, x, p, g, quadratic(x))
+        assert result.step_size > 0
+        np.testing.assert_array_equal(result.x_new, x - result.step_size * g)
+        assert quadratic(result.x_new) == result.f_new < quadratic(x)
+        assert quadratic(x + result.step_size * p) > quadratic(x)
+
+    def test_accepted_point_is_the_array_last_evaluated(self):
+        """Identity, not equality: an identity-keyed forward cache filled by
+        the last trial must still be warm for the point handed back."""
+        seen = []
+
+        def f(w):
+            seen.append(w)
+            return quadratic(w)
+
+        x = np.array([1.0, 1.0])
+        result = armijo_backtracking(f, x, -100.0 * x, x, quadratic(x))
+        assert result.n_evaluations > 1
+        assert result.x_new is seen[-1]
+        rejected = armijo_backtracking(
+            quadratic, np.zeros(2), np.array([1.0, 0.0]), np.zeros(2), 0.0,
+            accept_on_failure=False,
+        )
+        assert rejected.step_size == 0.0 and rejected.x_new is None
+
     def test_computes_fx_if_missing(self):
         x = np.array([2.0])
         result = armijo_backtracking(quadratic, x, -x, x)
