@@ -1,6 +1,6 @@
 """Performance-regression gate over the committed BENCH_*.json files (stdlib only).
 
-Two benchmark families feed this gate:
+Three benchmark families feed this gate:
 
 - ``BENCH_kernels.json`` (``benchmarks/test_bench_kernels.py``): each optimized
   hot path measured against its pre-optimization baseline.  A gated kernel's
@@ -18,15 +18,16 @@ Two benchmark families feed this gate:
   record the (necessarily < 1.0x) ratios for the trajectory without failing
   the build, with the reason stored in the entry.
 
-- ``BENCH_serving.json`` (``benchmarks/test_bench_serving.py``): closed-loop
-  serving load.  The gate enforces the headline ratio (best micro-batched
-  rps / per-request rps) >= 1.0x — batching amortizes per-request dispatch
-  overhead, so this holds even on one core — and that the hot-swap-under-load
-  entry lost zero in-flight requests and produced zero torn results.
+- ``BENCH_analysis.json`` (``benchmarks/test_bench_static_verify.py``): static
+  plan verification against trial execution — identical proposals always,
+  gated speedups >= 1.0x where a plan has overlap candidates.
+
+Serving has no file here: ``python3 -m bench --workload serve_http`` measures
+the request path end to end and checks every reply.
 
 Usage (what the CI benchmarks job runs)::
 
-    python scripts/check_bench.py              # checks both committed files
+    python scripts/check_bench.py              # checks the committed files
     python scripts/check_bench.py FILE [...]   # checks the named files
 
 Exit code 0 when every gated speedup is >= its threshold, 1 otherwise.
@@ -54,7 +55,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILES = (
     _REPO_ROOT / "BENCH_kernels.json",
     _REPO_ROOT / "BENCH_process_engine.json",
-    _REPO_ROOT / "BENCH_serving.json",
     _REPO_ROOT / "BENCH_analysis.json",
 )
 
@@ -116,57 +116,6 @@ def _check_process_engine(path: Path, entries: dict) -> int:
     return failures
 
 
-def _check_serving(path: Path, serving: dict) -> int:
-    failures = 0
-    headline = serving.get("headline")
-    if headline is None:
-        print(f"check_bench: 'headline' entry missing from {path}", file=sys.stderr)
-        failures += 1
-    else:
-        speedup = float(headline["speedup"])
-        if headline.get("gated", False):
-            status = "OK" if speedup >= THRESHOLD else "REGRESSED"
-            print(
-                f"check_bench: serving_headline: {speedup:.3f}x "
-                f"(batched {headline.get('batched_rps', 0):.0f} rps vs "
-                f"per-request {headline.get('direct_rps', 0):.0f} rps) [{status}]"
-            )
-            if speedup < THRESHOLD:
-                print(
-                    f"check_bench: micro-batched throughput fell below the "
-                    f"per-request baseline at concurrency "
-                    f"{headline.get('concurrency', '?')}",
-                    file=sys.stderr,
-                )
-                failures += 1
-        else:
-            reason = headline.get("ungated_reason", "recorded ungated")
-            print(f"check_bench: serving_headline: {speedup:.3f}x [ungated: {reason}]")
-    hot_swap = serving.get("hot_swap")
-    if hot_swap is None:
-        print(f"check_bench: 'hot_swap' entry missing from {path}", file=sys.stderr)
-        failures += 1
-    elif hot_swap.get("gated", False):
-        lost = int(hot_swap.get("lost", -1))
-        torn = int(hot_swap.get("torn", -1))
-        status = "OK" if (lost == 0 and torn == 0) else "REGRESSED"
-        print(
-            f"check_bench: serving_hot_swap: {hot_swap.get('swaps', '?')} swaps, "
-            f"{lost} lost, {torn} torn of {hot_swap.get('issued', '?')} "
-            f"in-flight requests [{status}]"
-        )
-        if status != "OK":
-            print(
-                "check_bench: hot swap under load lost or tore in-flight "
-                "requests — the atomic-swap invariant is broken",
-                file=sys.stderr,
-            )
-            failures += 1
-    if not failures:
-        print("check_bench: OK (serving headline + hot-swap gates)")
-    return failures
-
-
 def _check_analysis(path: Path, entries: dict) -> int:
     failures = 0
     gated = 0
@@ -218,12 +167,9 @@ def check_file(path: Path) -> int:
         return _check_kernels(path, payload["kernels"])
     if "entries" in payload:
         return _check_process_engine(path, payload["entries"])
-    if "serving" in payload:
-        return _check_serving(path, payload["serving"])
     if "analysis" in payload:
         return _check_analysis(path, payload["analysis"])
-    print(f"check_bench: {path} has no 'kernels', 'entries', 'serving', or "
-          "'analysis' key", file=sys.stderr)
+    print(f"check_bench: {path} has no 'kernels', 'entries' or 'analysis' key", file=sys.stderr)
     return 1
 
 

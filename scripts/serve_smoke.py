@@ -2,9 +2,10 @@
 
 Starts the HTTP app on a free port (FastAPI when installed, else the stdlib
 fallback — same routes either way), then drives the full lifecycle over real
-HTTP: publish a model, batched + per-request predicts (checked against each
-other), structured client errors, submit a training job and poll it to
-completion, serve the published result, and cancel a long job mid-run.
+HTTP: publish → predict → stats over one kept-alive connection, batched +
+per-request predicts (checked against each other), structured client errors,
+submit a training job and poll it to completion, serve the published result,
+and cancel a long job mid-run.
 Prints ``serve_smoke: OK`` and exits 0 on success; any failure raises.
 
 Usage::
@@ -29,6 +30,14 @@ from repro.serving.http_fallback import FallbackServer
 P, C = 6, 4
 
 
+def exchange(conn: http.client.HTTPConnection, method: str, path: str, payload=None):
+    body = None if payload is None else json.dumps(payload)
+    headers = {"Content-Type": "application/json"} if body else {}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, json.loads(response.read())
+
+
 class Client:
     def __init__(self, host: str, port: int):
         self.host, self.port = host, port
@@ -36,11 +45,7 @@ class Client:
     def request(self, method: str, path: str, payload=None):
         conn = http.client.HTTPConnection(self.host, self.port, timeout=60)
         try:
-            body = None if payload is None else json.dumps(payload)
-            headers = {"Content-Type": "application/json"} if body else {}
-            conn.request(method, path, body=body, headers=headers)
-            response = conn.getresponse()
-            return response.status, json.loads(response.read())
+            return exchange(conn, method, path, payload)
         finally:
             conn.close()
 
@@ -57,24 +62,45 @@ def main() -> int:
            "exercising the stdlib fallback frontend")
     )
     with tempfile.TemporaryDirectory() as root:
-        api = build_api(f"{root}/registry", window_s=0.001)
+        api = build_api(f"{root}/registry")
         server = FallbackServer(api).start_background()
         client = Client(server.host, server.port)
         try:
             status, body = client.request("GET", "/api/v1/health")
             expect(status == 200 and body["status"] == "ok", f"health: {body}")
 
-            # publish a model with a known dtype, bit-exactly
+            # one kept-alive connection serves publish -> predict -> stats
+            # (the model is published with a known dtype, bit-exactly)
             weights = np.random.default_rng(0).standard_normal(P * (C - 1))
-            status, body = client.request(
-                "POST",
-                "/api/v1/models/smoke",
-                {"weights": encode_array(weights), "n_classes": C},
-            )
-            expect(status == 201, f"publish: {status} {body}")
+            rows = [[0.1 * i] * P for i in range(4)]
+            conn = http.client.HTTPConnection(server.host, server.port, timeout=60)
+            try:
+                status, body = exchange(
+                    conn,
+                    "POST",
+                    "/api/v1/models/smoke",
+                    {"weights": encode_array(weights), "n_classes": C},
+                )
+                expect(status == 201, f"publish: {status} {body}")
+                sock = conn.sock
+                expect(sock is not None, "the server closed the connection after one reply")
+                status, body = exchange(
+                    conn, "POST", "/api/v1/models/smoke/predict", {"rows": rows}
+                )
+                expect(
+                    status == 200 and body["version"] == 1 and len(body["predictions"]) == 4,
+                    f"predict: {status} {body}",
+                )
+                status, body = exchange(conn, "GET", "/api/v1/stats")
+                expect(
+                    status == 200 and body["engine"]["models"]["smoke"]["requests"] == 1,
+                    f"stats: {status} {body}",
+                )
+                expect(conn.sock is sock, "the three requests did not share one connection")
+            finally:
+                conn.close()
 
             # batched and per-request predicts agree
-            rows = [[0.1 * i] * P for i in range(4)]
             status, batched = client.request(
                 "POST", "/api/v1/models/smoke/predict_proba", {"rows": rows}
             )

@@ -264,13 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8000, help="bind port (default 8000)")
     serve.add_argument(
-        "--window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window in milliseconds (0 = drain-only batching; "
-        "default 2.0 — see the tradeoff curve in docs/serving.md)",
-    )
-    serve.add_argument(
         "--max-batch-rows",
         type=int,
         default=8192,
@@ -280,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch-requests",
         type=int,
         default=None,
-        help="flush a batch early once this many requests queued "
-        "(default: no early flush)",
+        help="cap on requests per scoring GEMM (default: no cap)",
     )
     serve.add_argument(
         "--backend",
@@ -600,7 +592,6 @@ def _cmd_serve(args, print_fn: Callable[[str], None]) -> int:
         host=args.host,
         port=args.port,
         backend=args.backend,
-        window_s=args.window_ms / 1000.0,
         max_batch_rows=args.max_batch_rows,
         max_batch_requests=args.max_batch_requests,
         print_fn=print_fn,

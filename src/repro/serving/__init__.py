@@ -7,7 +7,7 @@ See ``docs/serving.md`` for the guide.  Quick tour::
 
     registry = ModelRegistry("model_registry")
     registry.publish("mnist", w, n_classes=10)          # atomic, versioned
-    engine = InferenceEngine(registry, window_s=0.002)  # micro-batching
+    engine = InferenceEngine(registry)                  # natural micro-batching
     engine.predict_proba("mnist", rows)                 # one GEMM per batch
 
     python -m repro serve --root model_registry         # the HTTP app

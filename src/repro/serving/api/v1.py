@@ -74,7 +74,6 @@ class V1Api:
         return 200, {
             "status": "ok",
             "backend": self.engine.backend.name,
-            "window_s": self.engine.window_s,
             "models": len(self.registry.list_models()),
         }
 

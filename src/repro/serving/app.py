@@ -25,7 +25,6 @@ def build_api(
     root,
     *,
     backend: BackendLike = None,
-    window_s: float = 0.002,
     max_batch_rows: int = 8192,
     max_batch_requests: Optional[int] = None,
 ) -> V1Api:
@@ -34,7 +33,6 @@ def build_api(
     engine = InferenceEngine(
         registry,
         backend=backend,
-        window_s=window_s,
         max_batch_rows=max_batch_rows,
         max_batch_requests=max_batch_requests,
     )
@@ -115,7 +113,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int = 8000,
     backend: BackendLike = None,
-    window_s: float = 0.002,
     max_batch_rows: int = 8192,
     max_batch_requests: Optional[int] = None,
     print_fn=print,
@@ -127,7 +124,6 @@ def run_server(
     api = build_api(
         root,
         backend=backend,
-        window_s=window_s,
         max_batch_rows=max_batch_rows,
         max_batch_requests=max_batch_requests,
     )

@@ -3,13 +3,16 @@
 The paper's serving-side observation is that multiclass scoring is a single
 ``(n, p) @ (p, C-1)`` GEMM plus elementwise softmax work — so *n* concurrent
 one-row requests cost barely more than one of them if they are stacked into
-one batch.  :class:`MicroBatcher` implements the standard dynamic-batching
-policy: the scoring thread drains whatever is queued, waits at most a
-configurable window (``0.5–5 ms``) for stragglers, flushes early when a
-target batch size is reached, and scores the stacked rows with **one**
-forward pass through the same fused log-sum-exp machinery the training
-objectives use (:meth:`~repro.backend.base.ArrayBackend.fused_lse_probs`).
-Per-request slices are then handed back through futures.
+one batch.  :class:`MicroBatcher` batches *naturally*: the scoring thread
+takes whatever is queued (up to ``max_batch_rows`` / ``max_batch_requests``),
+scores the stacked rows with **one** forward pass through the same fused
+log-sum-exp machinery the training objectives use
+(:meth:`~repro.backend.base.ArrayBackend.fused_lse_probs`), and the requests
+that arrived meanwhile are the next batch.  It never waits on a timer: a lone
+request on an idle server is scored at once, and under load the batch size
+follows the arrival rate by itself, so there is no batching window to tune.
+Per-request slices are handed back through futures, each with the version of
+the model that scored it.
 
 Equivalence contract (pinned in ``tests/test_serving_engine.py``): scoring N
 stacked requests as one batch returns, for every request, probabilities
@@ -25,16 +28,15 @@ Hot swap: each batch snapshots the model reference once, immediately before
 scoring; :meth:`MicroBatcher.set_model` replaces the reference atomically
 under the queue lock.  An in-flight request is therefore scored by exactly
 one fully-loaded :class:`~repro.serving.registry.ServedModel` — never a torn
-mixture of two versions.
+mixture of two versions — and its reply names that model's version.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,23 +86,29 @@ def score_probabilities(backend, model: ServedModel, X) -> np.ndarray:
     return backend.to_numpy(xp.hstack([p_nonref, p_ref]))
 
 
+def _result(probs: np.ndarray, kind: str) -> np.ndarray:
+    """One request's reply from its block of the batch's probabilities."""
+    if kind == "predict":
+        return np.argmax(probs, axis=1).astype(np.int64)
+    return np.array(probs, copy=True)
+
+
 @dataclass
 class _Request:
     X: np.ndarray
     kind: str  # "proba" | "predict"
     future: Future
-    submitted: float
 
 
 class BatcherStats:
-    """Counters the bench and the ``/stats`` endpoint read."""
+    """Counters the bench and the ``/stats`` endpoint read (constant size)."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self.n_requests = 0
         self.n_rows = 0
         self.n_batches = 0
-        self.batch_sizes: List[int] = []
+        self.max_batch_requests = 0
         self.swaps = 0
 
     def record_batch(self, n_requests: int, n_rows: int) -> None:
@@ -108,7 +116,7 @@ class BatcherStats:
             self.n_requests += n_requests
             self.n_rows += n_rows
             self.n_batches += 1
-            self.batch_sizes.append(n_requests)
+            self.max_batch_requests = max(self.max_batch_requests, n_requests)
 
     def record_swap(self) -> None:
         with self._lock:
@@ -116,19 +124,23 @@ class BatcherStats:
 
     def summary(self) -> dict:
         with self._lock:
-            sizes = list(self.batch_sizes)
-        return {
-            "requests": self.n_requests,
-            "rows": self.n_rows,
-            "batches": self.n_batches,
-            "mean_batch_requests": (sum(sizes) / len(sizes)) if sizes else 0.0,
-            "max_batch_requests": max(sizes) if sizes else 0,
-            "model_swaps": self.swaps,
-        }
+            return {
+                "requests": self.n_requests,
+                "rows": self.n_rows,
+                "batches": self.n_batches,
+                "mean_batch_requests": (
+                    self.n_requests / self.n_batches if self.n_batches else 0.0
+                ),
+                "max_batch_requests": self.max_batch_requests,
+                "model_swaps": self.swaps,
+            }
 
 
 class MicroBatcher:
-    """Accumulate concurrent requests for one model and score them together.
+    """Score the requests queued for one model together, as they come.
+
+    The scoring thread sleeps only while the queue is empty; a batch is
+    whatever queued up while the previous one was being scored.
 
     Parameters
     ----------
@@ -136,16 +148,11 @@ class MicroBatcher:
         Array backend the forward pass runs on.
     model:
         Initial :class:`ServedModel`; replace with :meth:`set_model`.
-    window_s:
-        Maximum extra time the scoring thread waits for more requests after
-        it picked up the first one.  ``0`` means drain-only batching: score
-        whatever has queued up while the previous batch was being computed.
     max_batch_rows:
-        Hard cap on stacked rows per forward pass (memory bound).
+        Hard cap on stacked rows per forward pass (memory bound); a single
+        request with more rows is scored alone.
     max_batch_requests:
-        Flush early once this many requests are queued (``None`` = no early
-        flush).  Serving systems set this near the expected concurrency so a
-        full batch never idles out the window.
+        Cap on requests per forward pass (``None`` = no cap).
     """
 
     def __init__(
@@ -153,17 +160,17 @@ class MicroBatcher:
         backend,
         model: ServedModel,
         *,
-        window_s: float = 0.002,
         max_batch_rows: int = 8192,
         max_batch_requests: Optional[int] = None,
         scorer: Callable = score_probabilities,
     ):
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
         if max_batch_rows < 1:
             raise ValueError(f"max_batch_rows must be >= 1, got {max_batch_rows}")
+        if max_batch_requests is not None and max_batch_requests < 1:
+            raise ValueError(
+                f"max_batch_requests must be >= 1 or None, got {max_batch_requests}"
+            )
         self.backend = backend
-        self.window_s = float(window_s)
         self.max_batch_rows = int(max_batch_rows)
         self.max_batch_requests = (
             None if max_batch_requests is None else int(max_batch_requests)
@@ -198,11 +205,12 @@ class MicroBatcher:
         return previous
 
     def submit(self, X: np.ndarray, kind: str = "proba") -> Future:
-        """Enqueue one request; the future resolves to its sliced result."""
+        """Enqueue one request; the future resolves to ``(result, version)`` —
+        its sliced result and the version of the model that scored it."""
         if kind not in ("proba", "predict"):
             raise ValueError(f"kind must be 'proba' or 'predict', got {kind!r}")
         future: Future = Future()
-        request = _Request(X=X, kind=kind, future=future, submitted=time.monotonic())
+        request = _Request(X=X, kind=kind, future=future)
         with self._cond:
             if self._closed:
                 raise RuntimeError("batcher is closed")
@@ -227,44 +235,27 @@ class MicroBatcher:
         self._thread.join(timeout=5.0)
 
     # -- scoring loop ------------------------------------------------------
-    def _full(self) -> bool:
-        if self.max_batch_requests is not None and len(self._queue) >= self.max_batch_requests:
-            return True
-        rows = sum(r.X.shape[0] for r in self._queue)
-        return rows >= self.max_batch_rows
-
     def _run(self) -> None:
         while True:
             with self._cond:
                 while (not self._queue or self._held) and not self._closed:
                     self._cond.wait()
-                if self._closed and not self._queue:
-                    return
-                if not self._held and self.window_s > 0 and not self._full():
-                    deadline = time.monotonic() + self.window_s
-                    while not self._closed and not self._full():
-                        remaining = deadline - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(timeout=remaining)
-                batch: List[_Request] = []
-                rows = 0
-                while self._queue and len(self._queue[0].X) + rows <= self.max_batch_rows:
-                    if (
-                        self.max_batch_requests is not None
-                        and len(batch) >= self.max_batch_requests
-                    ):
-                        break
+                if not self._queue:
+                    return  # closed and drained
+                # The head of the queue always goes (an over-sized request is
+                # scored alone); the caps bound what rides along with it.
+                batch = [self._queue.pop(0)]
+                rows = batch[0].X.shape[0]
+                while (
+                    self._queue
+                    and len(batch) != self.max_batch_requests  # None: no cap
+                    and rows + self._queue[0].X.shape[0] <= self.max_batch_rows
+                ):
                     request = self._queue.pop(0)
                     rows += request.X.shape[0]
                     batch.append(request)
-                if not batch and self._queue:
-                    # A single over-sized request: score it alone.
-                    batch = [self._queue.pop(0)]
-                    rows = batch[0].X.shape[0]
                 model = self._model  # one snapshot per batch (hot-swap safety)
-            if batch:
-                self._score_batch(batch, model)
+            self._score_batch(batch, model)
 
     def _score_batch(self, batch: List[_Request], model: ServedModel) -> None:
         X = (
@@ -284,10 +275,7 @@ class MicroBatcher:
             r = request.X.shape[0]
             block = probs[offset : offset + r]
             offset += r
-            if request.kind == "predict":
-                request.future.set_result(np.argmax(block, axis=1).astype(np.int64))
-            else:
-                request.future.set_result(np.array(block, copy=True))
+            request.future.set_result((_result(block, request.kind), model.version))
 
 
 class InferenceEngine:
@@ -304,13 +292,11 @@ class InferenceEngine:
         registry: ModelRegistry,
         *,
         backend: BackendLike = None,
-        window_s: float = 0.002,
         max_batch_rows: int = 8192,
         max_batch_requests: Optional[int] = None,
     ):
         self.registry = registry
         self.backend = get_backend(backend)
-        self.window_s = float(window_s)
         self.max_batch_rows = int(max_batch_rows)
         self.max_batch_requests = max_batch_requests
         self._batchers: Dict[str, MicroBatcher] = {}
@@ -325,7 +311,6 @@ class InferenceEngine:
                 batcher = MicroBatcher(
                     self.backend,
                     model,
-                    window_s=self.window_s,
                     max_batch_rows=self.max_batch_rows,
                     max_batch_requests=self.max_batch_requests,
                 )
@@ -352,29 +337,32 @@ class InferenceEngine:
         return model
 
     # -- scoring -----------------------------------------------------------
+    def score(
+        self, name: str, rows, *, kind: str = "proba", batched: bool = True
+    ) -> Tuple[np.ndarray, int]:
+        """One request's result (``kind="proba"``: probabilities ``(r, C)``,
+        ``"predict"``: most-likely class per row) and the version of the
+        model that scored it."""
+        batcher = self._batcher(name)
+        model = batcher.model
+        X = validate_rows(rows, model.n_features)
+        if batched:
+            return batcher.submit(X, kind=kind).result()
+        return _result(score_probabilities(self.backend, model, X), kind), model.version
+
     def predict_proba(self, name: str, rows, *, batched: bool = True) -> np.ndarray:
         """Class probabilities ``(r, C)`` for one request."""
-        batcher = self._batcher(name)
-        X = validate_rows(rows, batcher.model.n_features)
-        if not batched:
-            return score_probabilities(self.backend, batcher.model, X)
-        return self._batcher(name).submit(X, kind="proba").result()
+        return self.score(name, rows, kind="proba", batched=batched)[0]
 
     def predict(self, name: str, rows, *, batched: bool = True) -> np.ndarray:
         """Most-likely class per row for one request."""
-        batcher = self._batcher(name)
-        X = validate_rows(rows, batcher.model.n_features)
-        if not batched:
-            probs = score_probabilities(self.backend, batcher.model, X)
-            return np.argmax(probs, axis=1).astype(np.int64)
-        return batcher.submit(X, kind="predict").result()
+        return self.score(name, rows, kind="predict", batched=batched)[0]
 
     # -- introspection / shutdown -----------------------------------------
     def stats(self) -> dict:
         with self._lock:
             batchers = dict(self._batchers)
         return {
-            "window_s": self.window_s,
             "max_batch_rows": self.max_batch_rows,
             "max_batch_requests": self.max_batch_requests,
             "backend": self.backend.name,

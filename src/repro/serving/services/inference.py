@@ -7,7 +7,8 @@ from repro.serving.errors import InferenceError
 
 
 class InferenceService:
-    """Score requests through the micro-batching engine."""
+    """Score requests through the micro-batching engine; every reply names
+    the version of the model that scored it."""
 
     def __init__(self, engine: InferenceEngine):
         self.engine = engine
@@ -23,11 +24,12 @@ class InferenceService:
     def predict(self, name: str, payload: dict) -> dict:
         """Class labels for ``payload["rows"]`` (one request, r rows)."""
         batched = self._mode(payload)
-        labels = self.engine.predict(name, payload.get("rows"), batched=batched)
-        model = self.engine.model(name)
+        labels, version = self.engine.score(
+            name, payload.get("rows"), kind="predict", batched=batched
+        )
         return {
             "model": name,
-            "version": model.version,
+            "version": version,
             "mode": "batched" if batched else "direct",
             "predictions": [int(label) for label in labels],
         }
@@ -35,13 +37,14 @@ class InferenceService:
     def predict_proba(self, name: str, payload: dict) -> dict:
         """Class probabilities ``(r, C)`` for ``payload["rows"]``."""
         batched = self._mode(payload)
-        probs = self.engine.predict_proba(name, payload.get("rows"), batched=batched)
-        model = self.engine.model(name)
+        probs, version = self.engine.score(
+            name, payload.get("rows"), kind="proba", batched=batched
+        )
         return {
             "model": name,
-            "version": model.version,
+            "version": version,
             "mode": "batched" if batched else "direct",
-            "n_classes": model.n_classes,
+            "n_classes": probs.shape[1],
             "probabilities": [[float(p) for p in row] for row in probs],
         }
 

@@ -8,10 +8,14 @@ The load-bearing claims pinned here:
 * A batch of N requests issues exactly **one** forward pass (one ``matmul``
   + one ``fused_lse_probs``), asserted with :class:`TracingBackend`.
 * A model hot swap during a stream of requests loses zero requests, and
-  every result matches exactly one of the two versions — never a mixture.
+  every result is exactly the reference output of the version it names —
+  never a mixture, never the version read after scoring.
+* Batching is natural: whatever is queued forms the next batch (the caps
+  split it) and the scoring thread never waits on a timer.
 """
 
 import threading
+import time
 from concurrent.futures import wait
 
 import numpy as np
@@ -50,19 +54,20 @@ def _requests(n, rows_each=3, seed=1):
 
 
 def _one_batch(batcher, requests, kind="proba"):
-    """Force all requests into a single batch via the hold/release hook."""
+    """Stage all requests while the scoring thread is parked, then let it
+    take them: one batch unless a cap splits it.  Returns the results."""
     batcher.hold()
     futures = [batcher.submit(X, kind=kind) for X in requests]
     batcher.release()
-    wait(futures, timeout=10.0)
-    return [f.result() for f in futures]
+    assert not wait(futures, timeout=10.0).not_done
+    return [f.result()[0] for f in futures]
 
 
 class TestBatchedEquivalence:
     def test_batched_matches_individual_bit_exact_fp64(self, tmp_path, backend):
         _, model = _model(tmp_path)
         requests = _requests(8)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        batcher = MicroBatcher(backend, model)
         try:
             batched = _one_batch(batcher, requests)
         finally:
@@ -80,7 +85,7 @@ class TestBatchedEquivalence:
         X_train = rng.standard_normal((20, P))
         y = rng.integers(0, C, size=20)
         objective = SoftmaxCrossEntropy(X_train, y, n_classes=C, backend=backend)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        batcher = MicroBatcher(backend, model)
         try:
             batched = _one_batch(batcher, requests)
         finally:
@@ -94,7 +99,7 @@ class TestBatchedEquivalence:
         (same dtype, same ops) even though it differs from fp64 by ~1e-7."""
         _, model = _model(tmp_path, dtype=np.float32)
         requests = _requests(4)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        batcher = MicroBatcher(backend, model)
         try:
             batched = _one_batch(batcher, requests)
         finally:
@@ -117,7 +122,7 @@ class TestBatchedEquivalence:
     def test_predict_is_argmax_of_proba(self, tmp_path, backend):
         _, model = _model(tmp_path)
         requests = _requests(5)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        batcher = MicroBatcher(backend, model)
         try:
             labels = _one_batch(batcher, requests, kind="predict")
         finally:
@@ -134,7 +139,7 @@ class TestOneForwardPassPerBatch:
         matmul + one fused_lse_probs, not N of each."""
         tracing = TracingBackend()
         _, model = _model(tmp_path)
-        batcher = MicroBatcher(tracing, model, window_s=0.0)
+        batcher = MicroBatcher(tracing, model)
         try:
             batcher.hold()
             futures = [batcher.submit(X) for X in _requests(7)]
@@ -159,52 +164,106 @@ class TestOneForwardPassPerBatch:
 
 
 class TestBatchingPolicy:
+    def test_staged_requests_form_one_batch(self, tmp_path, backend):
+        _, model = _model(tmp_path)
+        batcher = MicroBatcher(backend, model)
+        try:
+            results = _one_batch(batcher, _requests(9))
+        finally:
+            batcher.close()
+        assert len(results) == 9
+        assert batcher.stats.summary() == {
+            "requests": 9,
+            "rows": 27,
+            "batches": 1,
+            "mean_batch_requests": 9.0,
+            "max_batch_requests": 9,
+            "model_swaps": 0,
+        }
+
     def test_max_batch_rows_splits_batches(self, tmp_path, backend):
         _, model = _model(tmp_path)
-        batcher = MicroBatcher(backend, model, window_s=0.0, max_batch_rows=7)
+        batcher = MicroBatcher(backend, model, max_batch_rows=7)
         try:
             results = _one_batch(batcher, _requests(6, rows_each=3))
         finally:
             batcher.close()
         assert len(results) == 6
-        assert batcher.stats.n_batches >= 3  # at most 2 three-row requests fit
-        assert all(size <= 7 for size in (batcher.stats.batch_sizes or [0]))
+        assert batcher.stats.n_batches == 3  # two three-row requests fit in 7 rows
+        assert batcher.stats.max_batch_requests == 2
+
+    def test_max_batch_requests_splits_batches(self, tmp_path, backend):
+        _, model = _model(tmp_path)
+        batcher = MicroBatcher(backend, model, max_batch_requests=4)
+        try:
+            results = _one_batch(batcher, _requests(10))
+        finally:
+            batcher.close()
+        assert len(results) == 10
+        assert batcher.stats.n_batches == 3  # 4 + 4 + 2
+        assert batcher.stats.max_batch_requests == 4
 
     def test_oversized_single_request_still_scores(self, tmp_path, backend):
         _, model = _model(tmp_path)
         big = _requests(1, rows_each=64)[0]
-        batcher = MicroBatcher(backend, model, window_s=0.0, max_batch_rows=16)
+        batcher = MicroBatcher(backend, model, max_batch_rows=16)
         try:
-            result = batcher.submit(big).result(timeout=10.0)
+            result, version = batcher.submit(big).result(timeout=10.0)
         finally:
             batcher.close()
+        assert version == model.version
         assert np.array_equal(result, score_probabilities(backend, model, big))
 
-    def test_max_batch_requests_flushes_early(self, tmp_path, backend):
+    def test_lone_request_never_waits_on_a_timer(self, tmp_path, backend):
+        """The scoring thread sleeps only on an empty queue: serving a lone
+        request on an idle batcher passes no timeout to ``Condition.wait``."""
         _, model = _model(tmp_path)
-        batcher = MicroBatcher(
-            backend, model, window_s=10.0, max_batch_requests=4
-        )  # window is huge: only the early flush can complete this in time
+        batcher = MicroBatcher(backend, model)
+        timeouts = []
+        wait_on_condition = batcher._cond.wait
+
+        def recording_wait(timeout=None):
+            timeouts.append(timeout)
+            return wait_on_condition(timeout)
+
+        batcher._cond.wait = recording_wait
         try:
-            results = _one_batch(batcher, _requests(4))
+            for X in _requests(3):
+                result, _ = batcher.submit(X).result(timeout=10.0)
+                assert np.array_equal(result, score_probabilities(backend, model, X))
         finally:
             batcher.close()
-        assert len(results) == 4
+        assert batcher.stats.n_batches == 3
+        assert all(timeout is None for timeout in timeouts), timeouts
+
+    def test_stats_stay_constant_size(self, tmp_path, backend):
+        _, model = _model(tmp_path)
+        batcher = MicroBatcher(backend, model)
+        try:
+            before = {k: v for k, v in vars(batcher.stats).items() if k != "_lock"}
+            for X in _requests(50, rows_each=1):
+                batcher.submit(X).result(timeout=10.0)
+            after = {k: v for k, v in vars(batcher.stats).items() if k != "_lock"}
+        finally:
+            batcher.close()
+        assert before.keys() == after.keys()
+        assert all(isinstance(v, int) for v in after.values()), after
+        assert after["n_requests"] == 50
 
     def test_close_rejects_new_requests(self, tmp_path, backend):
         _, model = _model(tmp_path)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        batcher = MicroBatcher(backend, model)
         batcher.close()
         with pytest.raises(RuntimeError, match="closed"):
             batcher.submit(_requests(1)[0])
 
     def test_invalid_parameters(self, tmp_path, backend):
         _, model = _model(tmp_path)
-        with pytest.raises(ValueError, match="window_s"):
-            MicroBatcher(backend, model, window_s=-1.0)
         with pytest.raises(ValueError, match="max_batch_rows"):
             MicroBatcher(backend, model, max_batch_rows=0)
-        batcher = MicroBatcher(backend, model, window_s=0.0)
+        with pytest.raises(ValueError, match="max_batch_requests"):
+            MicroBatcher(backend, model, max_batch_requests=0)
+        batcher = MicroBatcher(backend, model)
         try:
             with pytest.raises(ValueError, match="kind"):
                 batcher.submit(_requests(1)[0], kind="bogus")
@@ -215,7 +274,8 @@ class TestBatchingPolicy:
 class TestHotSwap:
     def test_no_request_lost_and_no_torn_results(self, tmp_path, backend):
         """Swap models while threads stream requests: every future resolves,
-        and each result matches exactly one version's reference output."""
+        and each result is the reference output of exactly the version it
+        names."""
         registry, model_v1 = _model(tmp_path)
         w2 = np.asarray(model_v1.weights) + 1.0
         model_v2 = registry.publish("m", w2, n_classes=C)
@@ -226,24 +286,31 @@ class TestHotSwap:
         }
         assert not np.array_equal(ref[1], ref[2])
 
-        batcher = MicroBatcher(backend, model_v1, window_s=0.0005)
+        batcher = MicroBatcher(backend, model_v1)
         futures = []
         futures_lock = threading.Lock()
         stop = threading.Event()
 
         def submitter():
             while not stop.is_set():
-                f = batcher.submit(X)
+                burst = [batcher.submit(X) for _ in range(8)]
                 with futures_lock:
-                    futures.append(f)
+                    futures.extend(burst)
+                burst[-1].result(timeout=10.0)  # bounds the queue, not the check
 
         threads = [threading.Thread(target=submitter) for _ in range(4)]
         try:
             for t in threads:
                 t.start()
             for _ in range(20):  # swap back and forth under load
-                batcher.set_model(model_v2)
-                batcher.set_model(model_v1)
+                for model in (model_v2, model_v1):
+                    batcher.set_model(model)
+                    # Two batches later, one has snapshotted this version.
+                    seen = batcher.stats.n_batches + 2
+                    deadline = time.monotonic() + 10.0
+                    while batcher.stats.n_batches < seen:
+                        assert time.monotonic() < deadline, "the batcher stalled"
+                        time.sleep(0.0002)
             stop.set()
             for t in threads:
                 t.join(timeout=10.0)
@@ -251,11 +318,14 @@ class TestHotSwap:
                 pending = list(futures)
             done, not_done = wait(pending, timeout=30.0)
             assert not not_done, f"{len(not_done)} in-flight requests lost"
+            named = set()
             for f in done:
-                result = f.result()
-                matches_v1 = np.array_equal(result, ref[1])
-                matches_v2 = np.array_equal(result, ref[2])
-                assert matches_v1 or matches_v2, "torn result: matches neither version"
+                result, version = f.result()
+                named.add(version)
+                assert np.array_equal(result, ref[version]), (
+                    f"reply names version {version} but was not scored by it"
+                )
+            assert named == {1, 2}, "the storm never served one of the versions"
         finally:
             stop.set()
             batcher.close()
@@ -288,9 +358,7 @@ class TestValidateRows:
 class TestInferenceEngine:
     def test_batched_and_direct_agree(self, tmp_path, backend):
         _model(tmp_path)
-        engine = InferenceEngine(
-            ModelRegistry(tmp_path), backend=backend, window_s=0.0
-        )
+        engine = InferenceEngine(ModelRegistry(tmp_path), backend=backend)
         try:
             X = _requests(1)[0]
             batched = engine.predict_proba("m", X)
@@ -304,7 +372,7 @@ class TestInferenceEngine:
 
     def test_refresh_hot_swaps_to_new_version(self, tmp_path, backend):
         registry, _ = _model(tmp_path)
-        engine = InferenceEngine(registry, backend=backend, window_s=0.0)
+        engine = InferenceEngine(registry, backend=backend)
         try:
             assert engine.model("m").version == 1
             registry.publish("m", np.ones(P * (C - 1)), n_classes=C)
@@ -319,9 +387,7 @@ class TestInferenceEngine:
 
     def test_stats_shape(self, tmp_path, backend):
         _model(tmp_path)
-        engine = InferenceEngine(
-            ModelRegistry(tmp_path), backend=backend, window_s=0.0
-        )
+        engine = InferenceEngine(ModelRegistry(tmp_path), backend=backend)
         try:
             engine.predict_proba("m", _requests(1)[0])
             stats = engine.stats()
