@@ -167,7 +167,7 @@ class NewtonADMM(DistributedSolver):
             rho0 = policy_factory().initial_rho()
         else:
             policy_factory = make_penalty_policy(self.penalty, rho0=rho0)
-        for worker in cluster.workers:
+        for worker in cluster.local_workers():
             worker.set_vector("x", w0)
             worker.set_vector(
                 "y", backend.zeros(cluster.dim, dtype=getattr(w0, "dtype", None))

@@ -99,27 +99,31 @@ class CoCoA(DistributedSolver):
 
         # Per-worker dual state: alpha in (0,1)^{n_local}, signed labels b, and
         # the per-sample squared norms used by the coordinate subproblems.
-        v = np.zeros(cluster.dim)
-        for worker in cluster.workers:
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in cluster.workers]
+        for worker in cluster.local_workers():
             X = worker.shard.X
             y = worker.shard.y
-            b = np.where(y == 0, 1.0, -1.0)
             if sp.issparse(X):
                 row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
             else:
                 row_sq = np.einsum("ij,ij->i", X, X)
-            alpha = np.full(worker.n_local_samples, self.alpha_init)
-            worker.state["alpha"] = alpha
-            worker.state["b"] = b
+            worker.state["alpha"] = np.full(worker.n_local_samples, self.alpha_init)
+            worker.state["b"] = np.where(y == 0, 1.0, -1.0)
             worker.state["row_sq"] = row_sq
             worker.state["sigma_prime"] = sigma
-            worker.state["rng"] = check_random_state(
-                int(rng.integers(0, 2**31 - 1))
-            )
+            worker.state["rng"] = check_random_state(seeds[worker.worker_id])
+
+        def initial_contribution(worker: Worker) -> np.ndarray:
             # Contribution of the initial alpha to v = (1/(lam n)) sum alpha_i b_i a_i.
-            contrib = np.asarray(X.T @ (alpha * b)).ravel() / (
+            alpha, b = worker.state["alpha"], worker.state["b"]
+            return np.asarray(worker.shard.X.T @ (alpha * b)).ravel() / (
                 self.lam * self._n_total
             )
+
+        # Set-up, not a round of the method: every shard's contribution is
+        # summed in rank order, outside the modelled accounting.
+        v = np.zeros(cluster.dim)
+        for contrib in cluster.map_shards(initial_contribution):
             v += contrib
         self._w = v
         # Weight vector convention: the softmax-C2 global objective uses the
@@ -133,7 +137,7 @@ class CoCoA(DistributedSolver):
         n = self._n_total
         newton_steps = self.newton_steps
 
-        def local_sdca(worker: Worker, ctx: dict) -> np.ndarray:
+        def local_sdca(worker: Worker, ctx: dict) -> tuple:
             X = worker.shard.X
             alpha = worker.state["alpha"]
             b = worker.state["b"]
@@ -173,12 +177,17 @@ class CoCoA(DistributedSolver):
             worker.objective.add_flops(
                 self.local_passes * n_local * (6.0 * w.shape[0] + 10.0 * newton_steps)
             )
-            return delta_v
+            # The worker's share of the dual's conjugate term travels with
+            # its update: a rank holds no other worker's alpha.
+            return delta_v, float(np.sum(_conjugate_logistic(alpha)))
 
         def commit(ctx: dict) -> np.ndarray:
             total_delta = ctx["total_delta"]
             self._w = w + total_delta
-            dual_value = self._dual_objective(cluster)
+            conj = 0.0
+            for _, share in ctx["deltas"]:
+                conj += share
+            dual_value = -conj / n - 0.5 * lam * float(self._w @ self._w)
             self._last_extras = {
                 "dual_objective": dual_value,
                 "delta_v_norm": float(np.linalg.norm(total_delta)),
@@ -205,21 +214,13 @@ class CoCoA(DistributedSolver):
             },
         )
         plan.allreduce(
-            "total_delta", lambda ctx: ctx["deltas"], effects={"reads": ["deltas"]}
+            "total_delta",
+            lambda ctx: [delta for delta, _ in ctx["deltas"]],
+            effects={"reads": ["deltas"]},
         )
-        plan.master(commit, name="w", effects={"reads": ["total_delta"]})
+        plan.master(commit, name="w", effects={"reads": ["total_delta", "deltas"]})
         plan.returns("w")
         return plan
-
-    def _dual_objective(self, cluster: SimulatedCluster) -> float:
-        """Dual objective value (for the duality-gap diagnostics in tests)."""
-        if self._w is None:
-            return float("nan")
-        conj = 0.0
-        for worker in cluster.workers:
-            conj += float(np.sum(_conjugate_logistic(worker.state["alpha"])))
-        n = self._n_total
-        return -conj / n - 0.5 * self.lam * float(self._w @ self._w)
 
     def _epoch_extras(self, cluster: SimulatedCluster) -> dict:
         return dict(self._last_extras)

@@ -97,7 +97,7 @@ class InexactDANE(DistributedSolver):
     def _initialize(self, cluster: SimulatedCluster, w0: np.ndarray) -> None:
         self._w = w0.copy()
         self._last_extras = {}
-        for worker in cluster.workers:
+        for worker in cluster.local_workers():
             loss = SoftmaxCrossEntropy(
                 worker.shard.X,
                 worker.shard.y,

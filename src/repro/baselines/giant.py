@@ -117,7 +117,7 @@ class GIANT(DistributedSolver):
         self._w = w0.copy()
         self._last_extras = {}
         n_total = cluster.n_total
-        for worker in cluster.workers:
+        for worker in cluster.local_workers():
             # Local *mean* loss = (n_total / n_local) x the worker's global
             # contribution; GIANT's local Hessian is built from it.
             worker.state["local_mean_loss"] = ScaledObjective(

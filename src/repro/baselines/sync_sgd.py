@@ -83,7 +83,9 @@ class SynchronousSGD(DistributedSolver):
         self._velocity = np.zeros_like(w0)
         self._last_extras = {}
         rng = check_random_state(self.random_state)
-        for worker in cluster.workers:
+        # Every worker's seed is drawn, in rank order, wherever it runs.
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in cluster.workers]
+        for worker in cluster.local_workers():
             # A local mean-scaled loss used only to draw mini-batch gradients;
             # its cost is charged explicitly to the counting wrapper.
             worker.state["local_mean_loss"] = SoftmaxCrossEntropy(
@@ -93,7 +95,7 @@ class SynchronousSGD(DistributedSolver):
                 scale="mean",
                 backend=cluster.backend,
             )
-            worker.state["rng"] = check_random_state(int(rng.integers(0, 2**31 - 1)))
+            worker.state["rng"] = check_random_state(seeds[worker.worker_id])
 
     def _steps_in_epoch(self, cluster: SimulatedCluster) -> int:
         if self.steps_per_epoch is not None:

@@ -36,7 +36,12 @@ class ClassificationDataset:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.X = check_array(self.X, name="X", allow_sparse=True)
+        # A floating design matrix keeps its dtype, so the shards of a
+        # float32 dataset stay float32 like the dataset itself.
+        dtype = getattr(self.X, "dtype", None)
+        if dtype is None or not np.issubdtype(dtype, np.floating):
+            dtype = np.float64
+        self.X = check_array(self.X, name="X", allow_sparse=True, dtype=dtype)
         self.y, self.n_classes = check_labels(
             self.y, n_samples=self.X.shape[0], n_classes=self.n_classes
         )

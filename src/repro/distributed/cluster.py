@@ -111,7 +111,8 @@ class SimulatedCluster:
     Parameters
     ----------
     train:
-        Full training dataset; it is sharded across the workers.
+        Full training dataset; it is sharded across the workers (``None``
+        only for a process-engine replica built from ``shards``).
     n_workers:
         Number of simulated nodes ``N``.
     loss:
@@ -171,12 +172,16 @@ class SimulatedCluster:
     shards:
         Internal (process engine): pre-computed shards for a rank-local
         replica, skipping :func:`~repro.datasets.sharding.shard_dataset` so
-        children reuse the parent's shared-memory shards zero-copy.
+        children reuse the parent's shared-memory shards zero-copy.  An
+        ``int`` entry is the row count of a shard another rank holds: that
+        worker carries its size, not its data (:meth:`Worker.elsewhere`).
+        ``train`` may then be ``None``; ``n_total`` is always the sum of the
+        shard sizes.
     """
 
     def __init__(
         self,
-        train: ClassificationDataset,
+        train: Optional[ClassificationDataset],
         n_workers: int,
         *,
         loss: LossFactory | str = "softmax",
@@ -191,7 +196,7 @@ class SimulatedCluster:
         precision: Optional[str] = None,
         engine: str = "lockstep",
         random_state=None,
-        shards: Optional[Sequence[ClassificationDataset]] = None,
+        shards: Optional[Sequence[Union[ClassificationDataset, int]]] = None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
@@ -304,24 +309,36 @@ class SimulatedCluster:
             raise ValueError(
                 f"got {len(shards)} pre-computed shards for {self.n_workers} workers"
             )
-        self.workers: List[Worker] = []
-        for i, shard in enumerate(shards):
-            local = _call_loss_factory(
-                loss_factory, shard, train.n_samples, self.backend, self.precision
+        sizes = [s if isinstance(s, int) else s.n_samples for s in shards]
+        #: total number of training samples across all shards
+        self.n_total = sum(sizes)
+        held = {
+            i: Worker(
+                i,
+                shard,
+                CountingObjective(self.shard_loss(shard)),
+                self.devices[i],
+                backend=self.backend,
             )
-            self.workers.append(
-                Worker(
-                    i,
-                    shard,
-                    CountingObjective(local),
-                    self.devices[i],
-                    backend=self.backend,
-                )
-            )
-        dims = {w.dim for w in self.workers}
+            for i, shard in enumerate(shards)
+            if not isinstance(shard, int)
+        }
+        dims = {w.dim for w in held.values()}
         if len(dims) != 1:
             raise ValueError(f"workers disagree on problem dimension: {dims}")
         self.dim = dims.pop()
+        self.workers: List[Worker] = [
+            held[i]
+            if i in held
+            else Worker.elsewhere(
+                i, sizes[i], self.dim, self.devices[i], backend=self.backend
+            )
+            for i in range(self.n_workers)
+        ]
+        # A replica without the training set names and counts by its shard.
+        source = train if train is not None else held[min(held)].shard
+        self.n_classes = source.n_classes
+        self.dataset_name = source.name
 
     # -- basic properties ---------------------------------------------------
     @property
@@ -367,17 +384,33 @@ class SimulatedCluster:
             else self._loss_factory
         )
 
-    @property
-    def n_total(self) -> int:
-        """Total number of training samples across all shards."""
-        return self.train.n_samples
-
-    @property
-    def n_classes(self) -> int:
-        return self.train.n_classes
-
     def worker_sizes(self) -> List[int]:
         return [w.n_local_samples for w in self.workers]
+
+    def local_workers(self) -> List[Worker]:
+        """The workers whose shards this process computes on: every worker on
+        the simulated engines, the rank's own during a process-engine fit."""
+        role = self._process_role
+        if role is not None and role.active:
+            return [self.workers[role.rank]]
+        return list(self.workers)
+
+    def map_shards(self, fn: Callable[[Worker], object]) -> List[object]:
+        """``fn(worker)`` for every worker, in rank order, outside the modelled
+        accounting.
+
+        Unlike :meth:`map_workers` this advances no clock, charges no FLOPs
+        and logs no collective: it is for evaluation (the epoch record) and
+        one-off set-up, not for a schedule's local rounds.  On the process
+        engine each rank evaluates its own worker and one transport exchange
+        hands every rank the others' results.
+        """
+        role = self._process_role
+        if role is not None and role.active:
+            return role.transport.allgather(
+                fn(self.workers[role.rank]), label="map_shards"
+            )
+        return [fn(w) for w in self.workers]
 
     # -- execution -------------------------------------------------------
     def map_workers(
@@ -725,8 +758,19 @@ class SimulatedCluster:
         return float(self.straggler.factors_for([worker_id], self.n_workers)[0])
 
     # -- objectives -------------------------------------------------------
+    def shard_loss(self, shard: ClassificationDataset) -> Objective:
+        """A new loss over ``shard`` scaled by ``1 / n_total``: the shard's
+        share of the global mean loss, as every worker's objective is."""
+        return _call_loss_factory(
+            self._loss_factory, shard, self.n_total, self.backend, self.precision
+        )
+
     def global_loss(self) -> Objective:
         """The global mean loss over the full (unsharded) training set."""
+        if self.train is None:
+            raise ValueError(
+                "this cluster replica holds one shard, not the training set"
+            )
         return _call_loss_factory(
             self._loss_factory,
             self.train,
@@ -736,10 +780,10 @@ class SimulatedCluster:
         )
 
     def global_objective(self, lam: float) -> RegularizedObjective:
-        """Global regularized objective ``mean loss + (lam/2)||w||^2``.
-
-        Used for reporting training-objective traces and for computing the
-        reference optimum ``x*`` with single-node Newton.
+        """Global regularized objective ``mean loss + (lam/2)||w||^2`` over the
+        full training set, e.g. for a reference optimum ``x*`` from
+        single-node Newton.  Epoch records fold per-shard partials instead
+        (:class:`~repro.distributed.solver_base.ShardedLoss`).
         """
         loss = self.global_loss()
         return RegularizedObjective(loss, L2Regularizer(loss.dim, lam))
@@ -750,7 +794,7 @@ class SimulatedCluster:
             # Process mode: each rank only ran its own worker's compute;
             # the allgathered per-round FLOP deltas are the cluster totals.
             return float(self._process_flops.sum())
-        return float(sum(w.objective.flops for w in self.workers))
+        return float(sum(w.flops for w in self.workers))
 
     def reset_accounting(self) -> None:
         """Zero clocks, communication logs and per-worker counters."""
@@ -765,7 +809,8 @@ class SimulatedCluster:
             self.fault_state.reset()
         self.last_round_survivors = list(range(self.n_workers))
         for w in self.workers:
-            w.objective.reset_counters()
+            if w.objective is not None:
+                w.objective.reset_counters()
             w.mark_flops()
             w.state.clear()
 

@@ -18,9 +18,13 @@ SPMD replication
     are spawned (never forked — see the fork-safety notes below).
 
 Determinism contract
-    :meth:`ProcessRole.map_workers` is the engine's only data movement: it
-    leaves every rank holding the full list of per-worker results, ordered
-    by rank.  The plan's collectives then run on those replicated buffers
+    Ranks exchange data once per local round and once per epoch record.
+    :meth:`ProcessRole.map_workers` leaves every rank holding the full list
+    of per-worker results, ordered by rank;
+    :meth:`~repro.distributed.cluster.SimulatedCluster.map_shards` does the
+    same for the record's per-shard partials, which every rank folds in rank
+    order exactly as the simulated engines do, outside the communication
+    log.  The plan's collectives then run on those replicated buffers
     through the unmodified :class:`~repro.distributed.comm.Communicator` —
     the *same left-fold* and the same modelled accounting as on the
     simulated engines, moving nothing — so fp64 iterates are bit-identical
@@ -57,11 +61,16 @@ Slab transport
     channel, so liveness polling and the watchdog work as before.
 
 Zero-copy shards
-    The parent places the full training set plus every worker's shard into
-    ``multiprocessing.shared_memory`` once, at spawn; children attach NumPy
-    views.  Shard bytes never travel through the command pipes, and the
-    placement counter (``ProcessRuntime.shm_placements``) is asserted in
-    tests.
+    The parent places the shards of ranks 1..N-1 into
+    ``multiprocessing.shared_memory`` once, at spawn; rank 0 computes on its
+    in-memory shard and no rank reads the full training set.  Each child
+    attaches NumPy views of its own shard only and builds its replica from
+    shard metadata: the other workers carry their row counts, and
+    ``n_total`` is the sum of the shard sizes.  Shard bytes never travel
+    through the command pipes; the placement counters
+    (``ProcessRuntime.shm_placements`` / ``shm_bytes``) and the blocks each
+    child reports attached (``child_info[rank]["attached"]``) are asserted
+    in tests.
 
 Fork safety
     The runtime always uses the ``spawn`` start method, so children inherit
@@ -540,8 +549,10 @@ class ProcessRole:
     :meth:`map_workers` computes only this rank's worker and allgathers
     ``(result, modelled_time, flops)`` triples so every rank binds the full
     per-worker result list — and advances the *same* modelled clocks the
-    ``event`` engine would.  This is the only point at which ranks exchange
-    data: whatever a plan's collectives fold is already replicated here.
+    ``event`` engine would.  This is the only point at which a schedule's
+    data crosses between ranks: whatever a plan's collectives fold is
+    already replicated here.  (Epoch records, which are not part of the
+    schedule, exchange their partials through ``cluster.map_shards``.)
     """
 
     def __init__(self, transport: _Transport) -> None:
@@ -619,6 +630,8 @@ class ProcessRuntime:
         self._procs: Dict[int, mp.process.BaseProcess] = {}
         self._conns: Dict[int, Any] = {}
         self.child_info: Dict[int, dict] = {}
+        #: rank -> shared-memory spec of the shard placed for that child
+        self.shard_specs: Dict[int, dict] = {}
         self._finalizer = weakref.finalize(self, _finalize_runtime, self)
         cluster._process_role = self.role
 
@@ -653,8 +666,12 @@ class ProcessRuntime:
         if self.arena is None:
             self.arena = ShmArena()
         arena = self.arena
-        train_spec = arena.place_dataset(cluster.train)
-        shard_specs = [arena.place_dataset(w.shard) for w in cluster.workers]
+        # Rank 0 is this process and computes on its in-memory shard; each
+        # child needs its own shard only.
+        self.shard_specs = {
+            rank: arena.place_dataset(cluster.workers[rank].shard)
+            for rank in range(1, self.n_ranks)
+        }
         session = {
             "backend": cluster.backend.name,
             "precision": cluster.precision,
@@ -662,8 +679,7 @@ class ProcessRuntime:
         }
         base = {
             "n_workers": self.n_ranks,
-            "train": train_spec,
-            "shards": shard_specs,
+            "shard_sizes": cluster.worker_sizes(),
             "loss": cluster._loss_factory_spec(),
             "network": cluster.network,
             "devices": cluster.devices,
@@ -682,7 +698,7 @@ class ProcessRuntime:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(
                 target=_worker_main,
-                args=(rank, child_conn, base),
+                args=(rank, child_conn, dict(base, shard=self.shard_specs[rank])),
                 daemon=True,
                 name=f"repro-worker-{rank}",
             )
@@ -720,6 +736,7 @@ class ProcessRuntime:
         self._procs = {}
         self._conns = {}
         self.child_info = {}
+        self.shard_specs = {}
         if self.arena is not None:
             self.arena.close()
             self.arena = None
@@ -808,15 +825,12 @@ class ProcessRuntime:
         if dead:
             with cluster.fault_policy(solver.on_failure):
                 self._lost(dead[0])
-        # Children skip accuracy evaluation (it never feeds control flow);
-        # everything that does — gradients, tolerances, stop flags — is
-        # recomputed identically by every replica.
-        child_solver = pickle.loads(pickle.dumps(solver))
-        child_solver.record_accuracy = False
+        # Every replica runs the same fit: each evaluates the epoch record on
+        # its own shard and the partials meet in one exchange per record.
         w0_wire = None if w0 is None else np.asarray(w0, dtype=np.float64)
         command = (
             "fit",
-            {"solver": child_solver, "w0": w0_wire, "reset": reset_cluster},
+            {"solver": solver, "w0": w0_wire, "reset": reset_cluster},
         )
         for rank in range(1, self.n_ranks):
             self.send_to(rank, ("cmd", 0, command))
@@ -876,8 +890,8 @@ def _finalize_runtime(runtime: ProcessRuntime) -> None:
 def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
     """Entry point of a spawned worker process (top-level: spawn-picklable).
 
-    Builds this rank's replica of the cluster over shared-memory data, then
-    serves ``fit`` commands until stopped.  Session defaults are applied
+    Builds this rank's replica of the cluster over its shared-memory shard,
+    then serves ``fit`` commands until stopped.  Session defaults are applied
     from explicit bootstrap values — under ``spawn`` nothing is inherited,
     and nothing is read from the parent's module globals.
     """
@@ -893,10 +907,11 @@ def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
         set_default_precision(session["precision"])
         set_default_engine(session["engine"])
 
-        train = attach_dataset(bootstrap["train"])
-        shards = [attach_dataset(spec) for spec in bootstrap["shards"]]
+        # This rank's shard as zero-copy views; the others' as row counts.
+        shards = list(bootstrap["shard_sizes"])
+        shards[rank] = attach_dataset(bootstrap["shard"])
         cluster = SimulatedCluster(
-            train,
+            None,
             bootstrap["n_workers"],
             loss=bootstrap["loss"],
             network=bootstrap["network"],
@@ -920,6 +935,7 @@ def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
                     "pid": os.getpid(),
                     "start_method": mp.get_start_method(),
                     "session": dict(session),
+                    "attached": sorted(block.name for block in _ATTACHED_BLOCKS),
                 },
             )
         )

@@ -296,6 +296,19 @@ def _count(steps: Sequence[Step], measure: Callable[[Collective], int]) -> Optio
     return total
 
 
+def _tally(steps: Sequence[Step], counts: Callable[[Step], bool]) -> int:
+    """Number of steps ``counts`` accepts, a :class:`Repeat` body counted
+    ``times`` times (module-level: a self-recursive closure is a reference
+    cycle)."""
+    total = 0
+    for step in steps:
+        if isinstance(step, Repeat):
+            total += step.times * _tally(step.steps, counts)
+        elif counts(step):
+            total += 1
+    return total
+
+
 # ---------------------------------------------------------------------------
 # RoundPlan
 # ---------------------------------------------------------------------------
@@ -485,36 +498,16 @@ class RoundPlan:
         unknowable — the static collectives' flags are declared either way —
         so dynamic sections simply contribute nothing.
         """
-
-        def count(steps: Sequence[Step]) -> int:
-            total = 0
-            for s in steps:
-                if isinstance(s, Collective) and s.overlap:
-                    total += 1
-                elif isinstance(s, Repeat):
-                    total += s.times * count(s.steps)
-            return total
-
-        return count(self.steps)
+        return _tally(self.steps, lambda s: isinstance(s, Collective) and s.overlap)
 
     def describe(self) -> dict:
         """Serializable declared structure (``RunTrace.info['schedule']``)."""
-
-        def count_local(steps) -> int:
-            total = 0
-            for s in steps:
-                if isinstance(s, LocalStep):
-                    total += 1
-                elif isinstance(s, Repeat):
-                    total += s.times * count_local(s.steps)
-            return total
-
         return {
             "plan": self.name,
             "rounds": self.declared_rounds,
             "collectives": self.declared_collectives,
             "overlapped": self.n_overlapped,
-            "local_steps": count_local(self.steps),
+            "local_steps": _tally(self.steps, lambda s: isinstance(s, LocalStep)),
             "dynamic": not self.is_static,
             "on_failure": self.on_failure,
             "steps": [s.describe() for s in self.steps],

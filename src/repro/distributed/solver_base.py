@@ -18,7 +18,10 @@ two hooks to subclasses: :meth:`_initialize` plus *one of*
 
 Reporting evaluations (global objective, accuracies) are performed outside the
 cluster's accounting, so they do not pollute the modelled epoch times — the
-paper's timings likewise exclude evaluation.
+paper's timings likewise exclude evaluation.  Like the paper's nodes, each
+rank evaluates only the shards it holds: an epoch record folds per-shard
+partials (:class:`ShardedLoss`), and no rank ever builds a loss over the
+full training set.
 """
 
 from __future__ import annotations
@@ -38,8 +41,76 @@ from repro.distributed.schedule import RoundPlan, execute_plan
 from repro.metrics.classification import accuracy
 from repro.metrics.timeline import timeline_summary
 from repro.metrics.traces import EpochRecord, RunTrace
-from repro.objectives.base import RegularizedObjective
+from repro.objectives.base import Objective, RegularizedObjective
+from repro.objectives.regularizers import L2Regularizer
 from repro.utils.validation import check_positive
+
+
+class ShardedLoss(Objective):
+    """The global mean loss as a rank-ordered fold of per-shard partials.
+
+    Every worker's loss carries ``scale = 1 / n_total``, so its value and
+    gradient on its own shard are that shard's share of the training-set
+    mean.  :meth:`value_and_gradient` evaluates the shards this process holds
+    (:meth:`SimulatedCluster.local_workers`), hands the partials around with
+    :meth:`SimulatedCluster.map_shards` — one transport exchange on the
+    process engine, none on the simulated engines — and sums them left to
+    right in rank order.  Every engine folds the same partials in the same
+    order, so epoch records are bit-identical across engines; against a
+    full-data evaluation they differ by that reassociation only.
+
+    With ``count_correct`` each partial also counts its shard's correctly
+    classified rows; ``n_correct`` holds the total of the last evaluation.
+    The per-shard losses are built apart from the workers' own, so a record
+    never disturbs the per-iterate caches or FLOP counters of the losses the
+    local steps run on.
+    """
+
+    def __init__(self, cluster: SimulatedCluster, *, count_correct: bool):
+        self._cluster = cluster
+        self._losses = {
+            w.worker_id: cluster.shard_loss(w.shard) for w in cluster.local_workers()
+        }
+        self._first = self._losses[min(self._losses)]
+        self.dim = cluster.dim
+        self.count_correct = count_correct and hasattr(self._first, "predict")
+        self.n_correct = 0
+
+    @property
+    def backend(self):
+        return self._first.backend
+
+    def initial_point(self) -> np.ndarray:
+        return self._first.initial_point()
+
+    def value_and_gradient(self, w):
+        def partial(worker):
+            loss = self._losses[worker.worker_id]
+            value, grad = loss.value_and_gradient(w)
+            correct = 0
+            if self.count_correct:
+                correct = int(np.count_nonzero(loss.predict(w) == worker.shard.y))
+            return value, grad, correct
+
+        parts = self._cluster.map_shards(partial)
+        value, grad, correct = parts[0]
+        for v, g, c in parts[1:]:
+            value, grad, correct = value + v, grad + g, correct + c
+        self.n_correct = correct
+        return value, grad
+
+    def value(self, w) -> float:
+        return self.value_and_gradient(w)[0]
+
+    def gradient(self, w):
+        return self.value_and_gradient(w)[1]
+
+    def hvp(self, w, v):
+        raise NotImplementedError("the epoch record needs no curvature")
+
+    def predict(self, w, X) -> np.ndarray:
+        """Class predictions for rows ``X`` (e.g. a test set)."""
+        return self._first.predict(w, X)
 
 
 class DistributedSolver(ABC):
@@ -181,16 +252,18 @@ class DistributedSolver(ABC):
         if reset_cluster:
             cluster.reset_accounting()
         backend = cluster.backend
-        global_objective = cluster.global_objective(self.lam)
+        objective = RegularizedObjective(
+            ShardedLoss(cluster, count_correct=self.record_accuracy),
+            L2Regularizer(cluster.dim, self.lam),
+        )
         if w0 is None:
             # Zeros on the cluster backend, in the data's floating dtype.
-            w0 = global_objective.initial_point()
+            w0 = objective.initial_point()
         else:
             w0 = copy_array(backend.as_vector(w0, cluster.dim, name="w0"))
-        global_loss = global_objective.loss
         trace = RunTrace(
             method=self.name,
-            dataset=cluster.train.name,
+            dataset=cluster.dataset_name,
             n_workers=cluster.n_workers,
             info={
                 "lam": self.lam,
@@ -224,9 +297,7 @@ class DistributedSolver(ABC):
                 and not self._stop_requested
             ):
                 continue
-            record = self._make_record(
-                epoch, w, cluster, global_objective, global_loss, test
-            )
+            record = self._make_record(epoch, w, cluster, objective, test)
             trace.records.append(record)
             if on_record is not None:
                 on_record(record)
@@ -291,23 +362,25 @@ class DistributedSolver(ABC):
         epoch: int,
         w: np.ndarray,
         cluster: SimulatedCluster,
-        global_objective: RegularizedObjective,
-        global_loss,
+        objective: RegularizedObjective,
         test: Optional[ClassificationDataset],
     ) -> EpochRecord:
-        value, grad = global_objective.value_and_gradient(
-            global_objective.backend.as_vector(w, global_objective.dim, name="w")
+        # One call folds every shard's partials (and their correct counts);
+        # test accuracy is rank 0's alone — other ranks are given no test set.
+        value, grad = objective.value_and_gradient(
+            objective.backend.as_vector(w, objective.dim, name="w")
         )
+        loss = objective.loss
         train_acc = float("nan")
         test_acc = float("nan")
-        if self.record_accuracy and hasattr(global_loss, "predict"):
-            train_acc = accuracy(cluster.train.y, global_loss.predict(w))
+        if loss.count_correct:
+            train_acc = loss.n_correct / cluster.n_total
             if test is not None:
-                test_acc = accuracy(test.y, global_loss.predict(w, test.X))
+                test_acc = accuracy(test.y, loss.predict(w, test.X))
         return EpochRecord(
             epoch=epoch,
             objective=float(value),
-            grad_norm=global_objective.backend.norm(grad),
+            grad_norm=objective.backend.norm(grad),
             train_accuracy=train_acc,
             test_accuracy=test_acc,
             modelled_time=cluster.clock.time,

@@ -21,10 +21,12 @@ class Worker:
     worker_id:
         0-based rank; rank 0 doubles as the master, as in the paper.
     shard:
-        This worker's partition ``D_i`` of the training data.
+        This worker's partition ``D_i`` of the training data (``None`` for a
+        worker held elsewhere, see :meth:`elsewhere`).
     objective:
         Counting wrapper around the worker's local objective ``f_i``; the
-        wrapper's FLOP counter feeds the device cost model.
+        wrapper's FLOP counter feeds the device cost model (``None`` for a
+        worker held elsewhere).
     device:
         Device cost model used to convert FLOPs into modelled compute time.
     backend:
@@ -38,8 +40,8 @@ class Worker:
     def __init__(
         self,
         worker_id: int,
-        shard: ClassificationDataset,
-        objective: Objective,
+        shard: Optional[ClassificationDataset],
+        objective: Optional[Objective],
         device: DeviceModel,
         *,
         backend: BackendLike = None,
@@ -48,11 +50,9 @@ class Worker:
             raise ValueError(f"worker_id must be >= 0, got {worker_id}")
         self.worker_id = int(worker_id)
         self.shard = shard
-        self.objective = (
-            objective
-            if isinstance(objective, CountingObjective)
-            else CountingObjective(objective)
-        )
+        if objective is not None and not isinstance(objective, CountingObjective):
+            objective = CountingObjective(objective)
+        self.objective = objective
         self.device = device
         if backend is None:
             self.backend: ArrayBackend = self.objective.backend
@@ -60,23 +60,44 @@ class Worker:
             self.backend = get_backend(backend)
         self.state: Dict[str, object] = {}
         self._flops_mark = 0.0
+        if shard is not None:
+            self.n_local_samples = shard.n_samples
+            self.dim = self.objective.dim
 
-    @property
-    def n_local_samples(self) -> int:
-        return self.shard.n_samples
+    @classmethod
+    def elsewhere(
+        cls,
+        worker_id: int,
+        n_samples: int,
+        dim: int,
+        device: DeviceModel,
+        *,
+        backend: BackendLike,
+    ) -> "Worker":
+        """A worker whose shard another process holds.
 
-    @property
-    def dim(self) -> int:
-        return self.objective.dim
+        A process-engine replica keeps what schedules and solvers read of the
+        other ranks' workers — the row count and the problem dimension — and
+        neither their data nor an objective.
+        """
+        worker = cls(worker_id, None, None, device, backend=backend)
+        worker.n_local_samples = int(n_samples)
+        worker.dim = int(dim)
+        return worker
 
     # -- modelled-time accounting ------------------------------------------
+    @property
+    def flops(self) -> float:
+        """FLOPs charged to this worker's objective (none when held elsewhere)."""
+        return 0.0 if self.objective is None else self.objective.flops
+
     def mark_flops(self) -> None:
         """Record the current FLOP counter; the next :meth:`modelled_compute_time`
         call measures work done since this mark."""
-        self._flops_mark = self.objective.flops
+        self._flops_mark = self.flops
 
     def flops_since_mark(self) -> float:
-        return self.objective.flops - self._flops_mark
+        return self.flops - self._flops_mark
 
     def modelled_compute_time(self) -> float:
         """Modelled seconds for the work performed since the last mark."""

@@ -130,12 +130,16 @@ class HessianOperator(LinearOperator):
     """The Hessian of an objective at a fixed point ``w`` as a linear operator."""
 
     def __init__(self, objective, w: np.ndarray):
+        w = objective.check_weights(w) if hasattr(objective, "check_weights") else w
         self.objective = objective
-        self.w = objective.check_weights(w) if hasattr(objective, "check_weights") else w
+        self.w = w
         # No declared dtype: the HVP's output dtype is set by the objective's
         # data, not by ``w``, so claiming ``w.dtype`` here would reject valid
         # pairings (e.g. float32 weights against float64-validated data).
-        super().__init__(objective.dim, lambda v: objective.hvp(self.w, v))
+        # The matvec closes over locals, never ``self``: a closure over
+        # ``self`` is a reference cycle, which would keep every Newton step's
+        # iterate and subproblem alive until the cyclic collector runs.
+        super().__init__(objective.dim, lambda v: objective.hvp(w, v))
 
 
 class BatchedHessianOperator(HessianOperator):
@@ -186,10 +190,12 @@ class ShiftedOperator(LinearOperator):
     """``A + shift * I`` — used for Levenberg-style damping and ADMM penalties."""
 
     def __init__(self, base: LinearOperator, shift: float):
+        shift = float(shift)
         self.base = base
-        self.shift = float(shift)
+        self.shift = shift
+        # Closes over locals, not ``self`` (see HessianOperator).
         super().__init__(
             base.dim,
-            lambda v: base.matvec(v) + self.shift * v,
+            lambda v: base.matvec(v) + shift * v,
             dtype=base.dtype,
         )

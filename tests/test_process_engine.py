@@ -43,9 +43,11 @@ from repro.distributed.process_engine import (
     ChildTransport,
     MasterTransport,
     ShmArena,
+    in_worker_process,
     process_engine_info,
 )
 from repro.harness.config import default_engine, set_default_engine
+from repro.objectives.softmax import SoftmaxCrossEntropy
 
 pytestmark = pytest.mark.process_engine
 
@@ -82,6 +84,21 @@ def binary_dataset():
 
 def _dataset_for(name, dataset, binary_dataset):
     return binary_dataset if name == "cocoa" else dataset
+
+
+class _DiesOnRecord(SoftmaxCrossEntropy):
+    """Kills its own process, if that is a spawned rank, when asked for
+    predictions on its shard — which only the epoch record asks for."""
+
+    def predict(self, w, X=None):
+        if X is None and in_worker_process():
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super().predict(w, X)
+
+
+def _dies_on_record(shard, n_total):
+    """Loss factory (module level: spawn pickles it by reference)."""
+    return _DiesOnRecord(shard.X, shard.y, shard.n_classes, scale=1.0 / n_total)
 
 
 def _fit(data, name, engine, n_workers=N_WORKERS, **solver_kwargs):
@@ -213,6 +230,22 @@ class TestChaos:
         finally:
             cluster.close()
 
+    def test_child_lost_in_the_record_exchange_raises_structured_loss(self, dataset):
+        cluster = SimulatedCluster(
+            dataset, N_WORKERS, loss=_dies_on_record, engine="process", random_state=0
+        )
+        try:
+            with pytest.raises(WorkerLostError) as excinfo:
+                NewtonADMM(lam=1e-3, max_epochs=2).fit(cluster)
+            error = excinfo.value
+            assert error.worker_id == 1
+            assert "policy 'raise'" in str(error)
+            # Lost after the first epoch's rounds, at its record.
+            assert error.time > 0
+            assert cluster.process_runtime.worker_pids() == {}
+        finally:
+            cluster.close()
+
     def test_pool_respawns_after_a_loss(self, dataset):
         cluster = SimulatedCluster(
             dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
@@ -240,23 +273,64 @@ class TestChaos:
 # ---------------------------------------------------------------------------
 # Zero-copy shard handoff
 # ---------------------------------------------------------------------------
+def _shard_arrays(shard):
+    """The arrays ``ShmArena.place_dataset`` copies for ``shard``."""
+    X = shard.X
+    return [shard.y] + ([X.data, X.indices, X.indptr] if shard.is_sparse else [X])
+
+
+def _block_names(spec):
+    """Names of the shared-memory blocks behind a placed dataset spec."""
+    X = spec["X"]
+    arrays = [X["data"], X["indices"], X["indptr"]] if spec["kind"] == "csr" else [X]
+    return sorted(array["name"] for array in arrays + [spec["y"]])
+
+
 class TestSharedMemoryHandoff:
     def test_datasets_cross_once_via_shared_memory(self, dataset):
+        self._assert_shards_cross_once(dataset)
+
+    def test_csr_shards_cross_once_via_shared_memory(self, dataset):
+        import scipy.sparse as sp
+
+        from repro.datasets.base import ClassificationDataset
+
+        self._assert_shards_cross_once(
+            ClassificationDataset(sp.csr_matrix(dataset.X), dataset.y, dataset.n_classes)
+        )
+
+    @staticmethod
+    def _assert_shards_cross_once(dataset):
         cluster = SimulatedCluster(
             dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
         )
         try:
             runtime = cluster.process_runtime
             NewtonADMM(lam=1e-3, max_epochs=2, record_accuracy=False).fit(cluster)
-            # Global training set + one shard per worker, placed exactly
-            # once; a dense dataset is two blocks (X and y).
+            # One shard per child, placed exactly once: rank 0 computes on its
+            # in-memory shard and no rank reads the full training set.
+            shards = [cluster.workers[rank].shard for rank in range(1, N_WORKERS)]
+            arrays = [a for shard in shards for a in _shard_arrays(shard)]
             placements = runtime.shm_placements
-            assert placements == 2 * (1 + N_WORKERS)
-            assert runtime.shm_bytes >= dataset.X.nbytes
+            assert placements == len(arrays)
+            assert runtime.shm_bytes == sum(a.nbytes for a in arrays)
             # A second fit on the same cluster reuses the pool and the arena:
             # no dataset bytes cross the process boundary again.
             NewtonADMM(lam=1e-3, max_epochs=2, record_accuracy=False).fit(cluster)
             assert runtime.shm_placements == placements
+        finally:
+            cluster.close()
+
+    def test_each_child_attaches_only_its_own_shard(self, dataset):
+        cluster = SimulatedCluster(
+            dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
+        )
+        try:
+            runtime = cluster.process_runtime
+            runtime.ensure_started()
+            assert sorted(runtime.child_info) == list(range(1, N_WORKERS))
+            for rank, info in runtime.child_info.items():
+                assert info["attached"] == _block_names(runtime.shard_specs[rank])
         finally:
             cluster.close()
 
@@ -353,7 +427,8 @@ class TestOneExchangePerLocalRound:
         trace, _ = _fit(dataset, name, "process")
         # Local rounds: x-update + dual update per Newton-ADMM epoch, one per
         # SGD mini-batch (each followed by its all-reduce).  The collectives
-        # ride on the exchanged results and add no exchange of their own.
+        # ride on the exchanged results and add no exchange of their own;
+        # each epoch record adds one, for the per-shard partials.
         assert len(calls) == {
             "newton_admm": 2 * len(trace.info["schedule"]["epochs"]),
             "sync_sgd": trace.info["communication"]["collectives"],
@@ -361,7 +436,7 @@ class TestOneExchangePerLocalRound:
         per_rank = trace.info["wall_clock"]["transport"]
         assert [row["rank"] for row in per_rank] == list(range(N_WORKERS))
         for row in per_rank:
-            assert row["exchanges"] == len(calls)
+            assert row["exchanges"] == len(calls) + len(trace.records)
             assert row["bytes"] > 0
 
 
