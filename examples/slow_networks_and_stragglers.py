@@ -86,17 +86,16 @@ def main() -> None:
         print()
 
     # --- the event engine's view: sync barrier vs async quorum ----------------
-    def straggling_cluster(engine="lockstep"):
+    def straggling_cluster():
         return SimulatedCluster(
             train,
             n_workers=4,
             straggler=StragglerModel(slowdown=8.0, persistent_stragglers=[0]),
-            engine=engine,
             random_state=0,
         )
 
     sync = NewtonADMM(lam=1e-5, max_epochs=4, record_accuracy=False).fit(
-        straggling_cluster(engine="event")
+        straggling_cluster()
     )
     print(
         plot_gantt(

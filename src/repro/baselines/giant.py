@@ -25,11 +25,9 @@ result before its ``Join`` raises ``ScheduleError``).  The work it genuinely
 can hide is the line search's step-independent evaluation of the local
 objective at the *current* point ``f_i(w)`` — round 3 always needs that value
 and it consumes neither the gradient nor the direction, so hoisting it under
-the in-flight transfer is realizable on hardware.  On the event engine only
-the part of the transfer that evaluation does not hide is charged; iterates
-are bit-identical either way.  Under the lock-step engine the flag is
-accepted but the transfer is charged in full, keeping the two modes
-comparable.
+the in-flight transfer is realizable on hardware.  Only the part of the
+transfer that evaluation does not hide is charged; iterates are
+bit-identical either way.
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ from repro.datasets.base import ClassificationDataset
 from repro.datasets.sharding import shard_dataset
 from repro.distributed.comm import Communicator
 from repro.distributed.device import DeviceModel
-from repro.distributed.engine import EventEngine
+from repro.distributed.engine import EventEngine, resolve_engine
 from repro.distributed.faults import (
     FAULT_POLICIES,
     FailureModel,
@@ -154,13 +154,10 @@ class SimulatedCluster:
         the session default set by the CLI's ``--precision``); see
         :mod:`repro.backend.precision`.
     engine:
-        ``"lockstep"`` (default) keeps the historical single-global-clock
-        accounting; ``"event"`` routes rounds and collectives through the
+        ``"event"`` (default) schedules every worker in-process on the
         discrete-event :class:`~repro.distributed.engine.EventEngine`, which
-        additionally records per-worker busy/wait/comm timelines.  Both modes
-        produce bit-identical iterates and identical modelled times for
-        synchronous solvers; asynchronous solvers always use the engine's
-        event queue regardless of this mode.  ``"process"`` additionally runs
+        records per-worker busy/wait/comm timelines; names are resolved by
+        :func:`~repro.distributed.engine.resolve_engine`.  ``"process"`` runs
         every worker as a real OS process (SPMD over a spawn pool — see
         :mod:`repro.distributed.process_engine`): iterates and modelled
         times stay bit-identical to ``"event"``, and measured wall-clock
@@ -194,7 +191,7 @@ class SimulatedCluster:
         faults: Optional[FailureModel] = None,
         backend: BackendLike = None,
         precision: Optional[str] = None,
-        engine: str = "lockstep",
+        engine: str = "event",
         random_state=None,
         shards: Optional[Sequence[Union[ClassificationDataset, int]]] = None,
     ):
@@ -204,10 +201,7 @@ class SimulatedCluster:
             raise ValueError(
                 f"executor must be 'serial' or 'threads', got {executor!r}"
             )
-        if engine not in ("lockstep", "event", "process"):
-            raise ValueError(
-                f"engine must be 'lockstep', 'event' or 'process', got {engine!r}"
-            )
+        engine = resolve_engine(engine)
         self.train = train
         self.n_workers = int(n_workers)
         self.backend: ArrayBackend = get_backend(backend)
@@ -229,14 +223,13 @@ class SimulatedCluster:
             if straggler is not None:
                 raise ValueError(
                     "engine='process' measures real time; modelled straggler "
-                    "injection needs engine='lockstep' or 'event'"
+                    "injection needs engine='event'"
                 )
             if faults is not None:
                 raise ValueError(
                     "engine='process' surfaces real process failures; "
-                    "modelled FailureModel injection needs engine='lockstep' "
-                    "or 'event' (kill a worker process to exercise the "
-                    "chaos path)"
+                    "modelled FailureModel injection needs engine='event' "
+                    "(kill a worker process to exercise the chaos path)"
                 )
         self.network = network or infiniband_100g()
         if device is None:
@@ -269,17 +262,12 @@ class SimulatedCluster:
         self.random_state = random_state
         self.clock = SimulatedClock()
         self.wall = Stopwatch()
-        # The engine always exists (async solvers schedule through its event
-        # queue in either mode); engine_mode decides whether the *synchronous*
-        # paths — map_workers rounds and collectives — also route through it.
+        #: ``"event"`` or ``"process"``; every rank of the process engine
+        #: keeps the event engine's modelled accounting too
         self.engine_mode = engine
         self.engine = EventEngine(self.n_workers, clock=self.clock)
         self.comm = Communicator(
-            self.n_workers,
-            self.network,
-            self.clock,
-            engine=self.engine if self.event_accounting else None,
-            fault_state=self.fault_state,
+            self.n_workers, self.network, self.engine, fault_state=self.fault_state
         )
         #: process-engine plumbing (see repro.distributed.process_engine):
         #: the rank role attached while an SPMD fit is live, the lazily
@@ -342,16 +330,6 @@ class SimulatedCluster:
 
     # -- basic properties ---------------------------------------------------
     @property
-    def event_accounting(self) -> bool:
-        """Whether synchronous rounds route through the event engine.
-
-        True for ``"event"`` and ``"process"``: the process engine keeps the
-        event engine's modelled accounting bit-identical on every rank while
-        real time is measured separately.
-        """
-        return self.engine_mode in ("event", "process")
-
-    @property
     def process_runtime(self):
         """The parent-side process-engine runtime (``None`` off the process
         engine, and ``None`` inside spawned worker replicas)."""
@@ -371,7 +349,7 @@ class SimulatedCluster:
 
     def close(self) -> None:
         """Stop spawned worker processes and release shared memory (process
-        engine; a no-op on the simulated engines)."""
+        engine; a no-op on the event engine)."""
         runtime = self._process_runtime
         if runtime not in (None, False):
             runtime.shutdown()
@@ -389,7 +367,7 @@ class SimulatedCluster:
 
     def local_workers(self) -> List[Worker]:
         """The workers whose shards this process computes on: every worker on
-        the simulated engines, the rank's own during a process-engine fit."""
+        the event engine, the rank's own during a process-engine fit."""
         role = self._process_role
         if role is not None and role.active:
             return [self.workers[role.rank]]
@@ -460,14 +438,10 @@ class SimulatedCluster:
         return results
 
     def _advance_round_clock(self, targets: Sequence[Worker], times: Sequence[float]) -> None:
-        """Charge one fault-free synchronous round (the historical accounting)."""
-        if self.event_accounting:
-            self.engine.run_round(
-                {w.worker_id: t for w, t in zip(targets, times)},
-                category="compute",
-            )
-        else:
-            self.clock.advance(max(times), category="compute")
+        """Charge one fault-free synchronous round."""
+        self.engine.run_round(
+            {w.worker_id: t for w, t in zip(targets, times)}, category="compute"
+        )
 
     # -- fault handling ----------------------------------------------------
     @contextmanager
@@ -497,8 +471,7 @@ class SimulatedCluster:
         ``"stall"`` policy cannot make progress).  With a
         :class:`~repro.distributed.faults.CheckpointModel` attached the wait
         extends past the raw restart by the worker's restore + replay charge.
-        Modelled time is charged to the ``"stall"`` clock category on both
-        engines identically.
+        Modelled time is charged to the ``"stall"`` clock category.
         """
         fs = self.fault_state
         now = self.clock.time
@@ -525,12 +498,11 @@ class SimulatedCluster:
                 reason="crashed with no scheduled restart; 'stall' cannot complete",
             )
         target = min(finite)
-        if self.engine_mode == "event":
-            for wid in range(self.n_workers):
-                # Crashed workers' timelines stay frozen; their downtime is
-                # drawn when they rejoin (catch_up_timeline).
-                if wid not in ready and not fs.is_down(wid, now):
-                    self.engine.wait_until(wid, target, label)
+        for wid in range(self.n_workers):
+            # Crashed workers' timelines stay frozen; their downtime is
+            # drawn when they rejoin (catch_up_timeline).
+            if wid not in ready and not fs.is_down(wid, now):
+                self.engine.wait_until(wid, target, label)
         if target > now:
             self.clock.advance(target - now, category="stall")
         for wid, rdy in ready.items():
@@ -539,10 +511,9 @@ class SimulatedCluster:
                 fs.note_restore(
                     wid, crashes[wid], rdy, rdy - restarts[wid]
                 )
-                if self.engine_mode == "event":
-                    # Draw the downtime before anything barriers the frozen
-                    # timeline forward (which would render it as a wait).
-                    fs.catch_up_timeline(self.engine, wid, target)
+                # Draw the downtime before anything barriers the frozen
+                # timeline forward (which would render it as a wait).
+                fs.catch_up_timeline(self.engine, wid, target)
         return self.clock.time
 
     def stall_for_heal(
@@ -554,7 +525,7 @@ class SimulatedCluster:
         segments rather than freezing — but the synchronization point cannot
         form until the partition closes.  Raises :class:`PartitionError` when
         none of the windows ever heals.  Modelled time is charged to the
-        ``"stall"`` clock category on both engines identically.
+        ``"stall"`` clock category.
         """
         fs = self.fault_state
         now = self.clock.time
@@ -574,14 +545,13 @@ class SimulatedCluster:
                 reason="partitioned with no scheduled heal; 'stall' cannot complete",
             )
         target = min(finite)
-        if self.engine_mode == "event":
-            for wid in range(self.n_workers):
-                if fs.is_down(wid, now):
-                    continue  # crashed timelines stay frozen
-                if wid in heals:
-                    self.engine.mark_unreachable(wid, target, label)
-                else:
-                    self.engine.wait_until(wid, target, label)
+        for wid in range(self.n_workers):
+            if fs.is_down(wid, now):
+                continue  # crashed timelines stay frozen
+            if wid in heals:
+                self.engine.mark_unreachable(wid, target, label)
+            else:
+                self.engine.wait_until(wid, target, label)
         if target > now:
             self.clock.advance(target - now, category="stall")
         for wid, h in heals.items():
@@ -638,9 +608,8 @@ class SimulatedCluster:
         # (degraded rounds) and draw their downtime onto the timeline.
         for i in keep:
             fs.rejoin_if_restarted(ids[i], now)
-        if self.engine_mode == "event":
-            for i in keep:
-                fs.catch_up_timeline(self.engine, ids[i], now)
+        for i in keep:
+            fs.catch_up_timeline(self.engine, ids[i], now)
 
         # ---- mid-round crashes ----------------------------------------------
         crashes: Dict[int, float] = {}
@@ -698,21 +667,20 @@ class SimulatedCluster:
         compute_part = min(total, max(times[i] for i in keep))
         stall_part = total - compute_part
 
-        if self.engine_mode == "event":
-            for i in keep:
-                wid = ids[i]
-                if wid in redo:
-                    c, r, recovery = redo[wid]
-                    self.engine.compute(wid, c - now, label)
-                    self.engine.mark_down(wid, r)
-                    if recovery > 0:
-                        self.engine.compute(wid, recovery, "restore")
-                    self.engine.compute(wid, times[i], label + "-redo")
-                elif wid in crashes:  # degrade: partial work, then frozen
-                    self.engine.compute(wid, crashes[wid] - now, label)
-                else:
-                    self.engine.compute(wid, times[i], label)
-            self.engine.barrier([ids[i] for i in survivor_idx], label=label)
+        for i in keep:
+            wid = ids[i]
+            if wid in redo:
+                c, r, recovery = redo[wid]
+                self.engine.compute(wid, c - now, label)
+                self.engine.mark_down(wid, r)
+                if recovery > 0:
+                    self.engine.compute(wid, recovery, "restore")
+                self.engine.compute(wid, times[i], label + "-redo")
+            elif wid in crashes:  # degrade: partial work, then frozen
+                self.engine.compute(wid, crashes[wid] - now, label)
+            else:
+                self.engine.compute(wid, times[i], label)
+        self.engine.barrier([ids[i] for i in survivor_idx], label=label)
         if compute_part > 0:
             self.clock.advance(compute_part, category="compute")
         if stall_part > 0:

@@ -22,9 +22,9 @@ import numpy as np
 
 from repro.backend.ops import copy_array as _copy
 from repro.backend.ops import ensure_float_array
+from repro.distributed.engine import EventEngine
 from repro.distributed.faults import PartitionError
 from repro.distributed.network import NetworkModel
-from repro.utils.timer import SimulatedClock
 
 
 @dataclass
@@ -64,16 +64,13 @@ class Communicator:
         paper's implementation).
     network:
         Interconnect cost model.
-    clock:
-        Cluster clock to advance with the modelled communication time.
     engine:
-        Optional :class:`~repro.distributed.engine.EventEngine`.  When set,
-        every collective is a barrier event on the engine: all workers wait
-        to the synchronization point (fast workers accrue ``wait`` segments)
-        and each is charged the collective's modelled time; the shared clock
-        receives exactly the same ``advance`` calls as the engine-less path,
-        keeping modelled totals bit-identical.  ``overlap=True`` on a
-        collective posts the transfer in the background instead (see
+        The cluster's :class:`~repro.distributed.engine.EventEngine`, whose
+        clock receives the modelled communication time.  Every collective is
+        a barrier event on it: all workers wait to the synchronization point
+        (fast workers accrue ``wait`` segments) and each is charged the
+        collective's modelled time.  ``overlap=True`` on a collective posts
+        the transfer in the background instead (see
         :meth:`~repro.distributed.engine.EventEngine.background_collective`).
 
     Notes
@@ -94,17 +91,16 @@ class Communicator:
         self,
         n_workers: int,
         network: NetworkModel,
-        clock: SimulatedClock,
+        engine: EventEngine,
         *,
-        engine=None,
         fault_state=None,
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.n_workers = int(n_workers)
         self.network = network
-        self.clock = clock
         self.engine = engine
+        self.clock = engine.clock
         #: optional :class:`~repro.distributed.faults.FaultInjector`; when its
         #: model declares network partitions, every collective asserts that
         #: all participants are reachable at the collective instant and raises
@@ -147,20 +143,15 @@ class Communicator:
         participants: Optional[Sequence[int]] = None,
     ) -> None:
         self._check_reachable(participants)
-        if self.engine is not None:
-            if overlap:
-                self.engine.background_collective(seconds, label=operation)
-            else:
-                self.engine.collective(
-                    seconds,
-                    category="communication",
-                    label=operation,
-                    worker_ids=participants,
-                )
+        if overlap:
+            self.engine.background_collective(seconds, label=operation)
         else:
-            # Overlap needs per-worker timelines; without an engine the cost
-            # model has a single clock and the transfer is charged in full.
-            self.clock.advance(seconds, category="communication")
+            self.engine.collective(
+                seconds,
+                category="communication",
+                label=operation,
+                worker_ids=participants,
+            )
         self.log.record(
             operation, nbytes, seconds, new_round=not joint_with_previous
         )
@@ -169,10 +160,9 @@ class Communicator:
         """Block until overlapped (``overlap=True``) collectives complete.
 
         Charges only the part of the transfer that following compute did not
-        hide; a no-op without an engine or pending background transfers.
+        hide; a no-op without pending background transfers.
         """
-        if self.engine is not None:
-            self.engine.join_background()
+        self.engine.join_background()
 
     @staticmethod
     def _check_buffers(buffers: Sequence[np.ndarray], n_expected: int) -> List[np.ndarray]:

@@ -9,11 +9,9 @@ engine gives every simulated worker its own clock
 synchronization vocabulary the distributed layer is rebuilt on:
 
 ``run_round``
-    The lock-step schedule: each participant is busy for its own modelled
+    A synchronous round: each participant is busy for its own modelled
     time, then all barrier.  The shared :class:`SimulatedClock` is advanced by
-    exactly ``max(times)`` — the *same floating-point operation* the legacy
-    lock-step accounting performed — so synchronous solvers produce
-    bit-identical modelled times on either execution path.
+    exactly ``max(times)``: the slowest participant sets the round's time.
 
 ``collective`` / ``background_collective``
     A blocking collective barriers every worker and charges each of them the
@@ -42,6 +40,25 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.metrics.timeline import WorkerTimeline, max_time
 from repro.utils.timer import SimulatedClock
+
+#: execution engines a cluster runs on: ``event`` schedules every worker
+#: in-process on this module's engine; ``process`` runs each worker as a real
+#: OS process over the same modelled accounting
+#: (:mod:`repro.distributed.process_engine`)
+ENGINE_MODES = ("event", "process")
+
+
+def resolve_engine(name: str) -> str:
+    """The canonical name of the execution engine ``name`` selects.
+
+    ``"lockstep"`` is an alias of ``"event"``: it named a former in-process
+    engine whose iterates and modelled times were bit-identical to the event
+    engine's, so configurations that still say it run on the event engine.
+    """
+    name = "event" if name == "lockstep" else name
+    if name not in ENGINE_MODES:
+        raise ValueError(f"engine must be one of {ENGINE_MODES}, got {name!r}")
+    return name
 
 
 @dataclass(frozen=True, order=True)
@@ -75,7 +92,7 @@ class EventEngine:
     Examples
     --------
     >>> engine = EventEngine(2)
-    >>> engine.run_round({0: 1.0, 1: 3.0})   # lock-step round: barrier at max
+    >>> engine.run_round({0: 1.0, 1: 3.0})   # synchronous round: barrier at max
     3.0
     >>> engine.collective(0.5)               # everyone pays the transfer
     3.5
@@ -165,8 +182,8 @@ class EventEngine:
 
         Returns the barrier time; fast participants get ``wait`` segments.
         The shared clock is *not* advanced — callers charge it explicitly
-        (:meth:`run_round`, :meth:`collective`) so lock-step equivalence holds
-        to the bit.
+        (:meth:`run_round`, :meth:`collective`), once per synchronization
+        point.
         """
         ids = (
             list(range(self.n_workers))
@@ -187,12 +204,10 @@ class EventEngine:
         category: str = "compute",
         label: str = "compute",
     ) -> float:
-        """One lock-step round: per-worker busy times, then a barrier.
+        """One synchronous round: per-worker busy times, then a barrier.
 
-        The shared clock advances by ``max(seconds_by_worker.values())`` — the
-        identical floating-point value the legacy ``map_workers`` charged —
-        which is what makes the event engine's modelled totals bit-identical
-        to the lock-step path for synchronous solvers.
+        The shared clock advances by ``max(seconds_by_worker.values())``, the
+        round's critical path.
         """
         if not seconds_by_worker:
             raise ValueError("run_round needs at least one worker time")

@@ -978,14 +978,14 @@ class FaultInjector:
             self.note_restore(wid, crash, restart + recovery, recovery)
         tl.wait_until(now, "restart")
 
-    def rejoin_healed(self, now: float, engine=None) -> List[int]:
+    def rejoin_healed(self, now: float, engine) -> List[int]:
         """Rejoin every worker whose partition window has closed by ``now``.
 
         Degraded rounds simply drop a cut worker; when the partition heals it
         rejoins silently at the next synchronization point — this records the
-        heal event (and, on the event engine, draws the ``unreachable``
-        window onto its timeline) so provenance and Gantt markers stay
-        complete.  Returns the rejoined worker ids.
+        heal event and draws the ``unreachable`` window onto the worker's
+        ``engine`` timeline, so provenance and Gantt markers stay complete.
+        Returns the rejoined worker ids.
         """
         healed: List[int] = []
         for wid in sorted(self._cut_since):
@@ -996,10 +996,9 @@ class FaultInjector:
             heal = self.heal_time(wid, self._cut_since[wid])
             if heal > now:
                 continue
-            if engine is not None:
-                tl = engine.timeline(wid)
-                if heal > tl.t:
-                    tl.advance(heal - tl.t, "unreachable", "partition")
+            tl = engine.timeline(wid)
+            if heal > tl.t:
+                tl.advance(heal - tl.t, "unreachable", "partition")
             self.note_heal(wid, heal)
             healed.append(wid)
         return healed
@@ -1052,15 +1051,11 @@ class FaultInjector:
         )
         for wid, debt in list(self._timeline_debt.items()):
             tl = engine.timeline(wid)
-            if not tl.segments and tl.t == 0.0:
-                continue  # lock-step run: timelines were never used
             end = debt[1] if len(debt) > 1 else horizon
             if end > tl.t:
                 tl.advance(end - tl.t, "down", "down")
         for wid, start in list(self._cut_since.items()):
             tl = engine.timeline(wid)
-            if not tl.segments and tl.t == 0.0:
-                continue
             end = min(self.heal_time(wid, start), horizon)
             if end > tl.t:
                 tl.advance(end - tl.t, "unreachable", "partition")

@@ -1,9 +1,9 @@
 """Real execution engine: every worker is an OS process (``engine="process"``).
 
-The two simulated engines (``lockstep``, ``event``) run all workers on one
-thread and *model* time; every speedup the repo reports through them is
-modelled, not measured.  This module executes the same solver schedules on
-real parallelism so the paper's wall-clock claims can be measured:
+The in-process ``event`` engine runs all workers on one thread and *models*
+time; every speedup the repo reports through it is modelled, not measured.
+This module executes the same solver schedules on real parallelism so the
+paper's wall-clock claims can be measured:
 
 SPMD replication
     Round plans carry closures over solver state (the ADMM x-update closes
@@ -23,12 +23,12 @@ Determinism contract
     of per-worker results, ordered by rank;
     :meth:`~repro.distributed.cluster.SimulatedCluster.map_shards` does the
     same for the record's per-shard partials, which every rank folds in rank
-    order exactly as the simulated engines do, outside the communication
+    order exactly as the event engine does, outside the communication
     log.  The plan's collectives then run on those replicated buffers
     through the unmodified :class:`~repro.distributed.comm.Communicator` —
     the *same left-fold* and the same modelled accounting as on the
-    simulated engines, moving nothing — so fp64 iterates are bit-identical
-    to the ``event``/``lockstep`` engines.  (That a collective's payload
+    event engine, moving nothing — so fp64 iterates are bit-identical
+    to the ``event`` engine's.  (That a collective's payload
     reads only replicated context, never one worker's private state, is
     what ``verify_plan`` rule PLN010 checks.)  Modelled clocks and
     per-worker timelines keep running exactly as on the ``event`` engine
@@ -88,7 +88,7 @@ Failure semantics (the chaos harness)
     policy in the reason: a real process cannot be restarted mid-collective,
     so ``"stall"`` and ``"degrade"`` report *why* they cannot apply rather
     than hanging.  Modelled :class:`~repro.distributed.faults.FailureModel`
-    injection and straggler models stay with the simulated engines.
+    injection and straggler models stay with the event engine.
 
 A ``torch.distributed`` (gloo) transport is probed by
 :func:`process_engine_info` and reported by ``python -m repro engines``; the
@@ -348,7 +348,7 @@ class _Transport:
     the module docstring).
 
     ``allgather`` returns the per-rank values in rank order — what makes the
-    left-fold reductions downstream bit-identical to the simulated engines —
+    left-fold reductions downstream bit-identical to the event engine —
     with a rank's own value handed back as is and every other one a private
     copy.
 

@@ -19,9 +19,7 @@ makes the round structure a first-class, inspectable object:
     ``joint_with_previous=True`` merges it into the preceding collective's
     synchronization point (the paper's "one round" for a back-to-back
     reduce+broadcast pair), ``overlap=True`` posts the transfer in the
-    background so subsequent :class:`LocalStep` compute hides it (event
-    engine; the lock-step path charges it in full, keeping both modes
-    comparable).
+    background so subsequent :class:`LocalStep` compute hides it.
 
 ``GlobalStep``
     Master-side glue (the ADMM z-update, a line-search argmin): pure Python on
@@ -44,9 +42,9 @@ makes the round structure a first-class, inspectable object:
     a static round count; its collectives are still logged and reported.
 
 A :class:`RoundPlan` is an ordered list of steps plus an initial context.
-:func:`execute_plan` runs it against a :class:`SimulatedCluster` on either
-execution path (the steps call the same ``map_workers`` / ``comm`` primitives
-the imperative code called, so iterates and modelled times are bit-identical)
+:func:`execute_plan` runs it against a :class:`SimulatedCluster` on any
+engine (the steps call the same ``map_workers`` / ``comm`` primitives the
+imperative code called, so iterates and modelled times are bit-identical)
 and *checks the declared structure*: if the observed communication rounds
 differ from the plan's declared count, a :class:`ScheduleError` is raised.
 ``RunTrace.info["schedule"]`` records the declared plan and the per-epoch
@@ -167,7 +165,7 @@ class GlobalStep:
 
 @dataclass
 class Barrier:
-    """Explicit synchronization point (event engine; no-op under lock-step)."""
+    """Explicit synchronization point: every worker waits for the slowest."""
 
     label: str = "barrier"
 
@@ -624,11 +622,9 @@ def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
         return None, base
     now = cluster.clock.time
     # Cut workers whose window closed since the last synchronization point
-    # rejoin here: the heal event is recorded and (event engine) their
-    # unreachable window is drawn before a barrier would render it as wait.
-    fs.rejoin_healed(
-        now, engine=cluster.engine if cluster.event_accounting else None
-    )
+    # rejoin here: the heal event is recorded and their unreachable window
+    # is drawn before a barrier would render it as wait.
+    fs.rejoin_healed(now, cluster.engine)
     down = [
         wid for wid in range(cluster.n_workers) if fs.is_down(wid, now)
     ]
@@ -768,8 +764,7 @@ def _execute_steps(
             if step.name is not None:
                 ctx[step.name] = value
         elif isinstance(step, Barrier):
-            if cluster.event_accounting:
-                cluster.engine.barrier(label=step.label)
+            cluster.engine.barrier(label=step.label)
         elif isinstance(step, Join):
             comm.join()
             ctx.in_flight.clear()
@@ -791,8 +786,8 @@ def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecuti
     The executor issues the *same* ``map_workers`` / ``comm`` calls, in the
     same order with the same buffers, that the imperative solver code issued —
     which is what makes the port bit-identical in iterates and modelled times
-    on both the lock-step and the event path (pinned by the golden-trace
-    fixtures in ``tests/test_schedule.py``).
+    on every engine (pinned by the golden-trace fixtures in
+    ``tests/test_schedule.py``).
 
     When the cluster carries a :class:`~repro.distributed.faults.FailureModel`,
     the plan's ``on_failure`` policy governs every synchronization point for

@@ -54,7 +54,7 @@ class ShardedLoss(Objective):
     mean.  :meth:`value_and_gradient` evaluates the shards this process holds
     (:meth:`SimulatedCluster.local_workers`), hands the partials around with
     :meth:`SimulatedCluster.map_shards` — one transport exchange on the
-    process engine, none on the simulated engines — and sums them left to
+    process engine, none on the event engine — and sums them left to
     right in rank order.  Every engine folds the same partials in the same
     order, so epoch records are bit-identical across engines; against a
     full-data evaluation they differ by that reassociation only.
@@ -338,11 +338,10 @@ class DistributedSolver(ABC):
         cluster: SimulatedCluster,
         epoch_boundaries: Optional[List[List[float]]] = None,
     ) -> None:
-        """Record per-worker busy/wait/comm timelines when the engine saw any.
+        """Record the per-worker busy/wait/comm timelines the engine drew.
 
-        Event-mode synchronous runs and asynchronous solvers (which always
-        schedule through the engine) populate these; lock-step synchronous
-        runs leave the timelines empty and the trace unchanged.  Alongside the
+        Every run schedules through the engine; one that ran no round leaves
+        the timelines empty and the trace unchanged.  Alongside the
         cumulative timelines, the per-worker clocks at every epoch boundary
         are stored so ``plot_gantt(trace, epoch=k)`` can render one epoch.
         """

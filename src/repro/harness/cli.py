@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.datasets.registry import DATASET_REGISTRY
+from repro.distributed.engine import ENGINE_MODES, resolve_engine
 from repro.harness import experiments
 from repro.harness.config import ExperimentScale
 from repro.harness.plotting import plot_traces
@@ -160,15 +161,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--engine",
-        choices=["lockstep", "event", "process"],
+        type=resolve_engine,
+        choices=ENGINE_MODES,
         default=None,
         help=(
-            "execution engine for synchronous solvers (default: lockstep; "
-            "'event' runs on the discrete-event scheduler — identical results "
-            "and modelled times, plus per-worker busy/wait/comm timelines; "
-            "'process' runs each worker as a real OS process with measured "
-            "wall-clock timelines on top of the same modelled accounting — "
-            "see 'python -m repro engines')"
+            "execution engine (default: event, the in-process discrete-event "
+            "scheduler with per-worker busy/wait/comm timelines; 'process' "
+            "runs each worker as a real OS process with measured wall-clock "
+            "timelines on top of the same modelled accounting — see "
+            "'python -m repro engines')"
         ),
     )
     run.add_argument(
@@ -395,12 +396,11 @@ def _cmd_backends(print_fn: Callable[[str], None]) -> int:
 
 def _cmd_engines(print_fn: Callable[[str], None]) -> int:
     from repro.distributed.process_engine import process_engine_info
-    from repro.harness.config import ENGINE_MODES, default_engine
+    from repro.harness.config import default_engine
 
     info = process_engine_info()
     current = default_engine()
     descriptions = {
-        "lockstep": "in-process, modelled time, synchronous rounds",
         "event": "in-process, modelled time, per-worker timelines",
         "process": (
             f"real OS processes ({info['start_method']} start), measured "

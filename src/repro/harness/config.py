@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, Optional
 
+from repro.distributed.engine import resolve_engine
+
 
 class ExperimentScale(str, Enum):
     """How large the reproduction workloads are.
@@ -93,9 +95,9 @@ class ClusterConfig:
         or ``None`` for the session default set via
         :func:`repro.backend.set_default_backend` (the CLI's ``--backend``).
     engine:
-        Execution engine for the synchronous paths: ``"lockstep"``,
-        ``"event"``, or ``None`` for the session default set via
-        :func:`set_default_engine` (the CLI's ``--engine``).
+        Execution engine: ``"event"``, ``"process"``, or ``None`` for the
+        session default set via :func:`set_default_engine` (the CLI's
+        ``--engine``).
     faults:
         Fault-injection spec string understood by
         :meth:`repro.distributed.faults.FailureModel.from_spec` (e.g.
@@ -129,12 +131,7 @@ class ClusterConfig:
 
 
 #: session default for ``ClusterConfig.engine`` (see :func:`set_default_engine`)
-_DEFAULT_ENGINE = "lockstep"
-
-#: ``lockstep`` and ``event`` simulate time in-process; ``process`` runs each
-#: worker as a real OS process (spawn) while keeping the event engine's
-#: modelled accounting — see :mod:`repro.distributed.process_engine`.
-ENGINE_MODES = ("lockstep", "event", "process")
+_DEFAULT_ENGINE = "event"
 
 
 def set_default_engine(mode: str) -> str:
@@ -142,12 +139,12 @@ def set_default_engine(mode: str) -> str:
 
     Every :class:`ClusterConfig` whose ``engine`` is ``None`` resolves to this
     value at cluster-build time, so the experiment drivers pick it up without
-    threading the flag through every call.
+    threading the flag through every call.  ``mode`` is resolved by
+    :func:`~repro.distributed.engine.resolve_engine`; the canonical name is
+    stored and returned.
     """
     global _DEFAULT_ENGINE
-    if mode not in ENGINE_MODES:
-        raise ValueError(f"engine must be one of {ENGINE_MODES}, got {mode!r}")
-    _DEFAULT_ENGINE = mode
+    _DEFAULT_ENGINE = resolve_engine(mode)
     return _DEFAULT_ENGINE
 
 

@@ -201,8 +201,7 @@ def plot_gantt(
         rows = trace.info.get("timelines")
         if not rows:
             raise ValueError(
-                "trace has no recorded timelines; run with engine='event' "
-                "(or an asynchronous solver)"
+                "trace has no recorded timelines (the fit ran no round)"
             )
         timelines = timelines_from_dicts(rows)
         if epoch is not None:

@@ -227,7 +227,7 @@ def wall_clock_summary(rows: Sequence[dict]) -> dict:
     both).  The summary reports the makespan (slowest rank)
     and the parallel efficiency ``sum(busy) / (n * makespan)`` — the number
     that says how much of the machine the run actually used, and the honest
-    counterpart of the modelled speedups the simulated engines report.
+    counterpart of the modelled speedups the event engine reports.
     """
     makespan = max((float(r.get("total", 0.0)) for r in rows), default=0.0)
     busy = sum(float(r.get("busy", 0.0)) for r in rows)

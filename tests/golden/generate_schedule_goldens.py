@@ -8,7 +8,7 @@ The fixture freezes, for every synchronous distributed solver, the final
 iterate, the per-epoch objectives, the modelled times and the communication
 totals of a small deterministic run.  ``tests/test_schedule.py`` replays the
 same runs through the declarative :class:`~repro.distributed.schedule.RoundPlan`
-path (on both engines) and compares bit-for-bit: the refactor from imperative
+path (on the event and process engines) and compares bit-for-bit: the refactor from imperative
 ``map_workers`` + ``comm.*`` calls to compiled round plans must not change a
 single float.
 
@@ -35,7 +35,7 @@ GOLDEN_PATH = Path(__file__).parent / "schedule_equivalence.json"
 N_WORKERS = 4
 
 #: solver name -> (factory, dataset kind); epoch counts are kept tiny so the
-#: whole fixture replays in seconds on both engines.
+#: whole fixture replays in seconds.
 CASES = {
     "newton_admm": (
         lambda: NewtonADMM(lam=1e-3, max_epochs=4, record_accuracy=False),
@@ -83,7 +83,7 @@ def make_dataset(kind: str):
 def run_case(name: str):
     factory, kind = CASES[name]
     cluster = SimulatedCluster(
-        make_dataset(kind), N_WORKERS, engine="lockstep", random_state=0
+        make_dataset(kind), N_WORKERS, engine="event", random_state=0
     )
     trace = factory().fit(cluster)
     return {

@@ -329,20 +329,20 @@ class TestHostInputValidation:
 
     def test_integer_allreduce_still_sums_as_float(self):
         from repro.distributed.comm import Communicator
+        from repro.distributed.engine import EventEngine
         from repro.distributed.network import infiniband_100g
-        from repro.utils.timer import SimulatedClock
 
-        comm = Communicator(2, infiniband_100g(), SimulatedClock())
+        comm = Communicator(2, infiniband_100g(), EventEngine(2))
         total = comm.allreduce([np.array([1, 2]), np.array([0.5, 0.5])])
         np.testing.assert_allclose(total, [1.5, 2.5])
         assert total.dtype == np.float64
 
     def test_mixed_precision_allreduce_accumulates_in_float64(self):
         from repro.distributed.comm import Communicator
+        from repro.distributed.engine import EventEngine
         from repro.distributed.network import infiniband_100g
-        from repro.utils.timer import SimulatedClock
 
-        comm = Communicator(2, infiniband_100g(), SimulatedClock())
+        comm = Communicator(2, infiniband_100g(), EventEngine(2))
         total = comm.allreduce(
             [np.ones(2, dtype=np.float32), np.full(2, 1e-9, dtype=np.float64)]
         )

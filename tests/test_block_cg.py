@@ -1,7 +1,7 @@
 """Block CG and batched Hessian-vector products.
 
 ``block_conjugate_gradient`` runs every right-hand side through the exact
-scalar CG recurrence in lockstep — one batched ``matmat`` per iteration —
+scalar CG recurrence in unison — one batched ``matmat`` per iteration —
 so each column must agree with its own scalar solve up to GEMM
 reassociation, and the 1-D routing through ``conjugate_gradient(...,
 block=True)`` must be *bit*-identical to the scalar path (which is what

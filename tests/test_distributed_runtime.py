@@ -7,16 +7,16 @@ from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.comm import Communicator
 from repro.distributed.device import tesla_p100
+from repro.distributed.engine import EventEngine
 from repro.distributed.network import ethernet_10g, infiniband_100g
 from repro.distributed.worker import Worker
 from repro.objectives.softmax import SoftmaxCrossEntropy
 from repro.solvers.base import CountingObjective
-from repro.utils.timer import SimulatedClock
 
 
 @pytest.fixture()
 def comm():
-    return Communicator(4, infiniband_100g(), SimulatedClock())
+    return Communicator(4, infiniband_100g(), EventEngine(4))
 
 
 class TestCommunicator:
@@ -82,8 +82,8 @@ class TestCommunicator:
         assert comm.log.bytes_transferred == 0.0
 
     def test_slower_network_costs_more_time(self):
-        fast = Communicator(8, infiniband_100g(), SimulatedClock())
-        slow = Communicator(8, ethernet_10g(), SimulatedClock())
+        fast = Communicator(8, infiniband_100g(), EventEngine(8))
+        slow = Communicator(8, ethernet_10g(), EventEngine(8))
         payload = [np.ones(10000) for _ in range(8)]
         fast.allreduce(payload)
         slow.allreduce(payload)

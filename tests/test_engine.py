@@ -1,5 +1,5 @@
 """Tests for the discrete-event engine: timelines, barriers, the event queue,
-overlap, lock-step equivalence, and communication-round invariants."""
+overlap, engine names, and communication-round invariants."""
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.engine import EventEngine
 from repro.distributed.stragglers import StragglerModel
+from repro.harness.cli import build_parser
+from repro.harness.config import default_engine, set_default_engine
 from repro.harness.plotting import plot_gantt
 from repro.metrics.timeline import (
     TimelineSegment,
@@ -180,22 +182,31 @@ class TestEventEngine:
             engine.barrier([])
 
 
-def _run_pair(solver_factory, dataset, *, straggler=None, n_workers=4, seed=0):
-    traces = {}
-    for mode in ("lockstep", "event"):
-        strag = None
-        if straggler is not None:
-            strag = StragglerModel(**straggler)
-        cluster = SimulatedCluster(
-            dataset, n_workers, straggler=strag, engine=mode, random_state=seed
-        )
-        traces[mode] = solver_factory().fit(cluster)
-    return traces["lockstep"], traces["event"]
+def _fit(solver_factory, dataset, *, engine="event", straggler=None):
+    strag = StragglerModel(**straggler) if straggler is not None else None
+    cluster = SimulatedCluster(
+        dataset, 4, straggler=strag, engine=engine, random_state=0
+    )
+    return solver_factory().fit(cluster)
 
 
 class TestEngineEquivalence:
-    """The acceptance bar: synchronous solvers produce bit-identical iterates
-    and identical modelled clock/round totals on both execution paths."""
+    """``"lockstep"``, a former in-process engine that benchmark specs still
+    name, runs the event engine: bit-identical iterates and identical
+    modelled clock/round totals under either name."""
+
+    def test_lockstep_is_an_alias_of_event(self, dataset):
+        cluster = SimulatedCluster(dataset, 2, engine="lockstep", random_state=0)
+        assert cluster.engine_mode == cluster.describe()["engine"] == "event"
+        previous = default_engine()
+        try:
+            assert set_default_engine("lockstep") == default_engine() == "event"
+        finally:
+            set_default_engine(previous)
+        args = build_parser().parse_args(["run", "table1", "--engine", "lockstep"])
+        assert args.engine == "event"
+        with pytest.raises(ValueError, match="engine must be one of"):
+            SimulatedCluster(dataset, 2, engine="warp")
 
     @pytest.mark.parametrize(
         "factory",
@@ -208,10 +219,11 @@ class TestEngineEquivalence:
         ids=["newton_admm", "giant", "sync_sgd", "inexact_dane"],
     )
     def test_bit_identical_iterates_and_times(self, factory, dataset):
-        lockstep, event = _run_pair(factory, dataset)
-        assert np.array_equal(lockstep.final_w, event.final_w)
-        assert len(lockstep.records) == len(event.records)
-        for a, b in zip(lockstep.records, event.records):
+        alias = _fit(factory, dataset, engine="lockstep")
+        event = _fit(factory, dataset)
+        assert np.array_equal(alias.final_w, event.final_w)
+        assert len(alias.records) == len(event.records)
+        for a, b in zip(alias.records, event.records):
             assert a.objective == b.objective
             assert a.modelled_time == b.modelled_time
             assert a.compute_time == b.compute_time
@@ -219,16 +231,17 @@ class TestEngineEquivalence:
             assert a.comm_rounds == b.comm_rounds
 
     def test_equivalence_holds_under_stragglers(self, dataset):
-        lockstep, event = _run_pair(
-            lambda: NewtonADMM(lam=1e-3, max_epochs=4),
-            dataset,
-            straggler=dict(slowdown=6.0, persistent_stragglers=[1], jitter=0.1),
-        )
-        assert np.array_equal(lockstep.final_w, event.final_w)
-        assert lockstep.final.modelled_time == event.final.modelled_time
+        def make():
+            return NewtonADMM(lam=1e-3, max_epochs=4)
+
+        straggler = dict(slowdown=6.0, persistent_stragglers=[1], jitter=0.1)
+        alias = _fit(make, dataset, engine="lockstep", straggler=straggler)
+        event = _fit(make, dataset, straggler=straggler)
+        assert np.array_equal(alias.final_w, event.final_w)
+        assert alias.final.modelled_time == event.final.modelled_time
 
     def test_event_mode_records_timelines(self, dataset):
-        _, event = _run_pair(lambda: NewtonADMM(lam=1e-3, max_epochs=3), dataset)
+        event = _fit(lambda: NewtonADMM(lam=1e-3, max_epochs=3), dataset)
         timelines = event.info["timelines"]
         assert len(timelines) == 4
         assert all(tl["total"] > 0 for tl in timelines)
@@ -236,7 +249,7 @@ class TestEngineEquivalence:
         assert all(0 < row["utilization"] <= 1.0 for row in summary)
 
     def test_straggler_peers_wait_in_timelines(self, dataset):
-        _, event = _run_pair(
+        event = _fit(
             lambda: NewtonADMM(lam=1e-3, max_epochs=3),
             dataset,
             straggler=dict(slowdown=10.0, persistent_stragglers=[0]),
@@ -248,7 +261,7 @@ class TestEngineEquivalence:
 
 
 class TestCommunicationRoundInvariants:
-    """The paper's systems claim, asserted on both engines: Newton-ADMM
+    """The paper's systems claim, asserted under both engine names: Newton-ADMM
     synchronizes once per iteration, GIANT three times."""
 
     @pytest.mark.parametrize("mode", ["lockstep", "event"])

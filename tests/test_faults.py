@@ -369,7 +369,7 @@ class TestDegradePolicy:
         cluster = SimulatedCluster(
             dataset, 4,
             faults=FailureModel(crash_at_time={3: after_local}),
-            engine="event", random_state=0,
+            random_state=0,
         )
         plan = RoundPlan("stall-plan-degrade-gather", on_failure="stall")
         plan.local("vals", charged_value)
@@ -402,7 +402,7 @@ class TestDegradePolicy:
         cluster = SimulatedCluster(
             dataset, 4,
             faults=FailureModel(crash_at_time={1: after_local}),
-            engine="event", random_state=0,
+            random_state=0,
         )
         plan = RoundPlan("degrade", on_failure="degrade")
         plan.local("vals", charged_ones)
@@ -536,7 +536,7 @@ class TestGanttFaultMarkers:
             dataset, 4,
             faults=FailureModel(crash_at_time={1: crash},
                                 restart_after=probe.final.modelled_time),
-            engine="event", random_state=0,
+            random_state=0,
         )
         return NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
@@ -604,6 +604,22 @@ class TestGanttFaultMarkers:
         row = next(line for line in art.splitlines() if line.startswith("w2"))
         # Downtime extends to the end of the run.
         assert row.rstrip("|").endswith("x")
+
+    def test_worker_lost_before_its_first_round_rendered_down(self, dataset):
+        # Crashed at t = 0 and never restarted: its whole timeline is downtime.
+        cluster = SimulatedCluster(
+            dataset, 4, faults=FailureModel(crash_at_time={1: 0.0}), random_state=0
+        )
+        trace = NewtonADMM(
+            lam=1e-3, max_epochs=3, record_accuracy=False, on_failure="degrade"
+        ).fit(cluster)
+        down = {tl["worker_id"]: tl["down"] for tl in trace.info["timelines"]}
+        assert down[1] == trace.final.modelled_time > 0
+        row = next(
+            line for line in plot_gantt(trace, width=40).splitlines()
+            if line.startswith("w1")
+        )
+        assert set(row[6:-1]) == {"x"}  # cell 0 holds the crash marker
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.async_sgd import AsynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.engine import EventEngine
 from repro.distributed.faults import (
     CheckpointModel,
     FailureModel,
@@ -69,10 +70,11 @@ class TestPartitionModel:
         inj = FailureModel(
             partitions=PartitionModel(cuts=[((0,), 2.0, 4.0), ((0,), 6.0, 8.0)])
         ).start(2)
+        engine = EventEngine(2)
         inj.note_partition(0, 2.0)
-        assert inj.rejoin_healed(7.0) == [0]  # window 1 healed at 4.0
+        assert inj.rejoin_healed(7.0, engine) == [0]  # window 1 healed at 4.0
         inj.note_partition(0, 6.0)
-        inj.rejoin_healed(9.0)
+        inj.rejoin_healed(9.0, engine)
         assert [(e["kind"], e["time"]) for e in inj.events] == [
             ("partition", 2.0), ("heal", 4.0),
             ("partition", 6.0), ("heal", 8.0),
@@ -307,7 +309,7 @@ class TestPartitionSyncPolicies:
     ):
         cluster = SimulatedCluster(
             dataset, 4, faults=_partition_faults(nofault_trace),
-            engine="event", random_state=0,
+            random_state=0,
         )
         NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
@@ -334,7 +336,7 @@ class TestPartitionSyncPolicies:
             faults=FailureModel(
                 partitions=PartitionModel(cuts=[((0,), 0.0, 1.0)])
             ),
-            engine="event", random_state=0,
+            random_state=0,
         )
         plan = RoundPlan("degrade-then-stall", on_failure="degrade")
         plan.local("vals", lambda worker, ctx: float(worker.worker_id + 1))
@@ -741,7 +743,7 @@ class TestGanttPartitionMarkers:
     def partitioned_trace(self, dataset, nofault_trace):
         cluster = SimulatedCluster(
             dataset, 4, faults=_partition_faults(nofault_trace),
-            engine="event", random_state=0,
+            random_state=0,
         )
         return NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"

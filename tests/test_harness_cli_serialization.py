@@ -196,7 +196,7 @@ class TestCLI:
             assert any("using execution engine: event" in line for line in lines)
             assert default_engine() == "event"
         finally:
-            set_default_engine("lockstep")
+            set_default_engine("event")
 
     def test_engine_flag_rejects_unknown_mode(self):
         parser = build_parser()

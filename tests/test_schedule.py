@@ -26,6 +26,7 @@ from repro.distributed.schedule import (
 )
 from repro.harness.plotting import format_schedule, plot_gantt
 from repro.metrics.timeline import slice_epoch
+from repro.metrics.traces import RunTrace
 from repro.objectives.softmax import TILE_BYTES, SoftmaxCrossEntropy
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "schedule_equivalence.json"
@@ -179,7 +180,7 @@ class TestDeclaredRoundChecking:
         # Overlap models bytes still on the wire: a plan that consumes the
         # overlapped collective's value before a Join describes a schedule no
         # real cluster can run, and the executor rejects it.
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("premature-read")
         plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
         plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
@@ -188,7 +189,7 @@ class TestDeclaredRoundChecking:
             execute_plan(cluster, plan)
 
     def test_get_is_not_a_guard_bypass(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("get-bypass")
         plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
         plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
@@ -199,7 +200,7 @@ class TestDeclaredRoundChecking:
     def test_plan_must_end_joined(self, dataset):
         # An unjoined background transfer would leak into the next epoch's
         # accounting; the executor requires the plan to end joined.
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("leaky")
         plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
         plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
@@ -207,7 +208,7 @@ class TestDeclaredRoundChecking:
             execute_plan(cluster, plan)
 
     def test_joined_overlap_result_readable(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("joined-read")
         plan.local("g", lambda w, ctx: np.ones(cluster.dim))
         plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
@@ -238,7 +239,7 @@ class TestDeclaredRoundChecking:
 class TestGoldenEquivalence:
     """Every ported solver replays the pre-refactor imperative path exactly:
     bit-identical iterates, identical modelled times and communication totals,
-    on both the lock-step and the event engine."""
+    under the event engine's name and its ``lockstep`` alias."""
 
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
     @pytest.mark.parametrize("mode", ["lockstep", "event"])
@@ -309,9 +310,7 @@ class TestGiantOverlap:
     def test_iterates_identical_time_strictly_lower_on_event(self, dataset):
         traces = {}
         for overlap in (False, True):
-            cluster = SimulatedCluster(
-                dataset, 4, engine="event", network=wan_slow(), random_state=0
-            )
+            cluster = SimulatedCluster(dataset, 4, network=wan_slow(), random_state=0)
             traces[overlap] = GIANT(
                 lam=1e-3, max_epochs=3, overlap_gradient=overlap,
                 record_accuracy=False,
@@ -324,33 +323,8 @@ class TestGiantOverlap:
         assert declared["rounds"] == 3
         assert declared["overlapped"] == 1
 
-    def test_lockstep_charges_overlap_in_full(self, dataset):
-        traces = {}
-        for overlap in (False, True):
-            cluster = SimulatedCluster(
-                dataset, 4, engine="lockstep", network=wan_slow(), random_state=0
-            )
-            traces[overlap] = GIANT(
-                lam=1e-3, max_epochs=3, overlap_gradient=overlap,
-                record_accuracy=False,
-            ).fit(cluster)
-        assert np.array_equal(traces[False].final_w, traces[True].final_w)
-        # Identical communication (the transfer is charged in full without an
-        # event engine); the hoisted f(w) evaluation costs one extra kernel
-        # launch per epoch, so the lock-step overlap variant is never faster.
-        assert traces[True].final.comm_time == traces[False].final.comm_time
-        overhead = (
-            traces[True].final.compute_time - traces[False].final.compute_time
-        )
-        assert overhead > 0
-        assert traces[True].final.modelled_time == pytest.approx(
-            traces[False].final.modelled_time + overhead
-        )
-
     def test_background_lane_recorded(self, dataset):
-        cluster = SimulatedCluster(
-            dataset, 4, engine="event", network=wan_slow(), random_state=0
-        )
+        cluster = SimulatedCluster(dataset, 4, network=wan_slow(), random_state=0)
         trace = GIANT(
             lam=1e-3, max_epochs=2, overlap_gradient=True, record_accuracy=False
         ).fit(cluster)
@@ -363,7 +337,7 @@ class TestGiantOverlap:
 class TestEpochGantt:
     @pytest.fixture(scope="class")
     def event_trace(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         return NewtonADMM(lam=1e-3, max_epochs=4, record_accuracy=False).fit(cluster)
 
     def test_boundaries_recorded_per_epoch(self, event_trace):
@@ -408,12 +382,9 @@ class TestEpochGantt:
         with pytest.raises(ValueError, match="RunTrace"):
             plot_gantt(event_trace.info["timelines"], epoch=1)
 
-    def test_lockstep_trace_has_no_timelines(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, engine="lockstep", random_state=0)
-        trace = NewtonADMM(lam=1e-3, max_epochs=2, record_accuracy=False).fit(cluster)
-        assert "timelines" not in trace.info
+    def test_trace_without_timelines_rejected(self):
         with pytest.raises(ValueError, match="no recorded timelines"):
-            plot_gantt(trace)
+            plot_gantt(RunTrace("newton_admm", "none", 4))
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +419,7 @@ class TestHyperparameterProvenance:
         # fallback must not sweep a previous run's log into the next trace.
         from repro.admm.async_newton_admm import AsyncNewtonADMM
 
-        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         solver = AsyncNewtonADMM(lam=1e-3, max_epochs=3, record_accuracy=False)
         solver.fit(cluster)
         assert solver.staleness_log  # populated by the run...
