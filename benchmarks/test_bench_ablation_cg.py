@@ -1,5 +1,5 @@
 """Ablation — inner CG budget of the local Newton solves (10/20/30 sweep from
-the Figure 4 caption, plus a deliberately starved budget of 5)."""
+the Figure 4 caption, plus 5, the library's default local budget)."""
 
 import numpy as np
 from conftest import run_once

@@ -50,7 +50,7 @@ from typing import Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.admm.newton_admm import NewtonADMM
+from repro.admm.newton_admm import NewtonADMM, max_iter_share
 from repro.admm.penalty import PenaltyObservation, PolicyFactory, make_penalty_policy
 from repro.backend import copy_array
 from repro.distributed.cluster import SimulatedCluster
@@ -75,6 +75,10 @@ class AsyncNewtonADMM(NewtonADMM):
 
     Parameters (beyond :class:`~repro.admm.newton_admm.NewtonADMM`)
     ----------
+    cg_max_iter:
+        Same default as the synchronous solver: 5 local CG iterations,
+        where the figure experiments pin the paper's 10 (evidence in
+        ``docs/performance.md``, "Local CG budget").
     quorum:
         How many arrivals trigger a z-update: an ``int`` count, a float in
         ``(0, 1]`` interpreted as a fraction of the workers (rounded up), or
@@ -100,7 +104,7 @@ class AsyncNewtonADMM(NewtonADMM):
         rho0: Optional[float] = None,
         penalty: Union[str, PolicyFactory] = "spectral",
         local_newton_iters: int = 1,
-        cg_max_iter: int = 10,
+        cg_max_iter: int = 5,
         cg_tol: float = 1e-4,
         cg_tol_decay: float = 1.0,
         line_search_max_iter: int = 10,
@@ -251,6 +255,7 @@ class AsyncNewtonADMM(NewtonADMM):
                 "version": int(worker.state["z_version"]),
                 "newton_iters": result.n_iterations,
                 "cg_iters": result.info.get("total_cg_iterations", 0),
+                "cg_exit_reasons": result.info["cg_exit_reasons"],
             },
         )
 
@@ -348,6 +353,7 @@ class AsyncNewtonADMM(NewtonADMM):
         quorum = self._resolve_quorum(cluster.n_workers)
         newton_iters: List[float] = []
         cg_iters: List[float] = []
+        cg_exit_reasons: List[List[str]] = []
 
         while True:
             event = self._next_event(cluster)
@@ -361,6 +367,7 @@ class AsyncNewtonADMM(NewtonADMM):
                 self._pending.append(worker_id)
             newton_iters.append(float(data["newton_iters"]))
             cg_iters.append(float(data["cg_iters"]))
+            cg_exit_reasons.append(data["cg_exit_reasons"])
             # Quorum shrinks to the live membership: the schedule rides
             # through worker loss instead of waiting for the dead.
             n_alive = cluster.n_workers - len(self._dead)
@@ -498,6 +505,7 @@ class AsyncNewtonADMM(NewtonADMM):
             "max_staleness": float(np.max(ages)),
             "local_newton_iters": float(np.mean(newton_iters)),
             "local_cg_iters": float(np.mean(cg_iters)),
+            "local_cg_max_iter_share": max_iter_share(cg_exit_reasons),
             "alive_workers": float(cluster.n_workers - len(self._dead)),
         }
         return z_new

@@ -3,7 +3,17 @@
 This is the inner solver of the inexact Newton iteration (paper eq. 3b/4):
 CG is run on ``H p = -g`` until ``||H p + g|| <= theta * ||g||`` or the
 iteration budget is exhausted.  The paper uses 10 CG iterations with a 1e-4
-tolerance in Figure 1 and sweeps 10/20/30 iterations in Figure 4.
+tolerance in Figure 1 and sweeps 10/20/30 iterations in Figure 4; the figure
+experiments pin those settings.  Newton-ADMM's own default local budget is 5
+iterations: the tolerance hardly ever binds on the bench inputs, and 5 reaches
+their targets with half the Hessian-vector products (evidence in
+``docs/performance.md``, "Local CG budget").
+
+Every solve reports why it stopped (:data:`CG_EXIT_REASONS`):
+``"tolerance"`` (the relative residual met ``tol``), ``"max_iter"`` (the
+budget ran out first), ``"nonpositive_curvature"`` (``p^T A p <= 0``: the
+operator is not positive definite along the search direction) or
+``"zero_rhs"`` (``b == 0``, solved by ``x = 0`` without iterating).
 
 The solve is dtype- and backend-agnostic: vectors keep the dtype they arrive
 with (float32 stays float32 — no silent ``float64`` round-trip through host
@@ -37,6 +47,9 @@ from repro.backend import ArrayBackend, infer_backend, resolve_precision
 from repro.backend.ops import copy_array as _copy
 from repro.linalg.operators import LinearOperator, check_dtype_match
 
+#: why a CG solve stopped, in the order the checks run
+CG_EXIT_REASONS = ("tolerance", "max_iter", "nonpositive_curvature", "zero_rhs")
+
 
 @dataclass
 class CGResult:
@@ -54,6 +67,8 @@ class CGResult:
         Final ``||b - A x||``.
     relative_residual:
         ``residual_norm / ||b||`` (``0`` when ``b == 0``).
+    exit_reason:
+        Why the solve stopped, one of :data:`CG_EXIT_REASONS`.
     residual_history:
         Residual norm after every iteration (including iteration 0).
     """
@@ -63,6 +78,7 @@ class CGResult:
     n_iterations: int
     residual_norm: float
     relative_residual: float
+    exit_reason: str
     residual_history: List[float] = field(default_factory=list)
 
 
@@ -80,6 +96,8 @@ class BlockCGResult:
         Lockstep iterations performed (the max over columns).
     residual_norms / relative_residuals / column_converged:
         Per-column host arrays of shape ``(s,)``.
+    exit_reasons:
+        Why each column stopped, one of :data:`CG_EXIT_REASONS` per column.
     residual_history:
         Per-iteration ``(s,)`` residual-norm arrays (including iteration 0).
     """
@@ -90,6 +108,7 @@ class BlockCGResult:
     residual_norms: np.ndarray
     relative_residuals: np.ndarray
     column_converged: np.ndarray
+    exit_reasons: List[str]
     residual_history: List[np.ndarray] = field(default_factory=list)
 
 
@@ -197,6 +216,7 @@ def conjugate_gradient(
             n_iterations=0,
             residual_norm=0.0,
             relative_residual=0.0,
+            exit_reason="zero_rhs",
             residual_history=[0.0],
         )
 
@@ -207,6 +227,7 @@ def conjugate_gradient(
     history = [_norm(r)]
     threshold = tol * b_norm
     converged = history[-1] <= threshold
+    exit_reason = "tolerance" if converged else "max_iter"
     n_iter = 0
 
     while not converged and n_iter < max_iter:
@@ -216,9 +237,11 @@ def conjugate_gradient(
             # Negative / zero curvature: the operator is not PD along p.  For
             # the convex problems here this only happens from round-off on a
             # nearly-singular Hessian; fall back to the current iterate (or
-            # the steepest-descent direction if nothing was done yet).
+            # to ``b`` itself, the steepest-descent direction of the
+            # quadratic model, if nothing was done yet).
             if n_iter == 0:
                 x = _copy(b)
+            exit_reason = "nonpositive_curvature"
             break
         alpha = rz / pAp
         x += alpha * p
@@ -228,6 +251,7 @@ def conjugate_gradient(
         history.append(res_norm)
         if res_norm <= threshold:
             converged = True
+            exit_reason = "tolerance"
             break
         z = _as_vec(apply_prec(r)) if apply_prec is not None else r
         rz_new = _dot(r, z)
@@ -242,6 +266,7 @@ def conjugate_gradient(
         n_iterations=n_iter,
         residual_norm=res_norm,
         relative_residual=res_norm / b_norm,
+        exit_reason=exit_reason,
         residual_history=history,
     )
 
@@ -351,6 +376,11 @@ def block_conjugate_gradient(
     history = [res.copy()]
     threshold = tol * b_norms
     active = res > threshold
+    # A column already inactive here is done: ``b == 0`` or a good ``x0``.
+    reasons: List[Optional[str]] = [
+        None if a else ("zero_rhs" if bn == 0.0 else "tolerance")
+        for a, bn in zip(active, b_norms)
+    ]
     n_iter = 0
 
     if active.any():
@@ -366,8 +396,9 @@ def block_conjugate_gradient(
                 # Mirror the scalar fallback: a column that sees non-positive
                 # curvature before doing any work takes the steepest-descent
                 # direction; otherwise it keeps its current iterate.
-                if n_iter == 0:
-                    for j in np.flatnonzero(negative):  # repro-lint: ignore[RPR001] host-side by contract
+                for j in np.flatnonzero(negative):  # repro-lint: ignore[RPR001] host-side by contract
+                    reasons[j] = "nonpositive_curvature"
+                    if n_iter == 0:
                         X[:, j] = B[:, j]
                 active &= ~negative
                 if not active.any():
@@ -380,6 +411,9 @@ def block_conjugate_gradient(
             n_iter += 1
             res = _colnorms(R)
             history.append(res.copy())
+            for j in range(s):
+                if active[j] and res[j] <= threshold[j]:
+                    reasons[j] = "tolerance"
             active &= res > threshold
             if not active.any():
                 break
@@ -399,5 +433,6 @@ def block_conjugate_gradient(
         residual_norms=res,
         relative_residuals=relative,
         column_converged=column_converged,
+        exit_reasons=[r if r is not None else "max_iter" for r in reasons],
         residual_history=history,
     )

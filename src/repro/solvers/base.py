@@ -29,7 +29,8 @@ class IterationRecord:
     wall_time:
         Cumulative measured wall-clock seconds since the solve started.
     extras:
-        Solver-specific diagnostics (CG iterations, line-search evals, ...).
+        Solver-specific diagnostics (CG iterations and exit reason,
+        line-search evals, ...).
     """
 
     iteration: int
@@ -37,7 +38,7 @@ class IterationRecord:
     grad_norm: float
     step_size: float = float("nan")
     wall_time: float = 0.0
-    extras: Dict[str, float] = field(default_factory=dict)
+    extras: Dict[str, object] = field(default_factory=dict)
 
 
 @dataclass

@@ -38,7 +38,10 @@ class NewtonCG(Solver):
     cg_max_iter, cg_tol:
         Budget and relative tolerance of the inner CG solve (the paper uses
         10 iterations at 1e-4 for Figure 1 and sweeps 10/20/30 at 1e-10 for
-        Figure 4).
+        Figure 4).  Each record's extras carry the solve's
+        ``cg_exit_reason`` (:data:`~repro.linalg.cg.CG_EXIT_REASONS`);
+        ``info["cg_exit_reasons"]`` lists every solve's, including one whose
+        line search found no step.
     line_search_beta, line_search_rho, line_search_max_iter:
         Armijo parameters (paper defaults: beta small, halving, 10 iters).
     rel_obj_tol:
@@ -96,6 +99,7 @@ class NewtonCG(Solver):
         records = []
         total_cg_iters = 0
         total_ls_evals = 0
+        cg_exit_reasons = []
 
         # The fused entry point computes the forward pass (logits,
         # log-sum-exp, probabilities) once; the returned Hessian operator is
@@ -131,6 +135,7 @@ class NewtonCG(Solver):
             )
             total_cg_iters += cg_result.n_iterations
             total_ls_evals += ls.n_evaluations
+            cg_exit_reasons.append(cg_result.exit_reason)
 
             if ls.step_size == 0.0:
                 # No progress possible along the (approximate) Newton
@@ -154,6 +159,7 @@ class NewtonCG(Solver):
                 extras={
                     "cg_iterations": cg_result.n_iterations,
                     "cg_relative_residual": cg_result.relative_residual,
+                    "cg_exit_reason": cg_result.exit_reason,
                     "line_search_evals": ls.n_evaluations,
                 },
             )
@@ -175,6 +181,7 @@ class NewtonCG(Solver):
             records=records,
             info={
                 "total_cg_iterations": total_cg_iters,
+                "cg_exit_reasons": cg_exit_reasons,
                 "total_line_search_evals": total_ls_evals,
                 "wall_time": stopwatch.elapsed,
             },

@@ -111,6 +111,23 @@ class TestBlockCG:
         blocked = block_conjugate_gradient(op, B, tol=1e-10, max_iter=30)
         np.testing.assert_allclose(blocked.X[:, 0], scalar.x, rtol=1e-8)
 
+    def test_exit_reasons_per_column(self):
+        """Each column reports why it stopped, and matches its scalar solve."""
+        diag = np.append(np.arange(1.0, 10.0), -1.0)
+        op = DiagonalOperator(diag)
+        B = np.zeros((10, 4))  # column 0: b = 0
+        B[0, 1] = 1.0  # one eigen-direction: solved in one iteration
+        B[:9, 2] = 1.0  # nine distinct eigenvalues: needs nine iterations
+        B[9, 3] = 1.0  # the negative direction
+        result = block_conjugate_gradient(op, B, tol=1e-10, max_iter=3)
+        assert result.exit_reasons == [
+            "zero_rhs", "tolerance", "max_iter", "nonpositive_curvature"
+        ]
+        np.testing.assert_array_equal(result.X[:, 3], B[:, 3])
+        for j in range(4):
+            scalar = conjugate_gradient(op, B[:, j], tol=1e-10, max_iter=3)
+            assert scalar.exit_reason == result.exit_reasons[j]
+
     def test_preconditioned_block_matches_scalar(self):
         op, A, B = _spd_problem(seed=3)
         pre = DiagonalOperator(1.0 / np.diag(A))

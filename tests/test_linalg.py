@@ -164,6 +164,40 @@ class TestConjugateGradient:
         np.testing.assert_allclose(result.x, np.linalg.solve(A, b), atol=1e-5)
 
 
+class TestCGExitReasons:
+    def test_well_conditioned_system_exits_on_tolerance(self):
+        A = random_spd(8, cond=5.0)
+        b = np.random.default_rng(5).standard_normal(8)
+        result = conjugate_gradient(MatrixOperator(A), b, tol=1e-8, max_iter=50)
+        assert result.exit_reason == "tolerance"
+        assert result.converged
+        assert result.n_iterations < 50
+
+    def test_cap_below_need_exits_on_max_iter(self):
+        A = random_spd(30, cond=1e4, seed=2)
+        b = np.random.default_rng(2).standard_normal(30)
+        result = conjugate_gradient(MatrixOperator(A), b, tol=1e-12, max_iter=3)
+        assert result.exit_reason == "max_iter"
+        assert not result.converged
+        assert result.n_iterations == 3
+
+    def test_indefinite_operator_exits_on_nonpositive_curvature(self):
+        # p = b sees curvature 1 + 1 - 5 < 0 on the first iteration: the
+        # documented fallback is b itself (steepest descent of the model).
+        op = DiagonalOperator(np.array([1.0, 1.0, -5.0]))
+        b = np.ones(3)
+        result = conjugate_gradient(op, b, tol=1e-10, max_iter=10)
+        assert result.exit_reason == "nonpositive_curvature"
+        assert result.n_iterations == 0
+        assert not result.converged
+        np.testing.assert_array_equal(result.x, b)
+
+    def test_zero_rhs_exits_on_zero_rhs(self):
+        result = conjugate_gradient(MatrixOperator(np.eye(4)), np.zeros(4))
+        assert result.exit_reason == "zero_rhs"
+        assert result.n_iterations == 0
+
+
 class TestSpectrum:
     def test_power_iteration_finds_largest(self):
         A = np.diag([1.0, 5.0, 10.0, 2.0])

@@ -5,6 +5,7 @@ import pytest
 
 from repro.admm.newton_admm import NewtonADMM
 from repro.admm.penalty import FixedPenalty
+from repro.datasets.synthetic import make_multiclass_gaussian, make_sparse_multiclass
 from repro.distributed.cluster import SimulatedCluster
 from repro.harness.runner import reference_optimum
 
@@ -70,6 +71,15 @@ class TestNewtonADMMBasics:
         trace = NewtonADMM(lam=1e-4, max_epochs=3).fit(cluster)
         for key in ("primal_residual", "dual_residual", "mean_rho", "local_cg_iters"):
             assert key in trace.final.extras
+        assert 0.0 <= trace.final.extras["local_cg_max_iter_share"] <= 1.0
+
+    def test_max_iter_share_counts_capped_solves(self, small_multiclass_split):
+        train, _ = small_multiclass_split
+        cluster = SimulatedCluster(train, 3, random_state=0)
+        capped = NewtonADMM(lam=1e-4, max_epochs=3, cg_max_iter=1).fit(cluster)
+        loose = NewtonADMM(lam=1e-4, max_epochs=3, cg_tol=0.99).fit(cluster)
+        assert [r.extras["local_cg_max_iter_share"] for r in capped.records] == [1.0] * 3
+        assert [r.extras["local_cg_max_iter_share"] for r in loose.records] == [0.0] * 3
 
     def test_modelled_time_split(self, small_multiclass_split):
         train, _ = small_multiclass_split
@@ -176,3 +186,50 @@ class TestNewtonADMMBinary:
         trace = NewtonADMM(lam=1e-3, max_epochs=10).fit(cluster)
         assert np.isfinite(trace.final.objective)
         assert trace.final.objective < np.log(tiny_sparse.n_classes)
+
+
+class TestDefaultCGBudget:
+    """The default local CG budget (5) against the paper's 10.
+
+    On both problems every local solve of both runs stops on the cap, so the
+    default spends exactly half the CG iterations (and Hessian-vector
+    products) per epoch.  The target is the objective the 10-iteration run
+    reaches after half of ``max_epochs``; within ``max_epochs`` the default
+    must reach it, i.e. spend no more local CG iterations than the
+    10-iteration run needed to get there.
+    """
+
+    MAX_EPOCHS = 8
+
+    @pytest.mark.parametrize(
+        "train",
+        [
+            make_multiclass_gaussian(
+                400, 50, 5, condition_number=200.0, class_separation=3.0,
+                label_noise=0.02, correlation=0.2, random_state=0,
+            ),
+            make_sparse_multiclass(
+                400, 1000, 5, density=0.02, nonzero_scale=3.0, label_noise=0.1,
+                random_state=0,
+            ),
+        ],
+        ids=["dense", "csr"],
+    )
+    def test_default_halves_cg_iterations_and_reaches_paper_target(self, train):
+        cluster = SimulatedCluster(train, 4, random_state=0)
+        fit = dict(lam=1e-5, max_epochs=self.MAX_EPOCHS, record_accuracy=False)
+        default = NewtonADMM(**fit).fit(cluster)
+        paper = NewtonADMM(cg_max_iter=10, **fit).fit(cluster)
+        assert NewtonADMM().cg_max_iter == 5
+
+        for trace in (default, paper):
+            assert [r.extras["local_cg_max_iter_share"] for r in trace.records] == [
+                1.0
+            ] * self.MAX_EPOCHS
+        default_iters = [r.extras["local_cg_iters"] for r in default.records]
+        paper_iters = [r.extras["local_cg_iters"] for r in paper.records]
+        assert default_iters == [5.0] * self.MAX_EPOCHS
+        assert paper_iters == [10.0] * self.MAX_EPOCHS
+
+        target = paper.objectives()[self.MAX_EPOCHS // 2 - 1]
+        assert default.objectives().min() <= target

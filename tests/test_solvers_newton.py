@@ -135,6 +135,17 @@ class TestNewtonCG:
         assert result.converged
         assert result.grad_norm <= 1e-6
 
+    def test_records_carry_cg_exit_reason(self, softmax_objective):
+        capped = NewtonCG(max_iterations=3, cg_max_iter=1, cg_tol=1e-12).minimize(
+            softmax_objective
+        )
+        assert [r.extras["cg_exit_reason"] for r in capped.records] == ["max_iter"] * 3
+        assert capped.info["cg_exit_reasons"] == ["max_iter"] * 3
+        loose = NewtonCG(max_iterations=3, cg_max_iter=50, cg_tol=0.5).minimize(
+            softmax_objective
+        )
+        assert {r.extras["cg_exit_reason"] for r in loose.records} == {"tolerance"}
+
     def test_objective_monotone_decrease(self, softmax_objective):
         result = NewtonCG(max_iterations=20, cg_max_iter=10).minimize(softmax_objective)
         objs = result.objective_trace()
