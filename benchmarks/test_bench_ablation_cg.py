@@ -1,5 +1,6 @@
 """Ablation — inner CG budget of the local Newton solves (10/20/30 sweep from
-the Figure 4 caption, plus 5, the library's default local budget)."""
+the Figure 4 caption, plus 5, just below the library's default local budget
+of 6)."""
 
 import numpy as np
 from conftest import run_once

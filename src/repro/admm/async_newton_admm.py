@@ -76,7 +76,7 @@ class AsyncNewtonADMM(NewtonADMM):
     Parameters (beyond :class:`~repro.admm.newton_admm.NewtonADMM`)
     ----------
     cg_max_iter:
-        Same default as the synchronous solver: 5 local CG iterations,
+        Same default as the synchronous solver: 6 local CG iterations,
         where the figure experiments pin the paper's 10 (evidence in
         ``docs/performance.md``, "Local CG budget").
     quorum:
@@ -104,7 +104,7 @@ class AsyncNewtonADMM(NewtonADMM):
         rho0: Optional[float] = None,
         penalty: Union[str, PolicyFactory] = "spectral",
         local_newton_iters: int = 1,
-        cg_max_iter: int = 5,
+        cg_max_iter: int = 6,
         cg_tol: float = 1e-4,
         cg_tol_decay: float = 1.0,
         line_search_max_iter: int = 10,

@@ -61,12 +61,12 @@ class NewtonADMM(DistributedSolver):
     local_newton_iters:
         Inexact Newton steps taken per worker per ADMM iteration.
     cg_max_iter, cg_tol:
-        Inner CG budget / relative tolerance.  The default budget is 5
+        Inner CG budget / relative tolerance.  The default budget is 6
         iterations; the paper's 10 (at 1e-4) is what the figure experiments
         in :mod:`repro.harness.experiments` pin.  The tolerance hardly ever
-        binds on the bench inputs, and 5 reaches their targets with half
-        the Hessian-vector products (evidence, and the one seed where it
-        needs more epochs, in ``docs/performance.md``, "Local CG budget").
+        binds on the bench inputs, and 6 reaches their targets with 40 %
+        fewer Hessian-vector products (evidence, and why not 5, in
+        ``docs/performance.md``, "Local CG budget").
         Each epoch's ``local_cg_max_iter_share`` extra is the share of
         local CG solves that stopped on this cap.
     cg_tol_decay:
@@ -110,7 +110,7 @@ class NewtonADMM(DistributedSolver):
         rho0: Optional[float] = None,
         penalty: Union[str, PolicyFactory] = "spectral",
         local_newton_iters: int = 1,
-        cg_max_iter: int = 5,
+        cg_max_iter: int = 6,
         cg_tol: float = 1e-4,
         cg_tol_decay: float = 1.0,
         line_search_max_iter: int = 10,

@@ -4,9 +4,9 @@ This is the inner solver of the inexact Newton iteration (paper eq. 3b/4):
 CG is run on ``H p = -g`` until ``||H p + g|| <= theta * ||g||`` or the
 iteration budget is exhausted.  The paper uses 10 CG iterations with a 1e-4
 tolerance in Figure 1 and sweeps 10/20/30 iterations in Figure 4; the figure
-experiments pin those settings.  Newton-ADMM's own default local budget is 5
-iterations: the tolerance hardly ever binds on the bench inputs, and 5 reaches
-their targets with half the Hessian-vector products (evidence in
+experiments pin those settings.  Newton-ADMM's own default local budget is 6
+iterations: the tolerance hardly ever binds on the bench inputs, and 6 reaches
+their targets with 40 % fewer Hessian-vector products (evidence in
 ``docs/performance.md``, "Local CG budget").
 
 Every solve reports why it stopped (:data:`CG_EXIT_REASONS`):
@@ -47,7 +47,7 @@ from repro.backend import ArrayBackend, infer_backend, resolve_precision
 from repro.backend.ops import copy_array as _copy
 from repro.linalg.operators import LinearOperator, check_dtype_match
 
-#: why a CG solve stopped, in the order the checks run
+#: why a CG solve stopped
 CG_EXIT_REASONS = ("tolerance", "max_iter", "nonpositive_curvature", "zero_rhs")
 
 
