@@ -106,7 +106,6 @@ class AsyncNewtonADMM(NewtonADMM):
         local_newton_iters: int = 1,
         cg_max_iter: int = 6,
         cg_tol: float = 1e-4,
-        cg_tol_decay: float = 1.0,
         line_search_max_iter: int = 10,
         over_relaxation: float = 1.0,
         quorum: Union[int, float, None] = None,
@@ -123,7 +122,6 @@ class AsyncNewtonADMM(NewtonADMM):
             local_newton_iters=local_newton_iters,
             cg_max_iter=cg_max_iter,
             cg_tol=cg_tol,
-            cg_tol_decay=cg_tol_decay,
             line_search_max_iter=line_search_max_iter,
             over_relaxation=over_relaxation,
             evaluate_every=evaluate_every,
@@ -201,12 +199,11 @@ class AsyncNewtonADMM(NewtonADMM):
         x = worker.get_vector("x")
         y = worker.get_vector("y")
         rho = float(worker.state["rho"])
-        epoch = self._z_version + 1
 
         worker.mark_flops()
         center = z_local + y / rho
         subproblem = ProximallyAugmentedObjective(worker.objective, rho, center)
-        result = self._make_local_solver(epoch).minimize(subproblem, x)
+        result = self._make_local_solver().minimize(subproblem, x)
         x_new = result.w
         x_relaxed = (
             x_new if alpha == 1.0 else alpha * x_new + (1.0 - alpha) * z_local

@@ -69,11 +69,6 @@ class NewtonADMM(DistributedSolver):
         ``docs/performance.md``, "Local CG budget").
         Each epoch's ``local_cg_max_iter_share`` extra is the share of
         local CG solves that stopped on this cap.
-    cg_tol_decay:
-        Multiplier applied to the CG tolerance every ADMM iteration
-        (``1.0`` = constant, the paper's setting).  Values below 1 make the
-        local subproblems progressively more exact, the classical inexact-ADMM
-        accuracy schedule.
     line_search_max_iter:
         Armijo backtracking budget (paper: 10); the search runs locally and
         stops early, unlike GIANT's distributed line search.
@@ -86,9 +81,6 @@ class NewtonADMM(DistributedSolver):
         Boyd-style absolute/relative tolerances on the primal and dual
         residuals; when both are positive the solver stops as soon as both
         residuals fall below their thresholds (before ``max_epochs``).
-    cg_block:
-        Route the local Newton-CG solves through the block-CG entry point
-        (no effect on iterates — each subproblem has one right-hand side).
     precision:
         ``"mixed"`` accumulates the local CG reduction scalars in float64;
         ``None`` follows the session default (:mod:`repro.backend.precision`).
@@ -112,12 +104,10 @@ class NewtonADMM(DistributedSolver):
         local_newton_iters: int = 1,
         cg_max_iter: int = 6,
         cg_tol: float = 1e-4,
-        cg_tol_decay: float = 1.0,
         line_search_max_iter: int = 10,
         over_relaxation: float = 1.0,
         stop_abs_tol: float = 0.0,
         stop_rel_tol: float = 0.0,
-        cg_block: bool = False,
         precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
@@ -138,8 +128,6 @@ class NewtonADMM(DistributedSolver):
             )
         if rho0 is not None and rho0 <= 0:
             raise ValueError(f"rho0 must be positive, got {rho0}")
-        if not 0.0 < cg_tol_decay <= 1.0:
-            raise ValueError(f"cg_tol_decay must lie in (0, 1], got {cg_tol_decay}")
         if not 1.0 <= over_relaxation < 2.0:
             raise ValueError(
                 f"over_relaxation must lie in [1, 2), got {over_relaxation}"
@@ -150,12 +138,10 @@ class NewtonADMM(DistributedSolver):
         self.local_newton_iters = int(local_newton_iters)
         self.cg_max_iter = int(cg_max_iter)
         self.cg_tol = float(cg_tol)
-        self.cg_tol_decay = float(cg_tol_decay)
         self.line_search_max_iter = int(line_search_max_iter)
         self.over_relaxation = float(over_relaxation)
         self.stop_abs_tol = float(stop_abs_tol)
         self.stop_rel_tol = float(stop_rel_tol)
-        self.cg_block = bool(cg_block)
         self.precision = precision
         if callable(penalty):
             self._custom_policy_factory: Optional[PolicyFactory] = penalty
@@ -188,15 +174,13 @@ class NewtonADMM(DistributedSolver):
             worker.state["rho"] = rho0
             worker.state["policy"] = policy_factory()
 
-    def _make_local_solver(self, epoch: int = 1) -> NewtonCG:
-        cg_tol = max(self.cg_tol * self.cg_tol_decay ** (epoch - 1), 1e-14)
+    def _make_local_solver(self) -> NewtonCG:
         return NewtonCG(
             max_iterations=self.local_newton_iters,
             grad_tol=1e-10,
             cg_max_iter=self.cg_max_iter,
-            cg_tol=cg_tol,
+            cg_tol=self.cg_tol,
             line_search_max_iter=self.line_search_max_iter,
-            cg_block=self.cg_block,
             precision=self.precision,
         )
 
@@ -214,7 +198,7 @@ class NewtonADMM(DistributedSolver):
             rho = float(worker.state["rho"])
             center = z_old + y / rho
             subproblem = ProximallyAugmentedObjective(worker.objective, rho, center)
-            result = self._make_local_solver(epoch).minimize(subproblem, x)
+            result = self._make_local_solver().minimize(subproblem, x)
             x_new = result.w
             # Over-relaxed iterate used by the z- and dual updates (alpha = 1
             # reduces to the plain iterate).

@@ -6,11 +6,12 @@ stochastic dual coordinate ascent (SDCA) passes over its own dual coordinates,
 and only the resulting change of the shared primal vector ``v = w(alpha)`` is
 all-reduced — one communication round per outer iteration.
 
-Scope note (documented substitution, see DESIGN.md): the dual formulation is
-standard for *binary* classifiers, so this implementation targets the binary
-logistic problem (the HIGGS-like workload).  The paper lists CoCoA among the
-related distributed second-order/dual methods but does not include it in any
-figure; it is provided here for completeness of the baseline suite.
+Scope note (a substitution): the dual formulation is standard for *binary*
+classifiers, so this implementation targets the binary logistic problem (the
+HIGGS-like workload) and rejects multiclass clusters.  The paper lists CoCoA
+among the related distributed second-order/dual methods but does not include
+it in any figure; it is provided here for completeness of the baseline
+suite.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class CoCoA(DistributedSolver):
         if cluster.n_classes != 2:
             raise ValueError(
                 "CoCoA is implemented for binary problems only "
-                f"(got {cluster.n_classes} classes); see DESIGN.md"
+                f"(got {cluster.n_classes} classes): its dual formulation "
+                "targets the binary logistic loss"
             )
         self._n_total = cluster.n_total
         self._last_extras = {}

@@ -37,9 +37,6 @@ class DiSCO(DistributedSolver):
     damped:
         Use the self-concordant damping ``1 / (1 + newton_decrement)`` for the
         step size (the reference method); otherwise take unit steps.
-    cg_block:
-        Route the distributed CG through the block entry point (no effect on
-        iterates for the single right-hand side solved here).
     precision:
         ``"mixed"`` accumulates CG reduction scalars in float64; ``None``
         follows the session default (:mod:`repro.backend.precision`).
@@ -55,7 +52,6 @@ class DiSCO(DistributedSolver):
         cg_max_iter: int = 20,
         cg_tol: float = 1e-4,
         damped: bool = True,
-        cg_block: bool = False,
         precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
@@ -73,7 +69,6 @@ class DiSCO(DistributedSolver):
         self.cg_max_iter = int(cg_max_iter)
         self.cg_tol = float(cg_tol)
         self.damped = bool(damped)
-        self.cg_block = bool(cg_block)
         self.precision = precision
         self._w: Optional[np.ndarray] = None
         self._last_extras: Dict[str, float] = {}
@@ -110,7 +105,6 @@ class DiSCO(DistributedSolver):
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
                 precision=self.precision,
-                block=self.cg_block,
             )
             direction = cg_result.x
 

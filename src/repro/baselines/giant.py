@@ -65,10 +65,6 @@ class GIANT(DistributedSolver):
         iteration that does not consume the reduced gradient (event engine).
         Iterates are bit-identical to the default; only the modelled schedule
         changes.
-    cg_block:
-        Route the local Newton solves through the block-CG entry point.
-        With the single right-hand side of GIANT's system this never changes
-        iterates (1-D solves always take the exact scalar recurrence).
     precision:
         ``"mixed"`` accumulates CG reduction scalars in float64; ``None``
         follows the session default (:mod:`repro.backend.precision`).
@@ -86,7 +82,6 @@ class GIANT(DistributedSolver):
         line_search_max_iter: int = 10,
         line_search_beta: float = 1e-4,
         overlap_gradient: bool = False,
-        cg_block: bool = False,
         precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
@@ -106,7 +101,6 @@ class GIANT(DistributedSolver):
         self.line_search_max_iter = int(line_search_max_iter)
         self.line_search_beta = float(line_search_beta)
         self.overlap_gradient = bool(overlap_gradient)
-        self.cg_block = bool(cg_block)
         self.precision = precision
         self._w: Optional[np.ndarray] = None
         self._last_extras: Dict[str, float] = {}
@@ -146,7 +140,6 @@ class GIANT(DistributedSolver):
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
                 precision=self.precision,
-                block=self.cg_block,
             )
             return result.x
 

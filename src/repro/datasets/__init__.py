@@ -4,7 +4,8 @@ The paper evaluates on HIGGS, MNIST, CIFAR-10 and the E18 single-cell
 dataset.  None of those are redistributable/available offline, so this package
 provides *synthetic stand-ins* whose statistically relevant properties (number
 of classes, feature dimension, conditioning of the resulting classification
-problem, sparsity) are matched and controllable — see DESIGN.md §2.
+problem, sparsity) are matched and controllable; each generator in
+:mod:`repro.datasets.registry` says which properties it matches.
 
 Users who do have the real data can load it through :mod:`repro.datasets.io`
 (LIBSVM/SVMlight text and labelled CSV readers) and feed the resulting

@@ -4,8 +4,9 @@ The paper runs on a GPU cluster with an MPI backend.  This package provides a
 deterministic, in-process stand-in: real NumPy math executes on every
 "worker", while a network model (latency + bandwidth, tree collectives) and a
 device model (GPU-like FLOP throughput) convert the counted work and message
-sizes into *modelled* cluster time.  See DESIGN.md §2 for why this substitution
-preserves the paper's comparisons.
+sizes into *modelled* cluster time.  Iterates, FLOP counts and message sizes
+are exact; only their conversion into seconds is modelled (see
+``docs/architecture.md``, "Distributed runtime").
 
 Beyond the defaults, the runtime exposes the systems knobs a practitioner
 would tune: alternative collective algorithms (ring / recursive doubling),

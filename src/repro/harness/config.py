@@ -13,9 +13,9 @@ class ExperimentScale(str, Enum):
     """How large the reproduction workloads are.
 
     ``QUICK`` keeps every experiment runnable in seconds (CI / benchmarks),
-    ``SMALL`` is the default reproduction scale used in EXPERIMENTS.md, and
-    ``PAPER`` matches the paper's sample counts where memory allows (expect
-    long run times on a laptop).
+    ``SMALL`` is the reproduction scale (``python -m repro run all --scale
+    small``), and ``PAPER`` matches the paper's sample counts where memory
+    allows (expect long run times on a laptop).
     """
 
     QUICK = "quick"

@@ -1,15 +1,17 @@
 """Per-figure / per-table experiment drivers.
 
 Every public function regenerates one table or figure of the paper's
-evaluation section (plus two ablations for design choices DESIGN.md calls
-out).  Each returns a dictionary with structured results (``rows`` and/or
-``traces``) and a plain-text ``report`` mirroring what the paper plots — the
-benchmark suite simply calls these functions and prints the reports.
+evaluation section, plus ablations of the choices the paper fixes (penalty
+policy, CG budget, over-relaxation, interconnect, stragglers, overlap,
+asynchrony, faults, schedules).  Each returns a dictionary with structured
+results (``rows`` and/or ``traces``) and a plain-text ``report`` mirroring
+what the paper plots — the benchmark suite simply calls these functions and
+prints the reports.
 
 All functions accept an :class:`~repro.harness.config.ExperimentScale`; the
 default ``QUICK`` scale finishes in seconds so the whole suite can run in CI,
-while ``SMALL``/``PAPER`` scale the workloads up (see EXPERIMENTS.md for the
-recorded results).
+while ``SMALL``/``PAPER`` scale the workloads up (``--scale`` on
+``python -m repro run``).
 """
 
 from __future__ import annotations
@@ -481,7 +483,7 @@ def figure5_e18_weak_scaling(
 
 
 # ---------------------------------------------------------------------------
-# Ablations (design choices called out in DESIGN.md)
+# Ablations (choices the paper fixes)
 # ---------------------------------------------------------------------------
 def ablation_penalty_policies(
     scale=ExperimentScale.QUICK,

@@ -1,25 +1,11 @@
-"""Matrix-free linear algebra: Krylov solvers, operators, spectra, sketches."""
+"""Matrix-free linear algebra: conjugate gradients, operators, preconditioners."""
 
 from repro.linalg.cg import CGResult, conjugate_gradient
-from repro.linalg.condition import (
-    condition_number_estimate,
-    power_iteration,
-    smallest_eigenvalue,
-)
-from repro.linalg.lanczos import (
-    LanczosResult,
-    lanczos,
-    lanczos_condition_estimate,
-    lanczos_extreme_eigenvalues,
-    spectral_norm_estimate,
-)
-from repro.linalg.minres import MINRESResult, minres
 from repro.linalg.operators import (
     DiagonalOperator,
     HessianOperator,
     LinearOperator,
     MatrixOperator,
-    ShiftedOperator,
 )
 from repro.linalg.preconditioners import (
     estimate_hessian_diagonal,
@@ -28,40 +14,17 @@ from repro.linalg.preconditioners import (
     make_preconditioner,
     RegularizerPreconditioner,
 )
-from repro.linalg.sketching import (
-    count_sketch,
-    gaussian_sketch,
-    row_sampling_sketch,
-    sketch_matrix,
-    srht_sketch,
-)
 
 __all__ = [
     "CGResult",
     "conjugate_gradient",
-    "MINRESResult",
-    "minres",
     "LinearOperator",
     "MatrixOperator",
     "HessianOperator",
     "DiagonalOperator",
-    "ShiftedOperator",
-    "power_iteration",
-    "smallest_eigenvalue",
-    "condition_number_estimate",
-    "LanczosResult",
-    "lanczos",
-    "lanczos_extreme_eigenvalues",
-    "lanczos_condition_estimate",
-    "spectral_norm_estimate",
     "estimate_hessian_diagonal",
     "jacobi_preconditioner",
     "hessian_jacobi_preconditioner",
     "RegularizerPreconditioner",
     "make_preconditioner",
-    "count_sketch",
-    "gaussian_sketch",
-    "row_sampling_sketch",
-    "srht_sketch",
-    "sketch_matrix",
 ]

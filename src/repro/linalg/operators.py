@@ -184,18 +184,3 @@ class DiagonalOperator(LinearOperator):
             lambda v: diagonal * v,
             dtype=_dtype_of(diagonal),
         )
-
-
-class ShiftedOperator(LinearOperator):
-    """``A + shift * I`` — used for Levenberg-style damping and ADMM penalties."""
-
-    def __init__(self, base: LinearOperator, shift: float):
-        shift = float(shift)
-        self.base = base
-        self.shift = shift
-        # Closes over locals, not ``self`` (see HessianOperator).
-        super().__init__(
-            base.dim,
-            lambda v: base.matvec(v) + shift * v,
-            dtype=base.dtype,
-        )

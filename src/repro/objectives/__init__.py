@@ -12,7 +12,6 @@ from repro.objectives.base import (
     ProximallyAugmentedObjective,
     LinearlyPerturbedObjective,
 )
-from repro.objectives.hinge import BinarySquaredHinge, MulticlassSquaredHinge
 from repro.objectives.numerics import log_sum_exp, softmax_probabilities
 from repro.objectives.regularizers import (
     ElasticNetRegularizer,
@@ -22,7 +21,6 @@ from repro.objectives.regularizers import (
 )
 from repro.objectives.softmax import SoftmaxCrossEntropy
 from repro.objectives.logistic import BinaryLogistic
-from repro.objectives.least_squares import LeastSquares
 
 __all__ = [
     "Objective",
@@ -38,7 +36,4 @@ __all__ = [
     "ZeroRegularizer",
     "SoftmaxCrossEntropy",
     "BinaryLogistic",
-    "BinarySquaredHinge",
-    "MulticlassSquaredHinge",
-    "LeastSquares",
 ]

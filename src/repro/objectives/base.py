@@ -157,10 +157,10 @@ class Objective(ABC):
     def hessian(self, w: np.ndarray, *, block_size: int = 32) -> np.ndarray:
         """Dense Hessian at ``w`` built from batched Hessian-matrix products.
 
-        Intended for small problems (tests, condition-number studies); cost is
-        ``dim`` Hessian-vector products, issued in blocks of ``block_size``
-        basis vectors so objectives with a batched :meth:`hvp_mat` (the
-        softmax) pay two GEMMs per block instead of per column.
+        Intended for small problems (tests); cost is ``dim`` Hessian-vector
+        products, issued in blocks of ``block_size`` basis vectors so
+        objectives with a batched :meth:`hvp_mat` (the softmax) pay two GEMMs
+        per block instead of per column.
         """
         d = self.dim
         backend = self.backend

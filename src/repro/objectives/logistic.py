@@ -17,7 +17,6 @@ from repro.backend import (
     BackendLike,
     apply_storage_precision,
     get_backend,
-    host_matrix,
     resolve_precision,
 )
 from repro.objectives.base import (
@@ -100,24 +99,6 @@ class BinaryLogistic(Objective):
         d = s * (1.0 - s)
         Xv = (self.X @ v).ravel()
         return self.scale * (self.X.T @ (d * Xv)).ravel()
-
-    def hessian_sqrt(self, w) -> np.ndarray:
-        """Square-root factor ``A(w)`` with ``H(w) = A(w)^T A(w)``.
-
-        For logistic loss ``H = scale * X^T D X`` with
-        ``D = diag(sigma(z)(1 - sigma(z)))``, so
-        ``A = sqrt(scale) * sqrt(D) X`` (one row per sample).  Used by
-        :class:`repro.solvers.newton_sketch.NewtonSketch`; computed on the
-        host.
-        """
-        w = self.check_weights(w)
-        z = self._backend.to_numpy(self._margins(w))
-        s = sigmoid(z)
-        d = np.sqrt(self.scale * s * (1.0 - s))  # repro-lint: ignore[RPR001] host-side by contract
-        X = host_matrix(self.X)
-        if hasattr(X, "multiply"):
-            return np.asarray(X.multiply(d[:, None]).todense())
-        return d[:, None] * self._backend.to_numpy(X)
 
     def minibatch(self, indices: np.ndarray) -> "BinaryLogistic":
         """A new objective over a row subset (mean-scaled over the batch)."""

@@ -1,9 +1,9 @@
 """Single-node solvers.
 
 The inexact Newton-CG solver (Algorithm 1 of the paper) is the workhorse used
-inside every Newton-ADMM worker; the first-order solvers are the single-node
-counterparts of the distributed baselines and are exposed for completeness and
-for the examples.
+inside every Newton-ADMM worker.  Sub-sampled Newton is the single-node
+Newton variant the examples compare it with; SVRG is InexactDANE's local
+solver.
 """
 
 from repro.solvers.base import (
@@ -15,14 +15,8 @@ from repro.solvers.base import (
 )
 from repro.solvers.line_search import armijo_backtracking, LineSearchResult
 from repro.solvers.newton_cg import NewtonCG
-from repro.solvers.newton_sketch import NewtonSketch
 from repro.solvers.subsampled_newton import SubsampledNewton
-from repro.solvers.trust_region import SteihaugResult, TrustRegionNewton, steihaug_cg
-from repro.solvers.gradient_descent import GradientDescent
-from repro.solvers.sgd import SGD
-from repro.solvers.adaptive import Adam, Adagrad, RMSProp, Adadelta
 from repro.solvers.svrg import SVRG
-from repro.solvers.lbfgs import LBFGS
 
 __all__ = [
     "CountingObjective",
@@ -33,17 +27,6 @@ __all__ = [
     "armijo_backtracking",
     "LineSearchResult",
     "NewtonCG",
-    "TrustRegionNewton",
-    "steihaug_cg",
-    "SteihaugResult",
     "SubsampledNewton",
-    "NewtonSketch",
-    "GradientDescent",
-    "SGD",
-    "Adam",
-    "Adagrad",
-    "RMSProp",
-    "Adadelta",
     "SVRG",
-    "LBFGS",
 ]

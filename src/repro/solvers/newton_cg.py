@@ -46,13 +46,6 @@ class NewtonCG(Solver):
         Armijo parameters (paper defaults: beta small, halving, 10 iters).
     rel_obj_tol:
         Optional early stop on relative objective change.
-    cg_block:
-        Route the inner solve through the block-CG entry point
-        (``conjugate_gradient(..., block=True)``).  The Newton system has a
-        single right-hand side, which always takes the exact scalar
-        recurrence, so this flag never changes iterates — it exists so
-        callers solving stacked systems through the same configuration get
-        the batched path.
     precision:
         ``"mixed"`` accumulates the CG reduction scalars in float64 (see
         :mod:`repro.backend.precision`); ``None`` follows the session
@@ -70,7 +63,6 @@ class NewtonCG(Solver):
         line_search_rho: float = 0.5,
         line_search_max_iter: int = 10,
         rel_obj_tol: float = 0.0,
-        cg_block: bool = False,
         precision: Optional[str] = None,
     ):
         self.criteria = TerminationCriteria(
@@ -83,7 +75,6 @@ class NewtonCG(Solver):
         self.line_search_beta = float(line_search_beta)
         self.line_search_rho = float(line_search_rho)
         self.line_search_max_iter = int(line_search_max_iter)
-        self.cg_block = bool(cg_block)
         self.precision = precision
 
     def minimize(
@@ -117,7 +108,6 @@ class NewtonCG(Solver):
                 max_iter=self.cg_max_iter,
                 backend=backend,
                 precision=self.precision,
-                block=self.cg_block,
             )
             direction = cg_result.x
             if not backend.any_nonzero(direction):

@@ -28,7 +28,6 @@ from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.testing import TracingBackend
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
-from repro.objectives.hinge import MulticlassSquaredHinge
 from repro.objectives.logistic import BinaryLogistic
 from repro.objectives.softmax import SoftmaxCrossEntropy
 
@@ -66,9 +65,6 @@ def _rng_problem(n=80, p=6, c=3, seed=0, sparse=False):
 
 OBJECTIVES = {
     "softmax": lambda X, y, backend: SoftmaxCrossEntropy(X, y, 3, backend=backend),
-    "hinge_ovr": lambda X, y, backend: MulticlassSquaredHinge(
-        X, y, 3, backend=backend
-    ),
     "logistic": lambda X, y, backend: BinaryLogistic(
         X, (y > 0).astype(np.int64), backend=backend
     ),
@@ -374,10 +370,8 @@ class TestMixedPrecisionInterplay:
     def test_hessian_operator_accepts_float32_weights(self):
         from repro.linalg.cg import conjugate_gradient
         from repro.linalg.operators import HessianOperator
-        from repro.objectives.least_squares import LeastSquares
-
         rng = np.random.default_rng(0)
-        obj = LeastSquares(rng.standard_normal((30, 5)), rng.standard_normal(30))
+        obj = BinaryLogistic(rng.standard_normal((30, 5)), rng.integers(0, 2, 30))
         w = np.zeros(obj.dim, dtype=np.float32)
         op = HessianOperator(obj, w)
         result = conjugate_gradient(op, -obj.gradient(w), tol=1e-8, max_iter=50)
@@ -388,10 +382,9 @@ class TestMixedPrecisionInterplay:
         from repro.linalg.cg import conjugate_gradient
         from repro.linalg.operators import HessianOperator
         from repro.linalg.preconditioners import make_preconditioner
-        from repro.objectives.least_squares import LeastSquares
 
         rng = np.random.default_rng(1)
-        obj = LeastSquares(rng.standard_normal((40, 6)), rng.standard_normal(40))
+        obj = BinaryLogistic(rng.standard_normal((40, 6)), rng.integers(0, 2, 40))
         w = np.zeros(obj.dim)
         prec = make_preconditioner("jacobi", obj, w, damping=1e-3, random_state=0)
         result = conjugate_gradient(

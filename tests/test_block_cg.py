@@ -4,8 +4,7 @@
 scalar CG recurrence in unison — one batched ``matmat`` per iteration —
 so each column must agree with its own scalar solve up to GEMM
 reassociation, and the 1-D routing through ``conjugate_gradient(...,
-block=True)`` must be *bit*-identical to the scalar path (which is what
-makes the solvers' ``cg_block`` flag safe to flip).
+block=True)`` must be *bit*-identical to the scalar path.
 """
 
 from __future__ import annotations
@@ -14,9 +13,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.admm.newton_admm import NewtonADMM
-from repro.baselines.giant import GIANT
-from repro.distributed.cluster import SimulatedCluster
 from repro.linalg.cg import block_conjugate_gradient, conjugate_gradient
 from repro.linalg.operators import (
     BatchedHessianOperator,
@@ -29,7 +25,6 @@ from repro.objectives.base import (
 )
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
-from repro.solvers.newton_cg import NewtonCG
 
 
 def _spd_problem(dim=12, n_rhs=4, seed=0):
@@ -216,29 +211,3 @@ class TestBatchedHVP:
             loss.hvp_per_class(w, v), loss.hvp(w, v), rtol=1e-10, atol=1e-13
         )
 
-
-class TestSolverOptIn:
-    """``cg_block=True`` changes per-iteration cost, not results."""
-
-    def test_newton_cg_iterates_bit_identical(self):
-        obj = _softmax_objective(n=200, p=10, c=4, seed=7)
-        plain = NewtonCG(max_iterations=5, cg_max_iter=20).minimize(obj)
-        blocked = NewtonCG(
-            max_iterations=5, cg_max_iter=20, cg_block=True
-        ).minimize(obj)
-        # Single-RHS solves route through the scalar path: bit-identical.
-        np.testing.assert_array_equal(plain.w, blocked.w)
-
-    def test_newton_admm_converges_with_block_cg(self, small_multiclass_split):
-        train, _ = small_multiclass_split
-        cluster = SimulatedCluster(train, 4, random_state=0)
-        plain = NewtonADMM(lam=1e-4, max_epochs=6).fit(cluster)
-        blocked = NewtonADMM(lam=1e-4, max_epochs=6, cg_block=True).fit(cluster)
-        np.testing.assert_array_equal(plain.final_w, blocked.final_w)
-
-    def test_giant_converges_with_block_cg(self, small_multiclass_split):
-        train, _ = small_multiclass_split
-        cluster = SimulatedCluster(train, 4, random_state=0)
-        plain = GIANT(lam=1e-3, max_epochs=4).fit(cluster)
-        blocked = GIANT(lam=1e-3, max_epochs=4, cg_block=True).fit(cluster)
-        np.testing.assert_array_equal(plain.final_w, blocked.final_w)

@@ -1,4 +1,4 @@
-"""Tests for conjugate gradient, linear operators and spectrum estimation."""
+"""Tests for conjugate gradient and linear operators."""
 
 import numpy as np
 import pytest
@@ -6,17 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.linalg.cg import conjugate_gradient
-from repro.linalg.condition import (
-    condition_number_estimate,
-    power_iteration,
-    smallest_eigenvalue,
-)
 from repro.linalg.operators import (
     DiagonalOperator,
     HessianOperator,
     LinearOperator,
     MatrixOperator,
-    ShiftedOperator,
 )
 from repro.objectives.softmax import SoftmaxCrossEntropy
 
@@ -59,12 +53,6 @@ class TestOperators:
         d = np.array([1.0, 2.0, 3.0])
         op = DiagonalOperator(d)
         np.testing.assert_allclose(op.matvec(np.ones(3)), d)
-
-    def test_shifted_operator(self):
-        A = random_spd(4)
-        op = ShiftedOperator(MatrixOperator(A), 2.5)
-        v = np.random.default_rng(2).standard_normal(4)
-        np.testing.assert_allclose(op.matvec(v), A @ v + 2.5 * v)
 
     def test_hessian_operator_matches_hvp(self):
         rng = np.random.default_rng(3)
@@ -196,27 +184,3 @@ class TestCGExitReasons:
         result = conjugate_gradient(MatrixOperator(np.eye(4)), np.zeros(4))
         assert result.exit_reason == "zero_rhs"
         assert result.n_iterations == 0
-
-
-class TestSpectrum:
-    def test_power_iteration_finds_largest(self):
-        A = np.diag([1.0, 5.0, 10.0, 2.0])
-        lam, vec = power_iteration(MatrixOperator(A), random_state=0)
-        assert lam == pytest.approx(10.0, rel=1e-4)
-        assert abs(vec[2]) > 0.99
-
-    def test_smallest_eigenvalue(self):
-        A = np.diag([0.5, 5.0, 10.0])
-        lam_min = smallest_eigenvalue(MatrixOperator(A), random_state=0)
-        assert lam_min == pytest.approx(0.5, rel=1e-3)
-
-    def test_condition_number_estimate(self):
-        A = random_spd(10, cond=100.0, seed=7)
-        est = condition_number_estimate(MatrixOperator(A), random_state=0)
-        true = np.linalg.cond(A)
-        assert 0.5 * true < est < 2.0 * true
-
-    def test_zero_operator(self):
-        op = LinearOperator(3, lambda v: np.zeros(3))
-        lam, _ = power_iteration(op, random_state=0)
-        assert lam == 0.0

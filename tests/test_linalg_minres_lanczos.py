@@ -1,18 +1,10 @@
-"""Tests for MINRES, Lanczos spectrum estimation, preconditioners and sketches."""
+"""Tests for the Hessian-diagonal estimate and the CG preconditioners."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.linalg.lanczos import (
-    lanczos,
-    lanczos_condition_estimate,
-    lanczos_extreme_eigenvalues,
-    spectral_norm_estimate,
-)
-from repro.linalg.minres import minres
-from repro.linalg.operators import HessianOperator, MatrixOperator
+from repro.linalg.cg import conjugate_gradient
+from repro.linalg.operators import MatrixOperator
 from repro.linalg.preconditioners import (
     RegularizerPreconditioner,
     estimate_hessian_diagonal,
@@ -20,32 +12,9 @@ from repro.linalg.preconditioners import (
     jacobi_preconditioner,
     make_preconditioner,
 )
-from repro.linalg.cg import conjugate_gradient
-from repro.linalg.sketching import (
-    count_sketch,
-    gaussian_sketch,
-    row_sampling_sketch,
-    sketch_matrix,
-    srht_sketch,
-)
 from repro.objectives.base import RegularizedObjective
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
-
-
-def random_spd(dim, cond=10.0, seed=0):
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigs = np.logspace(0, np.log10(cond), dim)
-    return Q @ np.diag(eigs) @ Q.T
-
-
-def random_symmetric_indefinite(dim, seed=0):
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigs = np.linspace(-3.0, 5.0, dim)
-    eigs[np.abs(eigs) < 0.5] = 0.5  # keep it nonsingular
-    return Q @ np.diag(eigs) @ Q.T
 
 
 def small_softmax_objective(lam=1e-2, seed=0):
@@ -54,142 +23,6 @@ def small_softmax_objective(lam=1e-2, seed=0):
     y = rng.integers(0, 3, size=40)
     loss = SoftmaxCrossEntropy(X, y, 3)
     return RegularizedObjective(loss, L2Regularizer(loss.dim, lam))
-
-
-class TestMINRES:
-    def test_solves_spd_system(self):
-        A = random_spd(12, cond=50.0)
-        b = np.random.default_rng(1).standard_normal(12)
-        result = minres(MatrixOperator(A), b, tol=1e-10, max_iter=100)
-        assert result.converged
-        np.testing.assert_allclose(result.x, np.linalg.solve(A, b), atol=1e-6)
-
-    def test_solves_indefinite_system(self):
-        A = random_symmetric_indefinite(10, seed=3)
-        b = np.random.default_rng(2).standard_normal(10)
-        result = minres(A.__matmul__, b, tol=1e-10, max_iter=200)
-        assert result.converged
-        np.testing.assert_allclose(result.x, np.linalg.solve(A, b), atol=1e-6)
-
-    def test_zero_rhs(self):
-        A = random_spd(5)
-        result = minres(MatrixOperator(A), np.zeros(5))
-        assert result.converged
-        assert result.n_iterations == 0
-        np.testing.assert_array_equal(result.x, np.zeros(5))
-
-    def test_early_stopping_respects_budget(self):
-        A = random_spd(30, cond=1e4, seed=5)
-        b = np.random.default_rng(3).standard_normal(30)
-        result = minres(MatrixOperator(A), b, tol=1e-14, max_iter=3)
-        assert result.n_iterations <= 3
-
-    def test_warm_start_from_solution_converges_immediately(self):
-        A = random_spd(8)
-        b = np.random.default_rng(4).standard_normal(8)
-        x_star = np.linalg.solve(A, b)
-        result = minres(MatrixOperator(A), b, x0=x_star, tol=1e-8)
-        assert result.converged
-        assert result.n_iterations == 0
-
-    def test_residual_history_decreases(self):
-        A = random_spd(15, cond=100.0, seed=7)
-        b = np.random.default_rng(5).standard_normal(15)
-        result = minres(MatrixOperator(A), b, tol=0.0, max_iter=15)
-        history = np.asarray(result.residual_history)
-        # MINRES residual norms are monotonically non-increasing.
-        assert np.all(np.diff(history) <= 1e-9)
-
-    def test_invalid_arguments(self):
-        A = MatrixOperator(np.eye(3))
-        with pytest.raises(ValueError):
-            minres(A, np.ones(3), max_iter=-1)
-        with pytest.raises(ValueError):
-            minres(A, np.ones(3), tol=-1.0)
-
-    def test_matches_cg_on_spd(self):
-        A = random_spd(10, cond=30.0, seed=11)
-        b = np.random.default_rng(6).standard_normal(10)
-        cg = conjugate_gradient(MatrixOperator(A), b, tol=1e-12, max_iter=200)
-        mr = minres(MatrixOperator(A), b, tol=1e-12, max_iter=200)
-        np.testing.assert_allclose(cg.x, mr.x, atol=1e-6)
-
-    @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 10_000), dim=st.integers(2, 12))
-    def test_property_residual_below_tolerance(self, seed, dim):
-        A = random_spd(dim, cond=20.0, seed=seed)
-        b = np.random.default_rng(seed + 1).standard_normal(dim)
-        result = minres(MatrixOperator(A), b, tol=1e-8, max_iter=10 * dim)
-        assert result.converged
-        assert result.residual_norm <= 1e-8 * np.linalg.norm(b) + 1e-12
-
-
-class TestLanczos:
-    def test_tridiagonal_shape(self):
-        A = MatrixOperator(random_spd(20, cond=100.0))
-        result = lanczos(A, max_iter=8, random_state=0)
-        T = result.tridiagonal()
-        assert T.shape == (result.n_iterations, result.n_iterations)
-        np.testing.assert_allclose(T, T.T)
-
-    def test_full_run_recovers_spectrum(self):
-        A_dense = random_spd(10, cond=50.0, seed=2)
-        result = lanczos(MatrixOperator(A_dense), max_iter=10, random_state=0)
-        ritz = np.sort(result.ritz_values())
-        eigs = np.sort(np.linalg.eigvalsh(A_dense))
-        np.testing.assert_allclose(ritz, eigs, rtol=1e-6)
-
-    def test_extreme_eigenvalues_bracket_spectrum(self):
-        A_dense = random_spd(30, cond=1e3, seed=3)
-        lo, hi = lanczos_extreme_eigenvalues(
-            MatrixOperator(A_dense), max_iter=25, random_state=1
-        )
-        eigs = np.linalg.eigvalsh(A_dense)
-        # Ritz values are interior approximations of the spectrum.
-        assert lo >= eigs.min() - 1e-8
-        assert hi <= eigs.max() + 1e-8
-        # And the largest one converges quickly.
-        assert hi == pytest.approx(eigs.max(), rel=1e-3)
-
-    def test_condition_estimate_close_to_truth(self):
-        A_dense = random_spd(12, cond=200.0, seed=4)
-        estimate = lanczos_condition_estimate(
-            MatrixOperator(A_dense), max_iter=12, random_state=0
-        )
-        assert estimate == pytest.approx(200.0, rel=0.05)
-
-    def test_spectral_norm_on_indefinite_matrix(self):
-        A_dense = random_symmetric_indefinite(15, seed=8)
-        est = spectral_norm_estimate(MatrixOperator(A_dense), max_iter=15, random_state=0)
-        truth = np.max(np.abs(np.linalg.eigvalsh(A_dense)))
-        assert est == pytest.approx(truth, rel=1e-3)
-
-    def test_basis_orthonormal(self):
-        A = MatrixOperator(random_spd(16, cond=30.0, seed=6))
-        result = lanczos(A, max_iter=10, store_basis=True, random_state=0)
-        V = result.basis
-        assert V is not None
-        np.testing.assert_allclose(V.T @ V, np.eye(V.shape[1]), atol=1e-8)
-
-    def test_breakdown_on_identity(self):
-        # On the identity the Krylov space is one-dimensional: Lanczos stops
-        # after a single step regardless of the requested budget.
-        result = lanczos(MatrixOperator(np.eye(7)), max_iter=5, random_state=0)
-        assert result.n_iterations == 1
-        assert result.ritz_values() == pytest.approx(np.ones(1))
-
-    def test_invalid_max_iter(self):
-        with pytest.raises(ValueError):
-            lanczos(MatrixOperator(np.eye(3)), max_iter=0)
-
-    def test_hessian_operator_condition_matches_dense(self):
-        objective = small_softmax_objective(lam=1e-1)
-        w = np.random.default_rng(0).standard_normal(objective.dim) * 0.1
-        op = HessianOperator(objective, w)
-        H = objective.hessian(w)
-        est = lanczos_condition_estimate(op, max_iter=objective.dim, random_state=0)
-        eigs = np.linalg.eigvalsh(H)
-        assert est == pytest.approx(eigs.max() / eigs.min(), rel=0.05)
 
 
 class TestPreconditioners:
@@ -267,62 +100,3 @@ class TestPreconditioners:
             objective, np.zeros(objective.dim), n_probes=3, damping=1e-2, random_state=0
         )
         assert prec.dim == objective.dim
-
-
-class TestSketching:
-    @pytest.mark.parametrize("kind", ["gaussian", "count", "rows", "srht"])
-    def test_shapes(self, kind):
-        S = sketch_matrix(kind, 16, 50, random_state=0)
-        assert S.shape == (16, 50)
-
-    @pytest.mark.parametrize("kind", ["gaussian", "count", "rows", "srht"])
-    def test_unbiased_gram_estimate(self, kind):
-        # Average (S A)^T (S A) over independent sketches approaches A^T A.
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((60, 5))
-        target = A.T @ A
-        acc = np.zeros((5, 5))
-        n_rep = 200
-        for rep in range(n_rep):
-            S = sketch_matrix(kind, 20, 60, random_state=rep)
-            SA = np.asarray(S @ A)
-            acc += SA.T @ SA
-        acc /= n_rep
-        err = np.linalg.norm(acc - target) / np.linalg.norm(target)
-        assert err < 0.15
-
-    def test_row_sampling_with_probabilities(self):
-        probs = np.arange(1, 11, dtype=float)
-        S = row_sampling_sketch(6, 10, probabilities=probs, random_state=0)
-        assert S.shape == (6, 10)
-        # Every sketch row has exactly one nonzero.
-        assert S.nnz == 6
-
-    def test_row_sampling_rejects_bad_probabilities(self):
-        with pytest.raises(ValueError):
-            row_sampling_sketch(4, 10, probabilities=np.ones(3))
-        with pytest.raises(ValueError):
-            row_sampling_sketch(4, 10, probabilities=-np.ones(10))
-        with pytest.raises(ValueError):
-            row_sampling_sketch(4, 10, probabilities=np.zeros(10))
-
-    def test_count_sketch_single_nonzero_per_column(self):
-        S = count_sketch(8, 30, random_state=1)
-        nnz_per_col = np.diff(S.tocsc().indptr)
-        assert np.all(nnz_per_col == 1)
-
-    def test_invalid_sizes(self):
-        with pytest.raises(ValueError):
-            gaussian_sketch(0, 10)
-        with pytest.raises(ValueError):
-            srht_sketch(4, 0)
-        with pytest.raises(ValueError):
-            sketch_matrix("bogus", 4, 10)
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1000), m=st.integers(1, 12), n=st.integers(1, 40))
-    def test_property_gaussian_sketch_scaling(self, seed, m, n):
-        S = gaussian_sketch(m, n, random_state=seed)
-        # Entries are N(0, 1/m): the Frobenius norm squared concentrates near n.
-        assert S.shape == (m, n)
-        assert np.isfinite(S).all()

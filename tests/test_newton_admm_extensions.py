@@ -119,41 +119,9 @@ class TestResidualStopping:
             NewtonADMM(stop_rel_tol=-1.0)
 
 
-class TestCGToleranceSchedule:
-    def test_decay_one_is_constant(self):
-        solver = NewtonADMM(cg_tol=1e-4, cg_tol_decay=1.0)
-        assert solver._make_local_solver(1).cg_tol == pytest.approx(1e-4)
-        assert solver._make_local_solver(50).cg_tol == pytest.approx(1e-4)
-
-    def test_decay_tightens_tolerance_over_epochs(self):
-        solver = NewtonADMM(cg_tol=1e-2, cg_tol_decay=0.5)
-        assert solver._make_local_solver(1).cg_tol == pytest.approx(1e-2)
-        assert solver._make_local_solver(2).cg_tol == pytest.approx(5e-3)
-        assert solver._make_local_solver(5).cg_tol == pytest.approx(1e-2 * 0.5**4)
-
-    def test_tolerance_floored(self):
-        solver = NewtonADMM(cg_tol=1e-4, cg_tol_decay=0.1)
-        assert solver._make_local_solver(100).cg_tol >= 1e-14
-
-    def test_decaying_schedule_converges(self, dataset, f_star):
-        trace = NewtonADMM(
-            lam=1e-3,
-            max_epochs=40,
-            cg_tol=1e-2,
-            cg_tol_decay=0.8,
-            record_accuracy=False,
-        ).fit(make_cluster(dataset))
-        assert trace.final.objective <= f_star * 1.05 + 1e-6
-
-    def test_invalid_decay_rejected(self):
-        with pytest.raises(ValueError):
-            NewtonADMM(cg_tol_decay=0.0)
-        with pytest.raises(ValueError):
-            NewtonADMM(cg_tol_decay=1.5)
-
+class TestHyperparameters:
     def test_hyperparameters_serialized(self):
-        solver = NewtonADMM(over_relaxation=1.5, cg_tol_decay=0.9, stop_abs_tol=1e-4)
+        solver = NewtonADMM(over_relaxation=1.5, stop_abs_tol=1e-4)
         params = solver.hyperparameters()
         assert params["over_relaxation"] == 1.5
-        assert params["cg_tol_decay"] == 0.9
         assert params["stop_abs_tol"] == 1e-4

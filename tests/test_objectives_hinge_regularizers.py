@@ -1,17 +1,17 @@
-"""Tests for the squared-hinge losses and the smoothed L1 / elastic-net regularizers."""
+"""Tests for the smoothed L1 and elastic-net regularizers."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.objectives.hinge import BinarySquaredHinge, MulticlassSquaredHinge
 from repro.objectives.regularizers import (
     ElasticNetRegularizer,
     L2Regularizer,
     SmoothedL1Regularizer,
 )
 from repro.objectives.base import RegularizedObjective
+from repro.objectives.logistic import BinaryLogistic
 from repro.solvers.newton_cg import NewtonCG
 
 
@@ -22,149 +22,6 @@ def finite_difference_gradient(objective, w, eps=1e-6):
         e[j] = eps
         grad[j] = (objective.value(w + e) - objective.value(w - e)) / (2 * eps)
     return grad
-
-
-def binary_data(n=40, p=6, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p))
-    y = (X @ rng.standard_normal(p) > 0).astype(int)
-    return X, y
-
-
-def multiclass_data(n=50, p=5, C=4, seed=0):
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n, p))
-    y = rng.integers(0, C, size=n)
-    return X, y
-
-
-class TestBinarySquaredHinge:
-    def test_value_nonnegative_and_zero_on_separating_w(self):
-        X = np.array([[2.0], [-2.0]])
-        y = np.array([1, 0])
-        loss = BinarySquaredHinge(X, y, scale="sum")
-        # w = 1 gives margins exactly +2 for both samples -> no violation.
-        assert loss.value(np.array([1.0])) == pytest.approx(0.0)
-        assert loss.value(np.array([0.0])) > 0
-
-    def test_gradient_matches_finite_differences(self):
-        X, y = binary_data()
-        loss = BinarySquaredHinge(X, y)
-        w = np.random.default_rng(1).standard_normal(X.shape[1]) * 0.3
-        np.testing.assert_allclose(
-            loss.gradient(w), finite_difference_gradient(loss, w), atol=1e-5
-        )
-
-    def test_value_and_gradient_consistent(self):
-        X, y = binary_data(seed=2)
-        loss = BinarySquaredHinge(X, y)
-        w = np.random.default_rng(2).standard_normal(X.shape[1])
-        v, g = loss.value_and_gradient(w)
-        assert v == pytest.approx(loss.value(w))
-        np.testing.assert_allclose(g, loss.gradient(w))
-
-    def test_hvp_matches_dense_generalized_hessian(self):
-        X, y = binary_data(seed=3)
-        loss = BinarySquaredHinge(X, y)
-        w = np.random.default_rng(3).standard_normal(X.shape[1]) * 0.1
-        H = loss.hessian(w)
-        v = np.random.default_rng(4).standard_normal(X.shape[1])
-        np.testing.assert_allclose(loss.hvp(w, v), H @ v, atol=1e-8)
-
-    def test_hessian_sqrt_reconstructs_hessian(self):
-        X, y = binary_data(seed=5)
-        loss = BinarySquaredHinge(X, y)
-        w = np.random.default_rng(5).standard_normal(X.shape[1]) * 0.2
-        A = loss.hessian_sqrt(w)
-        np.testing.assert_allclose(A.T @ A, loss.hessian(w), atol=1e-8)
-
-    def test_newton_cg_trains_a_separable_problem(self):
-        rng = np.random.default_rng(6)
-        X = np.vstack([rng.normal(2, 1, (30, 3)), rng.normal(-2, 1, (30, 3))])
-        y = np.array([1] * 30 + [0] * 30)
-        loss = BinarySquaredHinge(X, y)
-        objective = RegularizedObjective(loss, L2Regularizer(3, 1e-3))
-        result = NewtonCG(max_iterations=50, cg_max_iter=30).minimize(objective)
-        accuracy = np.mean(loss.predict(result.w) == y)
-        assert accuracy >= 0.95
-
-    def test_minibatch_and_predict_shapes(self):
-        X, y = binary_data(seed=7)
-        loss = BinarySquaredHinge(X, y)
-        batch = loss.minibatch(np.arange(5))
-        assert batch.n_samples == 5
-        assert loss.predict(np.zeros(X.shape[1])).shape == (X.shape[0],)
-
-    def test_requires_binary_labels(self):
-        X, _ = binary_data()
-        with pytest.raises(ValueError):
-            BinarySquaredHinge(X, np.random.default_rng(0).integers(0, 3, X.shape[0]))
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=st.integers(0, 1000))
-    def test_property_convexity_along_segments(self, seed):
-        X, y = binary_data(seed=seed)
-        loss = BinarySquaredHinge(X, y)
-        rng = np.random.default_rng(seed + 1)
-        a = rng.standard_normal(X.shape[1])
-        b = rng.standard_normal(X.shape[1])
-        mid = 0.5 * (a + b)
-        assert loss.value(mid) <= 0.5 * loss.value(a) + 0.5 * loss.value(b) + 1e-10
-
-
-class TestMulticlassSquaredHinge:
-    def test_dim_is_classes_times_features(self):
-        X, y = multiclass_data()
-        loss = MulticlassSquaredHinge(X, y, 4)
-        assert loss.dim == 4 * X.shape[1]
-
-    def test_gradient_matches_finite_differences(self):
-        X, y = multiclass_data(n=30, p=4, C=3, seed=1)
-        loss = MulticlassSquaredHinge(X, y, 3)
-        w = np.random.default_rng(1).standard_normal(loss.dim) * 0.2
-        np.testing.assert_allclose(
-            loss.gradient(w), finite_difference_gradient(loss, w), atol=1e-5
-        )
-
-    def test_hvp_matches_dense_hessian(self):
-        X, y = multiclass_data(n=25, p=3, C=3, seed=2)
-        loss = MulticlassSquaredHinge(X, y, 3)
-        w = np.random.default_rng(2).standard_normal(loss.dim) * 0.1
-        H = loss.hessian(w)
-        v = np.random.default_rng(3).standard_normal(loss.dim)
-        np.testing.assert_allclose(loss.hvp(w, v), H @ v, atol=1e-8)
-
-    def test_training_improves_accuracy(self):
-        rng = np.random.default_rng(4)
-        centers = np.array([[3.0, 0.0], [-3.0, 0.0], [0.0, 3.0]])
-        X = np.vstack([rng.normal(c, 0.8, (25, 2)) for c in centers])
-        y = np.repeat(np.arange(3), 25)
-        loss = MulticlassSquaredHinge(X, y, 3)
-        objective = RegularizedObjective(loss, L2Regularizer(loss.dim, 1e-3))
-        result = NewtonCG(max_iterations=50, cg_max_iter=40).minimize(objective)
-        assert np.mean(loss.predict(result.w) == y) >= 0.9
-
-    def test_minibatch_preserves_classes(self):
-        X, y = multiclass_data(seed=5)
-        loss = MulticlassSquaredHinge(X, y, 4)
-        batch = loss.minibatch(np.arange(8))
-        assert batch.n_classes == 4
-        assert batch.dim == loss.dim
-
-    def test_value_and_gradient_consistent(self):
-        X, y = multiclass_data(seed=6)
-        loss = MulticlassSquaredHinge(X, y, 4)
-        w = np.random.default_rng(6).standard_normal(loss.dim)
-        v, g = loss.value_and_gradient(w)
-        assert v == pytest.approx(loss.value(w))
-        np.testing.assert_allclose(g, loss.gradient(w))
-
-    def test_flops_positive(self):
-        X, y = multiclass_data()
-        loss = MulticlassSquaredHinge(X, y, 4)
-        assert loss.flops_value() > 0
-        assert loss.flops_gradient() > loss.flops_value()
-        assert loss.flops_hvp() > 0
 
 
 class TestSmoothedL1Regularizer:
@@ -236,14 +93,12 @@ class TestElasticNetRegularizer:
         )
 
     def test_sparsity_pressure_shrinks_weights(self):
-        # Training logistic-style least squares with elastic net should give
-        # smaller weights than ridge alone at equal ridge strength.
+        # Training logistic regression with elastic net should give smaller
+        # weights than ridge alone at equal ridge strength.
         rng = np.random.default_rng(4)
         X = rng.standard_normal((60, 8))
-        b = X[:, 0] * 2.0 + 0.05 * rng.standard_normal(60)
-        from repro.objectives.least_squares import LeastSquares
-
-        loss = LeastSquares(X, b)
+        y = (X[:, 0] * 2.0 + 0.5 * rng.standard_normal(60) > 0).astype(int)
+        loss = BinaryLogistic(X, y)
         ridge_only = NewtonCG(max_iterations=50).minimize(
             RegularizedObjective(loss, L2Regularizer(8, 1e-3))
         )

@@ -1,10 +1,9 @@
-"""Tests for the binary logistic and least-squares objectives."""
+"""Tests for the binary logistic objective."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.objectives.least_squares import LeastSquares
 from repro.objectives.logistic import BinaryLogistic
 from tests.conftest import numerical_gradient
 
@@ -92,46 +91,12 @@ class TestBinaryLogistic:
         w = np.ones(6) * 0.2
         np.testing.assert_allclose(total.value(w), 50 * mean.value(w))
 
-
-class TestLeastSquares:
-    @pytest.fixture()
-    def ls_problem(self):
-        rng = np.random.default_rng(0)
-        X = rng.standard_normal((30, 5))
-        b = rng.standard_normal(30)
-        return LeastSquares(X, b)
-
-    def test_value_nonnegative(self, ls_problem):
-        w = np.random.default_rng(1).standard_normal(5)
-        assert ls_problem.value(w) >= 0.0
-
-    def test_gradient_matches_finite_differences(self, ls_problem):
-        w = np.random.default_rng(2).standard_normal(5)
-        np.testing.assert_allclose(
-            ls_problem.gradient(w), numerical_gradient(ls_problem.value, w), atol=1e-6
-        )
-
-    def test_gradient_zero_at_normal_equations_solution(self, ls_problem):
-        w_star = ls_problem.solve_normal_equations()
-        np.testing.assert_allclose(ls_problem.gradient(w_star), 0.0, atol=1e-10)
-
-    def test_hvp_constant_in_w(self, ls_problem):
-        rng = np.random.default_rng(3)
-        v = rng.standard_normal(5)
-        h1 = ls_problem.hvp(rng.standard_normal(5), v)
-        h2 = ls_problem.hvp(rng.standard_normal(5), v)
-        np.testing.assert_allclose(h1, h2, atol=1e-12)
-
-    def test_regularized_normal_equations(self, ls_problem):
-        w_star = ls_problem.solve_normal_equations(reg=0.5)
-        grad = ls_problem.gradient(w_star) + 0.5 * w_star
-        np.testing.assert_allclose(grad, 0.0, atol=1e-10)
-
-    def test_b_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            LeastSquares(np.eye(3), np.zeros(4))
-
-    def test_flops_positive(self, ls_problem):
-        assert ls_problem.flops_value() > 0
-        assert ls_problem.flops_gradient() > 0
-        assert ls_problem.flops_hvp() > 0
+    def test_minibatch_is_mean_over_batch(self, binary_problem):
+        X, y = binary_problem
+        obj = BinaryLogistic(X, y)
+        idx = np.arange(10)
+        batch = obj.minibatch(idx)
+        assert batch.n_samples == 10
+        w = np.zeros(6)
+        manual = BinaryLogistic(X[idx], y[idx]).value(w)
+        assert batch.value(w) == pytest.approx(manual)

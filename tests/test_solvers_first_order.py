@@ -1,4 +1,4 @@
-"""Tests for the first-order single-node solvers (GD, SGD, adaptive, SVRG, L-BFGS)."""
+"""Tests for SVRG, the first-order single-node solver InexactDANE runs locally."""
 
 import numpy as np
 import pytest
@@ -6,11 +6,6 @@ import pytest
 from repro.objectives.base import RegularizedObjective
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
-from repro.solvers.adaptive import Adadelta, Adagrad, Adam, RMSProp
-from repro.solvers.gradient_descent import GradientDescent
-from repro.solvers.lbfgs import LBFGS
-from repro.solvers.newton_cg import NewtonCG
-from repro.solvers.sgd import SGD
 from repro.solvers.svrg import SVRG
 
 
@@ -23,95 +18,6 @@ def objective():
     y = np.argmax(np.hstack([logits, np.zeros((200, 1))]), axis=1)
     loss = SoftmaxCrossEntropy(X, y, 3)
     return RegularizedObjective(loss, L2Regularizer(loss.dim, 1e-3))
-
-
-@pytest.fixture(scope="module")
-def f_star(objective):
-    return NewtonCG(max_iterations=100, cg_max_iter=100, cg_tol=1e-10,
-                    grad_tol=1e-10).minimize(objective).objective
-
-
-class TestGradientDescent:
-    def test_decreases_objective(self, objective):
-        res = GradientDescent(max_iterations=50).minimize(objective)
-        assert res.objective < objective.value(np.zeros(objective.dim))
-
-    def test_monotone_with_line_search(self, objective):
-        res = GradientDescent(max_iterations=30, line_search=True).minimize(objective)
-        assert np.all(np.diff(res.objective_trace()) <= 1e-12)
-
-    def test_fixed_step(self, objective):
-        res = GradientDescent(
-            max_iterations=30, step_size=0.5, line_search=False
-        ).minimize(objective)
-        assert res.objective < np.log(3)
-
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            GradientDescent(step_size=0.0)
-
-    def test_gets_reasonably_close_to_optimum(self, objective, f_star):
-        res = GradientDescent(max_iterations=200).minimize(objective)
-        assert res.objective < f_star + 0.1
-
-
-class TestSGD:
-    def test_decreases_objective(self, objective):
-        res = SGD(step_size=0.2, batch_size=32, max_epochs=20, random_state=0).minimize(
-            objective
-        )
-        assert res.objective < np.log(3)
-
-    def test_momentum_accepted(self, objective):
-        res = SGD(
-            step_size=0.1, momentum=0.9, batch_size=32, max_epochs=10, random_state=0
-        ).minimize(objective)
-        assert np.isfinite(res.objective)
-
-    def test_records_one_per_epoch(self, objective):
-        res = SGD(step_size=0.1, max_epochs=5, random_state=0).minimize(objective)
-        assert len(res.records) == 5
-        assert [r.extras["epoch"] for r in res.records] == [1, 2, 3, 4, 5]
-
-    def test_deterministic_given_seed(self, objective):
-        a = SGD(step_size=0.1, max_epochs=3, random_state=7).minimize(objective)
-        b = SGD(step_size=0.1, max_epochs=3, random_state=7).minimize(objective)
-        np.testing.assert_allclose(a.w, b.w)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            SGD(step_size=-1.0)
-        with pytest.raises(ValueError):
-            SGD(batch_size=0)
-        with pytest.raises(ValueError):
-            SGD(momentum=1.0)
-
-
-class TestAdaptiveMethods:
-    @pytest.mark.parametrize(
-        "cls,kwargs",
-        [
-            (Adam, {"step_size": 0.05}),
-            (Adagrad, {"step_size": 0.2}),
-            (RMSProp, {"step_size": 0.02}),
-            (Adadelta, {"step_size": 1.0}),
-        ],
-    )
-    def test_decreases_objective(self, objective, cls, kwargs):
-        res = cls(batch_size=32, max_epochs=15, random_state=0, **kwargs).minimize(
-            objective
-        )
-        assert res.objective < np.log(3)
-
-    def test_adam_bias_correction_finite_first_step(self, objective):
-        res = Adam(step_size=0.01, batch_size=32, max_epochs=1, random_state=0).minimize(
-            objective
-        )
-        assert np.all(np.isfinite(res.w))
-
-    def test_invalid_step_rejected(self):
-        with pytest.raises(ValueError):
-            Adam(step_size=0.0)
 
 
 class TestSVRG:
@@ -142,31 +48,3 @@ class TestSVRG:
             SVRG(n_outer=0)
         with pytest.raises(ValueError):
             SVRG(inner_per_sample=0.0)
-
-
-class TestLBFGS:
-    def test_converges_close_to_newton_optimum(self, objective, f_star):
-        res = LBFGS(max_iterations=150, grad_tol=1e-7).minimize(objective)
-        assert res.objective < f_star + 1e-3
-
-    def test_monotone_decrease(self, objective):
-        res = LBFGS(max_iterations=40).minimize(objective)
-        assert np.all(np.diff(res.objective_trace()) <= 1e-12)
-
-    def test_memory_bound_respected(self, objective):
-        res = LBFGS(memory=3, max_iterations=20).minimize(objective)
-        assert all(r.extras["memory_pairs"] <= 3 for r in res.records)
-
-    def test_invalid_memory_rejected(self):
-        with pytest.raises(ValueError):
-            LBFGS(memory=0)
-
-    def test_faster_than_gd_in_iterations(self, objective, f_star):
-        target = f_star + 0.01
-        lbfgs = LBFGS(max_iterations=200, grad_tol=0.0).minimize(objective)
-        gd = GradientDescent(max_iterations=200, grad_tol=0.0).minimize(objective)
-        lbfgs_hits = np.flatnonzero(lbfgs.objective_trace() <= target)
-        gd_hits = np.flatnonzero(gd.objective_trace() <= target)
-        assert lbfgs_hits.size > 0
-        if gd_hits.size > 0:
-            assert lbfgs_hits[0] <= gd_hits[0]

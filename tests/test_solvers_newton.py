@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.objectives.base import RegularizedObjective
-from repro.objectives.least_squares import LeastSquares
+from repro.objectives.base import Objective, RegularizedObjective
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
 from repro.solvers.base import CountingObjective
@@ -14,6 +13,24 @@ from repro.solvers.newton_cg import NewtonCG
 
 def quadratic(w):
     return float(0.5 * w @ w)
+
+
+class Quadratic(Objective):
+    """``0.5 w^T A w - b^T w``: a constant Hessian ``A``."""
+
+    def __init__(self, A, b):
+        self.A = A
+        self.b = b
+        self.dim = b.shape[0]
+
+    def value(self, w):
+        return float(0.5 * w @ self.A @ w - self.b @ w)
+
+    def gradient(self, w):
+        return self.A @ w - self.b
+
+    def hvp(self, w, v):
+        return self.A @ v
 
 
 class TestArmijoBacktracking:
@@ -120,11 +137,11 @@ class TestNewtonCG:
         rng = np.random.default_rng(1)
         X = rng.standard_normal((40, 5))
         b = rng.standard_normal(40)
-        ls = LeastSquares(X, b)
-        obj = RegularizedObjective(ls, L2Regularizer(5, 0.1))
+        A, rhs = X.T @ X / 40, X.T @ b / 40
+        obj = RegularizedObjective(Quadratic(A, rhs), L2Regularizer(5, 0.1))
         result = NewtonCG(max_iterations=5, cg_max_iter=50, cg_tol=1e-12).minimize(obj)
-        # closed-form: (scale X'X + 0.1 I) w = scale X'b
-        w_star = ls.solve_normal_equations(reg=0.1)
+        # closed-form: (A + 0.1 I) w = rhs
+        w_star = np.linalg.solve(A + 0.1 * np.eye(5), rhs)
         np.testing.assert_allclose(result.w, w_star, atol=1e-5)
         assert result.n_iterations <= 2
 

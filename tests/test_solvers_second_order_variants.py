@@ -1,29 +1,14 @@
-"""Tests for trust-region Newton, sub-sampled Newton and Newton-Sketch."""
+"""Tests for sub-sampled Newton."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.objectives.base import RegularizedObjective
-from repro.objectives.least_squares import LeastSquares
 from repro.objectives.logistic import BinaryLogistic
 from repro.objectives.regularizers import L2Regularizer
 from repro.objectives.softmax import SoftmaxCrossEntropy
 from repro.solvers.newton_cg import NewtonCG
-from repro.solvers.newton_sketch import NewtonSketch
 from repro.solvers.subsampled_newton import SubsampledNewton
-from repro.solvers.trust_region import TrustRegionNewton, steihaug_cg
-
-
-def quadratic_objective(dim=8, cond=20.0, seed=0):
-    rng = np.random.default_rng(seed)
-    Q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
-    eigs = np.logspace(0, np.log10(cond), dim)
-    A = Q @ np.diag(np.sqrt(eigs)) @ Q.T
-    b = rng.standard_normal(dim)
-    loss = LeastSquares(A, b, scale="sum")
-    return loss, loss.solve_normal_equations()
 
 
 def softmax_problem(n=120, p=10, C=3, lam=1e-2, seed=0):
@@ -41,103 +26,6 @@ def logistic_problem(n=150, p=12, lam=1e-2, seed=0):
     y = (X @ w_true + 0.3 * rng.standard_normal(n) > 0).astype(int)
     loss = BinaryLogistic(X, y)
     return RegularizedObjective(loss, L2Regularizer(p, lam))
-
-
-class TestSteihaugCG:
-    def test_interior_solution_matches_newton_step(self):
-        rng = np.random.default_rng(0)
-        Q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        H = Q @ np.diag(np.linspace(1, 5, 6)) @ Q.T
-        g = rng.standard_normal(6)
-        exact = -np.linalg.solve(H, g)
-        result = steihaug_cg(lambda v: H @ v, g, radius=1e6, tol=1e-12, max_iter=100)
-        assert not result.hit_boundary
-        np.testing.assert_allclose(result.p, exact, atol=1e-8)
-
-    def test_boundary_step_has_radius_norm(self):
-        rng = np.random.default_rng(1)
-        H = np.eye(5)
-        g = rng.standard_normal(5) * 10
-        radius = 0.1
-        result = steihaug_cg(lambda v: H @ v, g, radius=radius, max_iter=50)
-        assert result.hit_boundary
-        assert np.linalg.norm(result.p) == pytest.approx(radius, rel=1e-8)
-
-    def test_negative_curvature_goes_to_boundary(self):
-        H = np.diag([1.0, -2.0])
-        g = np.array([0.5, 0.5])
-        result = steihaug_cg(lambda v: H @ v, g, radius=1.0, max_iter=10)
-        assert result.negative_curvature
-        assert np.linalg.norm(result.p) == pytest.approx(1.0, rel=1e-8)
-
-    def test_zero_gradient_returns_zero_step(self):
-        result = steihaug_cg(lambda v: v, np.zeros(4), radius=1.0)
-        np.testing.assert_array_equal(result.p, np.zeros(4))
-        assert result.n_iterations == 0
-
-    def test_model_decrease_nonnegative(self):
-        rng = np.random.default_rng(3)
-        H = np.diag(np.linspace(0.5, 4.0, 7))
-        g = rng.standard_normal(7)
-        result = steihaug_cg(lambda v: H @ v, g, radius=0.5, max_iter=20)
-        assert result.model_decrease >= 0
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            steihaug_cg(lambda v: v, np.ones(3), radius=0.0)
-
-
-class TestTrustRegionNewton:
-    def test_converges_on_quadratic(self):
-        loss, w_star = quadratic_objective()
-        solver = TrustRegionNewton(max_iterations=100, grad_tol=1e-10, cg_max_iter=50)
-        result = solver.minimize(loss)
-        assert result.converged
-        np.testing.assert_allclose(result.w, w_star, atol=1e-5)
-
-    def test_converges_on_softmax(self):
-        objective = softmax_problem()
-        reference = NewtonCG(max_iterations=100, grad_tol=1e-10, cg_max_iter=100, cg_tol=1e-10)
-        f_star = reference.minimize(objective).objective
-        solver = TrustRegionNewton(max_iterations=100, grad_tol=1e-8, cg_max_iter=50)
-        result = solver.minimize(objective)
-        assert result.objective == pytest.approx(f_star, abs=1e-6)
-
-    def test_objective_monotone_over_accepted_steps(self):
-        objective = softmax_problem(seed=3)
-        result = TrustRegionNewton(max_iterations=30).minimize(objective)
-        objs = [r.objective for r in result.records if r.extras.get("accepted")]
-        assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
-
-    def test_records_contain_radius_and_ratio(self):
-        objective = softmax_problem(seed=4)
-        result = TrustRegionNewton(max_iterations=5).minimize(objective)
-        assert result.records
-        for record in result.records:
-            assert "radius" in record.extras
-            assert "ratio" in record.extras
-
-    def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            TrustRegionNewton(initial_radius=0.0)
-        with pytest.raises(ValueError):
-            TrustRegionNewton(initial_radius=10.0, max_radius=1.0)
-        with pytest.raises(ValueError):
-            TrustRegionNewton(eta=0.5)
-
-    def test_callback_invoked(self):
-        objective = softmax_problem(seed=5)
-        seen = []
-        TrustRegionNewton(max_iterations=3).minimize(
-            objective, callback=lambda rec, w: seen.append(rec.iteration)
-        )
-        assert seen == list(range(len(seen)))
-
-    def test_w0_respected(self):
-        objective = softmax_problem(seed=6)
-        w0 = np.full(objective.dim, 0.05)
-        result = TrustRegionNewton(max_iterations=1).minimize(objective, w0)
-        assert result.w.shape == w0.shape
 
 
 class TestSubsampledNewton:
@@ -230,100 +118,3 @@ class TestSubsampledNewton:
         assert result.info["hessian_sample_size"] == 30
         for record in result.records:
             assert record.extras["hessian_samples"] == 30
-
-
-class TestNewtonSketch:
-    def test_large_sketch_matches_newton_on_logistic(self):
-        objective = logistic_problem(n=200, p=8, seed=3)
-        newton = NewtonCG(max_iterations=50, grad_tol=1e-10, cg_max_iter=60, cg_tol=1e-10)
-        f_star = newton.minimize(objective).objective
-        sketchy = NewtonSketch(
-            sketch_size=200,
-            max_iterations=50,
-            grad_tol=1e-8,
-            cg_max_iter=60,
-            cg_tol=1e-10,
-            random_state=0,
-        )
-        result = sketchy.minimize(objective)
-        assert result.objective == pytest.approx(f_star, abs=1e-5)
-
-    def test_small_sketch_still_converges_on_least_squares(self):
-        rng = np.random.default_rng(4)
-        X = rng.standard_normal((300, 6))
-        b = X @ rng.standard_normal(6) + 0.1 * rng.standard_normal(300)
-        loss = LeastSquares(X, b)
-        objective = RegularizedObjective(loss, L2Regularizer(6, 1e-3))
-        result = NewtonSketch(
-            sketch_size=60, max_iterations=60, grad_tol=1e-8, random_state=1
-        ).minimize(objective)
-        assert result.grad_norm < 1e-6
-
-    @pytest.mark.parametrize("kind", ["gaussian", "count", "rows", "srht"])
-    def test_all_sketch_kinds_run(self, kind):
-        objective = logistic_problem(n=80, p=5, seed=5)
-        result = NewtonSketch(
-            sketch_size=40, sketch_kind=kind, max_iterations=15, random_state=0
-        ).minimize(objective)
-        assert np.isfinite(result.objective)
-
-    def test_rejects_softmax_objective(self):
-        objective = softmax_problem()
-        with pytest.raises(TypeError):
-            NewtonSketch().minimize(objective)
-
-    def test_invalid_sketch_size(self):
-        with pytest.raises(ValueError):
-            NewtonSketch(sketch_size=0)
-
-    def test_sketch_rows_recorded(self):
-        objective = logistic_problem(n=50, p=4, seed=6)
-        result = NewtonSketch(sketch_size=30, max_iterations=2, random_state=0).minimize(
-            objective
-        )
-        for record in result.records:
-            assert record.extras["sketch_rows"] == 30
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=st.integers(0, 500))
-    def test_property_objective_never_increases_much(self, seed):
-        objective = logistic_problem(n=60, p=4, seed=seed)
-        result = NewtonSketch(sketch_size=30, max_iterations=10, random_state=seed).minimize(
-            objective
-        )
-        objs = [r.objective for r in result.records]
-        if len(objs) >= 2:
-            # Armijo line search guarantees monotone decrease.
-            assert all(b <= a + 1e-10 for a, b in zip(objs, objs[1:]))
-
-
-class TestHessianSqrtFactors:
-    def test_logistic_sqrt_reconstructs_hessian(self):
-        objective = logistic_problem(n=40, p=5, lam=0.0, seed=7).loss
-        w = np.random.default_rng(0).standard_normal(5) * 0.3
-        A = objective.hessian_sqrt(w)
-        np.testing.assert_allclose(A.T @ A, objective.hessian(w), atol=1e-8)
-
-    def test_least_squares_sqrt_reconstructs_hessian(self):
-        rng = np.random.default_rng(8)
-        X = rng.standard_normal((30, 4))
-        loss = LeastSquares(X, rng.standard_normal(30))
-        A = loss.hessian_sqrt(np.zeros(4))
-        np.testing.assert_allclose(A.T @ A, loss.hessian(np.zeros(4)), atol=1e-10)
-
-    def test_logistic_minibatch_is_mean_over_batch(self):
-        objective = logistic_problem(n=60, p=5, seed=9).loss
-        idx = np.arange(10)
-        batch = objective.minibatch(idx)
-        assert batch.n_samples == 10
-        w = np.zeros(5)
-        manual = BinaryLogistic(objective.X[idx], objective.y[idx]).value(w)
-        assert batch.value(w) == pytest.approx(manual)
-
-    def test_least_squares_minibatch(self):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((20, 3))
-        b = rng.standard_normal(20)
-        loss = LeastSquares(X, b)
-        batch = loss.minibatch(np.array([0, 1, 2, 3]))
-        assert batch.n_samples == 4
