@@ -63,7 +63,6 @@ from repro.distributed.faults import (
 )
 from repro.distributed.solver_base import DistributedSolver
 from repro.distributed.worker import Worker
-from repro.objectives.base import ProximallyAugmentedObjective
 
 
 class AsyncNewtonADMM(NewtonADMM):
@@ -194,24 +193,8 @@ class AsyncNewtonADMM(NewtonADMM):
             if restart is not None:
                 self._dead[worker.worker_id] = restart
                 return
-        alpha = self.over_relaxation
-        z_local = worker.get_vector("z_local")
-        x = worker.get_vector("x")
-        y = worker.get_vector("y")
-        rho = float(worker.state["rho"])
-
         worker.mark_flops()
-        center = z_local + y / rho
-        subproblem = ProximallyAugmentedObjective(worker.objective, rho, center)
-        result = self._make_local_solver().minimize(subproblem, x)
-        x_new = result.w
-        x_relaxed = (
-            x_new if alpha == 1.0 else alpha * x_new + (1.0 - alpha) * z_local
-        )
-        y_hat = y + rho * (z_local - x_relaxed)
-        worker.set_vector("x", x_new)
-        worker.set_vector("x_relaxed", x_relaxed)
-        worker.set_vector("y_hat", y_hat)
+        update = self._x_update(cluster, worker, worker.get_vector("z_local"))
         seconds = worker.modelled_compute_time() * cluster.straggler_factor(
             worker.worker_id
         )
@@ -246,14 +229,7 @@ class AsyncNewtonADMM(NewtonADMM):
         engine.post(
             worker.worker_id,
             0.0,
-            payload={
-                "payload": rho * x_relaxed - y,
-                "rho": rho,
-                "version": int(worker.state["z_version"]),
-                "newton_iters": result.n_iterations,
-                "cg_iters": result.info.get("total_cg_iterations", 0),
-                "cg_exit_reasons": result.info["cg_exit_reasons"],
-            },
+            payload={**update, "version": int(worker.state["z_version"])},
         )
 
     # -- hooks ---------------------------------------------------------------

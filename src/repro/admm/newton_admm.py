@@ -82,8 +82,18 @@ class NewtonADMM(DistributedSolver):
         residuals; when both are positive the solver stops as soon as both
         residuals fall below their thresholds (before ``max_epochs``).
     precision:
-        ``"mixed"`` accumulates the local CG reduction scalars in float64;
-        ``None`` follows the session default (:mod:`repro.backend.precision`).
+        Precision of the local x-update (:mod:`repro.backend.precision`).
+        ``None`` (default) resolves to the cluster's precision — the session
+        default unless the cluster was given one — and, when that is unset
+        too, to ``"mixed"``: each worker solves on a float32 copy of its
+        shard (built once per cluster, its FLOPs charged to the worker), so
+        the GEMMs run in single precision while the iterates, CG vectors,
+        line search, log-sum-exp, z/dual/penalty updates and the epoch
+        records stay float64.  ``"fp64"``, or the cluster's own precision,
+        solves on the worker's own loss — float64 only when the cluster is.
+        The mixed solve reaches the fp64 one within the documented
+        tolerance; ``docs/performance.md``, "Mixed-precision local solve",
+        has the measurements.
     on_failure:
         Reaction of the strict-sync schedule to an injected worker crash:
         ``"raise"`` (default, a :class:`~repro.distributed.faults.WorkerLostError`)
@@ -174,48 +184,64 @@ class NewtonADMM(DistributedSolver):
             worker.state["rho"] = rho0
             worker.state["policy"] = policy_factory()
 
-    def _make_local_solver(self) -> NewtonCG:
-        return NewtonCG(
+    def _x_update(self, cluster: SimulatedCluster, worker: Worker, z) -> dict:
+        """Algorithm 2's local x-update of ``worker`` against consensus ``z``.
+
+        Minimizes ``f_i(x) + (rho_i/2) ||x - (z + y_i / rho_i)||^2`` from the
+        worker's previous ``x`` with inexact Newton-CG, at the resolved
+        ``precision`` (see the class docstring).  Stores ``x``, the
+        over-relaxed ``x_relaxed`` and the spectral policy's ``y_hat`` on the
+        worker and returns the consensus payload with the solve's counts.
+        """
+        precision = self.precision or cluster.precision or "mixed"
+        loss = (
+            worker.objective
+            if precision in ("fp64", cluster.precision)
+            else cluster.worker_loss(worker, precision)
+        )
+        x = worker.get_vector("x")
+        y = worker.get_vector("y")
+        rho = float(worker.state["rho"])
+        subproblem = ProximallyAugmentedObjective(loss, rho, z + y / rho)
+        result = NewtonCG(
             max_iterations=self.local_newton_iters,
             grad_tol=1e-10,
             cg_max_iter=self.cg_max_iter,
             cg_tol=self.cg_tol,
             line_search_max_iter=self.line_search_max_iter,
-            precision=self.precision,
-        )
+            precision=precision,
+        ).minimize(subproblem, x)
+        x_new = result.w
+        # Over-relaxed iterate used by the z- and dual updates (alpha = 1
+        # reduces to the plain iterate).
+        alpha = self.over_relaxation
+        x_relaxed = x_new if alpha == 1.0 else alpha * x_new + (1.0 - alpha) * z
+        # Intermediate ("hat") dual used by the spectral policy: the dual
+        # that would result from the *old* consensus variable.
+        y_hat = y + rho * (z - x_relaxed)
+        # ``x`` is stored as the very object the solve last evaluated, so the
+        # next x-update's first evaluation is a hit in the loss's forward
+        # cache.
+        worker.set_vector("x", x_new)
+        worker.set_vector("x_relaxed", x_relaxed)
+        worker.set_vector("y_hat", y_hat)
+        return {
+            "payload": rho * x_relaxed - y,
+            "rho": rho,
+            "newton_iters": result.n_iterations,
+            "cg_iters": result.info.get("total_cg_iterations", 0),
+            "cg_exit_reasons": result.info["cg_exit_reasons"],
+        }
 
     def _plan_epoch(self, cluster: SimulatedCluster, epoch: int) -> RoundPlan:
         z_old = self._z
         if z_old is None:
             raise RuntimeError("NewtonADMM epoch requested before _initialize")
-        alpha = self.over_relaxation
         backend = cluster.backend
 
         # ---- 1. local x-updates (parallel across workers) -------------------
         def local_x_update(worker: Worker, ctx: dict) -> dict:
-            x = worker.get_vector("x")
-            y = worker.get_vector("y")
-            rho = float(worker.state["rho"])
-            center = z_old + y / rho
-            subproblem = ProximallyAugmentedObjective(worker.objective, rho, center)
-            result = self._make_local_solver().minimize(subproblem, x)
-            x_new = result.w
-            # Over-relaxed iterate used by the z- and dual updates (alpha = 1
-            # reduces to the plain iterate).
-            x_relaxed = x_new if alpha == 1.0 else alpha * x_new + (1.0 - alpha) * z_old
-            # Intermediate ("hat") dual used by the spectral policy: the dual
-            # that would result from the *old* consensus variable.
-            y_hat = y + rho * (z_old - x_relaxed)
-            worker.set_vector("x", x_new)
-            worker.set_vector("x_relaxed", x_relaxed)
-            worker.set_vector("y_hat", y_hat)
-            return {
-                "payload": rho * x_relaxed - y,
-                "rho": rho,
-                "newton_iters": result.n_iterations,
-                "cg_iters": result.info.get("total_cg_iterations", 0),
-                "cg_exit_reasons": result.info["cg_exit_reasons"],
-            }
+            return self._x_update(cluster, worker, z_old)
 
         # ---- 2. one communication round: reduce -> z-update -> broadcast ----
         # Only the sums of the payloads and of the penalties are needed for

@@ -20,7 +20,13 @@ perturb convergence.  Following the GPU-accelerated primal-learning recipe
     convergence — the documented tolerance is that a mixed-mode solve reaches
     the same final objective as fp64 within ``5e-4`` relative and the same
     final iterate within ``2e-3`` relative L2 (see ``docs/performance.md``;
-    asserted in ``tests/test_precision.py``).
+    asserted in ``tests/test_precision.py``).  A float64 iterate may meet
+    float32 storage: the softmax casts its small weight/direction block to
+    float32 before each product and returns gradients and HVPs in float64.
+    That is how Newton-ADMM's local x-update runs by default
+    (:class:`~repro.admm.newton_admm.NewtonADMM` ``precision=None``): a
+    float32 copy of each shard under float64 iterates, CG vectors and
+    records.
 ``"fp64"``
     Explicitly promote host data to float64 (useful to force the reference
     behaviour on a float32 dataset).

@@ -105,6 +105,11 @@ def _call_loss_factory(
     return factory(shard, n_total)
 
 
+def _storage_itemsize(loss: Objective) -> int:
+    """Bytes per entry of ``loss``'s design matrix (8 when it exposes none)."""
+    return getattr(getattr(getattr(loss, "X", None), "dtype", None), "itemsize", 8)
+
+
 class SimulatedCluster:
     """A deterministic in-process stand-in for the paper's GPU cluster.
 
@@ -276,6 +281,9 @@ class SimulatedCluster:
         self._process_role = None
         self._process_runtime = None
         self._process_flops = None
+        #: (worker id, precision) -> the worker's shard loss at a precision
+        #: other than the cluster's (see :meth:`worker_loss`)
+        self._worker_losses: Dict[tuple, CountingObjective] = {}
 
         if isinstance(loss, str):
             if loss not in LOSS_FACTORIES:
@@ -732,6 +740,32 @@ class SimulatedCluster:
         return _call_loss_factory(
             self._loss_factory, shard, self.n_total, self.backend, self.precision
         )
+
+    def worker_loss(self, worker: Worker, precision: str) -> CountingObjective:
+        """``worker``'s shard loss stored at ``precision``, counted in
+        ``worker.objective``'s counters.
+
+        A local solver may run at another precision than the cluster's own
+        losses, which the epoch records keep evaluating.  The copy is built
+        on first use and kept for the cluster's lifetime, so later fits on
+        this cluster (or rank replica) reuse it; it costs the FLOPs the
+        worker's own loss would, so the modelled clock does not move.  Where
+        the built loss stores ``X`` no narrower than the worker's own (a
+        custom factory that ignores ``precision=``), the worker's own loss
+        is returned instead of a duplicate.
+        """
+        key = (worker.worker_id, precision)
+        loss = self._worker_losses.get(key)
+        if loss is None:
+            base = _call_loss_factory(
+                self._loss_factory, worker.shard, self.n_total, self.backend, precision
+            )
+            if _storage_itemsize(base) < _storage_itemsize(worker.objective.base):
+                loss = worker.objective.over(base)
+            else:  # e.g. a factory that ignores ``precision``: no narrower copy
+                loss = worker.objective
+            self._worker_losses[key] = loss
+        return loss
 
     def global_loss(self) -> Objective:
         """The global mean loss over the full (unsharded) training set."""

@@ -6,7 +6,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.backend import ArrayBackend, BackendLike, copy_array, get_backend
+from repro.backend import ArrayBackend, BackendLike, get_backend
 from repro.datasets.base import ClassificationDataset
 from repro.distributed.device import DeviceModel
 from repro.objectives.base import Objective
@@ -111,8 +111,14 @@ class Worker:
         return self.backend.as_vector(value, name=key)
 
     def set_vector(self, key: str, value: np.ndarray) -> None:
-        value = self.backend.as_vector(value, name=key)
-        self.state[key] = copy_array(value)
+        """Store ``value`` under ``key`` as the object itself, not a copy.
+
+        State vectors are immutable by contract: every writer stores a
+        freshly computed vector and nothing updates one in place, so no
+        copy is needed, and a stored iterate keeps the identity the
+        objectives' per-iterate forward caches key on.
+        """
+        self.state[key] = self.backend.as_vector(value, name=key)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -178,9 +178,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "storage/compute precision for every objective the experiment "
-            "builds (default: follow the data's dtype, i.e. fp64; 'mixed' "
-            "stores fp32 and keeps log-sum-exp and CG reductions in fp64 — "
-            "see docs/performance.md for the convergence-tolerance contract)"
+            "builds (default: follow the data's dtype, i.e. fp64, except "
+            "Newton-ADMM's local x-update, which defaults to 'mixed'; "
+            "'mixed' stores fp32 and keeps log-sum-exp and CG reductions in "
+            "fp64 — see docs/performance.md for the convergence-tolerance "
+            "contract)"
         ),
     )
     run.add_argument(

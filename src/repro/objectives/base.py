@@ -189,9 +189,36 @@ class Objective(ABC):
     def check_weights(self, w: np.ndarray) -> np.ndarray:
         return self.backend.as_vector(w, self.dim, name="weight vector")
 
+    def _at_storage(self, w):
+        """``w`` in the dtype of the design matrix ``self.X``.
+
+        A float64 iterate or direction meeting float32 storage (``"mixed"``
+        and ``"fp32"``) is cast once — it is only as large as the weights —
+        so the products with ``X`` run in single precision instead of
+        upcasting ``X``; one already in the storage dtype is returned as is.
+        """
+        if w.dtype == self.X.dtype:
+            return w
+        return self.backend.asarray(w, dtype=self.X.dtype)
+
+    def _promoted(self, out, like):
+        """``out`` in ``like``'s dtype where that is wider than ``out``'s.
+
+        Gradients and HVPs come back in the dtype a float64 iterate would
+        get from an un-cast product, so callers mixing them with their own
+        vectors see no change of dtype.
+        """
+        if like.dtype.itemsize > out.dtype.itemsize:
+            return self.backend.asarray(out, dtype=like.dtype)
+        return out
+
     def _eval_matrix(self, X):
         """Backend-converted evaluation matrix for ``predict``/``predict_proba``
         with an explicit ``X``, cached by identity on non-NumPy backends.
+
+        It comes in the storage dtype of the objective's own design matrix
+        (float64 when there is none), so an explicit ``X`` is scored by the
+        same products as the objective's own data.
 
         The per-epoch trace recorder evaluates accuracy on the same train/test
         matrices every epoch; without this cache each evaluation re-transfers
@@ -210,6 +237,9 @@ class Objective(ABC):
         data = self.backend.asarray_data(
             check_array(X, name="X", allow_sparse=True)
         )
+        storage = getattr(getattr(self, "X", None), "dtype", None)
+        if storage is not None and data.dtype != storage:  # float32 storage
+            data = self.backend.demote_fp32(data)
         if self.backend.name != "numpy":
             self._eval_matrix_cache = (X, data)
         return data

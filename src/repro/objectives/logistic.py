@@ -4,7 +4,9 @@ Kept alongside :class:`~repro.objectives.softmax.SoftmaxCrossEntropy` because
 binary problems (HIGGS) admit a ``p``-dimensional parameterization with a
 cheaper Hessian-vector product; it is also the model CoCoA's dual formulation
 targets.  Like the softmax objective it computes on a configurable
-:mod:`repro.backend`.
+:mod:`repro.backend`, and its products with ``X`` run in the storage dtype: a
+float64 iterate or direction meeting float32 storage is cast first, and
+margins, gradients and HVPs come back in the iterate's dtype.
 """
 
 from __future__ import annotations
@@ -61,8 +63,15 @@ class BinaryLogistic(Objective):
             self.y.astype(np.float64), dtype=data_float_dtype(self.X)
         )
 
-    def _margins(self, w):
-        return (self.X @ w).ravel()
+    def _margins(self, w, X=None):
+        """``X @ w`` (default ``X``: the objective's own) in the storage
+        dtype, returned in ``w``'s dtype."""
+        X = self.X if X is None else X
+        return self._promoted((X @ self._at_storage(w)).ravel(), w)
+
+    def _xt(self, r, like):
+        """``X.T @ r`` in the storage dtype, returned in ``like``'s dtype."""
+        return self._promoted((self.X.T @ self._at_storage(r)).ravel(), like)
 
     def value(self, w) -> float:
         xp = self._backend.xp
@@ -77,7 +86,7 @@ class BinaryLogistic(Objective):
         w = self.check_weights(w)
         z = self._margins(w)
         residual = sigmoid(z, xp=xp) - self._y_float
-        return self.scale * (self.X.T @ residual).ravel()
+        return self.scale * self._xt(residual, w)
 
     def value_and_gradient(self, w) -> Tuple[float, np.ndarray]:
         xp = self._backend.xp
@@ -87,7 +96,7 @@ class BinaryLogistic(Objective):
             xp.sum(log1p_exp(z, xp=xp) - self._y_float * z)
         )
         residual = sigmoid(z, xp=xp) - self._y_float
-        grad = self.scale * (self.X.T @ residual).ravel()
+        grad = self.scale * self._xt(residual, w)
         return value, grad
 
     def hvp(self, w, v):
@@ -97,8 +106,8 @@ class BinaryLogistic(Objective):
         z = self._margins(w)
         s = sigmoid(z, xp=xp)
         d = s * (1.0 - s)
-        Xv = (self.X @ v).ravel()
-        return self.scale * (self.X.T @ (d * Xv)).ravel()
+        Xv = self._margins(v)
+        return self.scale * self._xt(d * Xv, v)
 
     def minibatch(self, indices: np.ndarray) -> "BinaryLogistic":
         """A new objective over a row subset (mean-scaled over the batch)."""
@@ -113,8 +122,8 @@ class BinaryLogistic(Objective):
         """Probability of class 1 for each sample (host array)."""
         xp = self._backend.xp
         w = self.check_weights(w)
-        data = self.X if X is None else self._eval_matrix(X)
-        return self._backend.to_numpy(sigmoid((data @ w).ravel(), xp=xp))
+        z = self._margins(w, None if X is None else self._eval_matrix(X))
+        return self._backend.to_numpy(sigmoid(z, xp=xp))
 
     def predict(self, w, X=None) -> np.ndarray:
         return (self.predict_proba(w, X) >= 0.5).astype(np.int64)

@@ -32,7 +32,12 @@ iterate in place between evaluations (no solver in this library does).  With
 the cache warm, an HVP costs one pass over ``X`` instead of two; a cold
 ``value_and_gradient`` costs one as well, computing lse and probabilities per
 tile in one fused kernel
-(:meth:`~repro.backend.base.ArrayBackend.fused_lse_probs`).
+(:meth:`~repro.backend.base.ArrayBackend.fused_lse_probs`), and the gradient
+block ``X.T @ (P - Y)`` it computes stays in the cache as well.
+
+Every product with ``X`` runs in the storage dtype: a float64 iterate or
+direction meeting float32 storage is cast as a small ``(p, C-1)`` block first,
+and gradients and HVPs come back in the iterate's dtype.
 
 All kernels run on the configured :mod:`repro.backend` (NumPy by default;
 CuPy / Torch move the GEMMs to the GPU); predictions are always returned as
@@ -67,12 +72,16 @@ from repro.utils.flops import (
 )
 from repro.utils.validation import check_labels
 
-#: Bytes of ``X`` in one row tile.  Measured on a 4000x784 fp64 shard (one
-#: BLAS thread): a warm HVP takes 5.1-5.6 ms anywhere from 256 to 768 KiB,
-#: against 9-10 ms untiled and at 1 MiB and above, where a tile no longer
-#: survives in L2 between its two products.  512 KiB is the middle of that
-#: flat range and half of the smallest L2 assumed (1 MiB per core), leaving
-#: room for the BLAS packing buffers; docs/performance.md has the table.
+#: Bytes of a float64 row tile of ``X``; a tile of any storage dtype holds
+#: the same rows, ``TILE_BYTES // (8 * n_features)``.  Measured on a 4000x784
+#: shard (one BLAS thread): a warm fp64 HVP takes 5.1-5.6 ms anywhere from
+#: 256 to 768 KiB (41-125 rows), against 9-10 ms untiled and from 1 MiB
+#: (167 rows) on, where a tile no longer survives in L2 between its two
+#: products.  512 KiB is the middle of that flat range and half of the
+#: smallest L2 assumed (1 MiB per core).  A float32 tile falls off the same
+#: cliff at the same 167 rows (3.6-5.5 ms against 2.3-3.6 ms at 83-125
+#: rows), so it keeps the float64 row count at half the bytes;
+#: docs/performance.md has both tables.
 TILE_BYTES = 512 * 1024
 
 
@@ -141,7 +150,8 @@ class SoftmaxCrossEntropy(Objective):
 
     # -- row tiles ----------------------------------------------------------
     def _row_tiles(self):
-        """``(rows, X[rows])`` per tile of at most ``TILE_BYTES`` of ``X``.
+        """``(rows, X[rows])`` per tile of ``TILE_BYTES // (8 * n_features)``
+        rows (at most ``TILE_BYTES`` of ``X``).
 
         One tile ``(slice(None), X)`` where slicing rows would copy (sparse),
         where a row block is not a contiguous run of memory, or on an
@@ -152,7 +162,7 @@ class SoftmaxCrossEntropy(Objective):
         tiled = flags is not None and flags.c_contiguous and not (
             self._backend.is_sparse(X) or self._backend.is_accelerator()
         )
-        rows = max(1, TILE_BYTES // (self.n_features * X.dtype.itemsize)) if tiled else n
+        rows = max(1, TILE_BYTES // (self.n_features * 8)) if tiled else n
         if rows >= n:
             return [(slice(None), X)]
         return [(slice(r, r + rows), X[r : r + rows]) for r in range(0, n, rows)]
@@ -184,6 +194,7 @@ class SoftmaxCrossEntropy(Objective):
         return W.T.ravel()
 
     def _logits(self, W):
+        W = self._at_storage(W)
         return self._join([X_t @ W for _, X_t in self._tiles])
 
     # -- per-iterate forward cache ----------------------------------------
@@ -229,18 +240,22 @@ class SoftmaxCrossEntropy(Objective):
         correct = xp.sum(logits * self._indicator, axis=1)
         return self.scale * self._backend.to_float(xp.sum(cache["lse"] - correct))
 
-    def _residual_gradient(self, cache):
-        D = cache["P"] - self._indicator
-        return self._xt_sum(lambda rows, X_t: D[rows])
+    def _gradient(self, cache):
+        """The loss gradient at the cached iterate; ``X.T @ (P - Y)`` is
+        computed at most once per iterate and kept in the cache as ``G``."""
+        if "G" not in cache:
+            D = cache["P"] - self._indicator
+            cache["G"] = self._xt_sum(lambda rows, X_t: D[rows])
+        return self.scale * self._as_vector(self._promoted(cache["G"], cache["w"]))
 
     def _forward_and_gradient(self, w):
         """Cold-cache forward pass and ``X.T @ (P - Y)`` in one pass over ``X``.
 
         Per tile: logits, fused lse + probabilities, gradient contribution.
         Leaves the forward cache as ``_forward(w, need_lse=True,
-        need_probs=True)`` would.
+        need_probs=True)`` followed by ``_gradient`` would.
         """
-        W = w.reshape(self.n_classes - 1, self.n_features).T
+        W = self._at_storage(w.reshape(self.n_classes - 1, self.n_features).T)
         mixed = self.precision == "mixed"
         parts = []
 
@@ -256,28 +271,26 @@ class SoftmaxCrossEntropy(Objective):
 
         G = self._xt_sum(block)
         logits, lse, P = (self._join(column) for column in zip(*parts))
-        cache = {"w": w, "logits": logits, "lse": lse, "P": P}
+        cache = {"w": w, "logits": logits, "lse": lse, "P": P, "G": G}
         if mixed:
             cache["logits_hp"] = self._backend.promote_fp64(logits)
         self._iterate_cache = cache
-        return cache, G
+        return cache
 
     def value(self, w) -> float:
         return self._loss(self._forward(w, need_lse=True))
 
     def gradient(self, w):
-        G = self._residual_gradient(self._forward(w, need_probs=True))
-        return self.scale * self._as_vector(G)
+        return self._gradient(self._forward(w, need_probs=True))
 
     def value_and_gradient(self, w) -> Tuple[float, np.ndarray]:
         w = self.check_weights(w)
         cache = self._iterate_cache
         if cache is None or cache["w"] is not w:
-            cache, G = self._forward_and_gradient(w)
+            cache = self._forward_and_gradient(w)
         else:
             cache = self._forward(w, need_lse=True, need_probs=True)
-            G = self._residual_gradient(cache)
-        return self._loss(cache), self.scale * self._as_vector(G)
+        return self._loss(cache), self._gradient(cache)
 
     def _curvature_block(self, P, U, xp):
         """``T`` such that ``H v = scale * X.T @ T`` for ``U = X @ V``."""
@@ -288,12 +301,12 @@ class SoftmaxCrossEntropy(Objective):
         xp = self._backend.xp
         cache = self._forward(w, need_probs=True)
         v = self._backend.as_vector(v, self.dim, name="v")
-        V = v.reshape(self.n_classes - 1, self.n_features).T
+        V = self._at_storage(v.reshape(self.n_classes - 1, self.n_features).T)
         P = cache["P"]
         out = self._xt_sum(
             lambda rows, X_t: self._curvature_block(P[rows], X_t @ V, xp)
         )
-        return self.scale * self._as_vector(out)
+        return self.scale * self._as_vector(self._promoted(out, v))
 
     def hvp_mat(self, w, V):
         """Hessian applied to all ``s`` columns of ``V`` — two GEMMs per tile.
@@ -317,7 +330,7 @@ class SoftmaxCrossEntropy(Objective):
         p = self.n_features
         # Column j of V reshaped to its (p, c) weight matrix occupies columns
         # [j*c, (j+1)*c) of the stacked block.
-        Vstack = V.T.reshape(s * c, p).T
+        Vstack = self._at_storage(V.T.reshape(s * c, p).T)
 
         def block(rows, X_t):
             U, P_t = X_t @ Vstack, P[rows]
@@ -327,7 +340,7 @@ class SoftmaxCrossEntropy(Objective):
             ]
             return xp.hstack(blocks) if s > 1 else blocks[0]
 
-        out = self._xt_sum(block)
+        out = self._promoted(self._xt_sum(block), V)
         cols = [
             self._as_vector(out[:, j * c : (j + 1) * c]).reshape(-1, 1)
             for j in range(s)
@@ -355,12 +368,13 @@ class SoftmaxCrossEntropy(Objective):
 
     # -- prediction --------------------------------------------------------
     def _predict_logits(self, w, X):
-        """``X @ W``; on the objective's own data (``X is None``) the
-        per-iterate forward cache's logits, which are that same product at
-        every precision (``"mixed"`` caches the float32 GEMM it promotes)."""
+        """``X @ W`` in the storage dtype; on the objective's own data
+        (``X is None``) the per-iterate forward cache's logits, which are
+        that same product at every precision (``"mixed"`` caches the float32
+        GEMM it promotes)."""
         if X is None:
             return self._forward(w)["logits"]
-        return self._eval_matrix(X) @ self._as_matrix(w)
+        return self._eval_matrix(X) @ self._at_storage(self._as_matrix(w))
 
     def predict_proba(self, w, X=None) -> np.ndarray:
         """Class probabilities ``(n, C)`` under weights ``w`` for ``X``

@@ -8,7 +8,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import copy_array
 from repro.objectives.base import Objective
 
 
@@ -97,43 +96,58 @@ class CountingObjective(Objective):
     def __init__(self, base: Objective):
         self.base = base
         self.dim = base.dim
+        #: the wrapper whose counters this one charges when it is a view
+        #: (:meth:`over`); ``None`` charges its own
+        self._account: Optional[CountingObjective] = None
         self.n_value = 0
         self.n_gradient = 0
         self.n_hvp = 0
         self.flops = 0.0
 
+    def over(self, base: Objective) -> "CountingObjective":
+        """``base`` counted in this wrapper's counters.
+
+        For another loss over the same rows — e.g. a copy of a worker's
+        shard stored at another precision — whose work must show up in the
+        worker's FLOP total exactly as this wrapper's own would.
+        """
+        view = CountingObjective(base)
+        view._account = self if self._account is None else self._account
+        return view
+
     @property
     def backend(self):
         return self.base.backend
 
+    def _charge(self, flops: float, *, value: int = 0, gradient: int = 0, hvp: int = 0):
+        account = self if self._account is None else self._account
+        account.n_value += value
+        account.n_gradient += gradient
+        account.n_hvp += hvp
+        account.flops += flops
+
     def value(self, w: np.ndarray) -> float:
-        self.n_value += 1
-        self.flops += self.base.flops_value()
+        self._charge(self.base.flops_value(), value=1)
         return self.base.value(w)
 
     def gradient(self, w: np.ndarray) -> np.ndarray:
-        self.n_gradient += 1
-        self.flops += self.base.flops_gradient()
+        self._charge(self.base.flops_gradient(), gradient=1)
         return self.base.gradient(w)
 
     def value_and_gradient(self, w: np.ndarray) -> Tuple[float, np.ndarray]:
-        self.n_value += 1
-        self.n_gradient += 1
         # Charged as the *fused* cost: value and gradient share the forward
         # pass (logits + log-sum-exp), so this is less than
         # flops_value() + flops_gradient() for objectives that fuse.
-        self.flops += self.base.flops_value_and_gradient()
+        self._charge(self.base.flops_value_and_gradient(), value=1, gradient=1)
         return self.base.value_and_gradient(w)
 
     def hvp(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        self.n_hvp += 1
-        self.flops += self.base.flops_hvp()
+        self._charge(self.base.flops_hvp(), hvp=1)
         return self.base.hvp(w, v)
 
     def hvp_mat(self, w: np.ndarray, V) -> np.ndarray:
         n_rhs = int(V.shape[1])
-        self.n_hvp += n_rhs
-        self.flops += n_rhs * self.base.flops_hvp()
+        self._charge(n_rhs * self.base.flops_hvp(), hvp=n_rhs)
         return self.base.hvp_mat(w, V)
 
     def add_flops(self, flops: float) -> None:
@@ -142,7 +156,7 @@ class CountingObjective(Objective):
         baseline) so it still shows up in the device-time model."""
         if flops < 0:
             raise ValueError(f"flops must be non-negative, got {flops}")
-        self.flops += float(flops)
+        self._charge(float(flops))
 
     def reset_counters(self) -> None:
         self.n_value = 0
@@ -199,6 +213,14 @@ class Solver(ABC):
 
     @staticmethod
     def _prepare_start(objective: Objective, w0: Optional[np.ndarray]) -> np.ndarray:
+        """The start iterate: ``w0`` itself, not a copy.
+
+        Keeping the caller's object lets an objective's per-iterate forward
+        cache serve the first evaluation when the caller evaluated it at
+        ``w0`` already (Newton-ADMM's warm start is the previous local
+        solve's last iterate).  No solver here updates its iterate in place;
+        one that does must copy ``w0`` first.
+        """
         if w0 is None:
             return objective.initial_point()
-        return copy_array(objective.backend.as_vector(w0, objective.dim, name="w0"))
+        return objective.backend.as_vector(w0, objective.dim, name="w0")

@@ -13,6 +13,8 @@ executed.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -82,11 +84,11 @@ class TestSolverParity:
         cluster = SimulatedCluster(
             train, 4, random_state=0, backend=backend_name, precision=precision
         )
-        kwargs = {"precision": precision} if precision == "mixed" else {}
+        kwargs = {"precision": precision} if precision != "fp32" else {}
         return SOLVERS[solver_name](**kwargs).fit(cluster)
 
     def _assert_parity(self, train, solver_name, mode, backend_name):
-        ref = self._run(train, solver_name, None, backend_name)
+        ref = self._run(train, solver_name, "fp64", backend_name)
         low = self._run(train, solver_name, mode, backend_name)
         assert abs(low.final.objective - ref.final.objective) <= (
             OBJECTIVE_RTOL * abs(ref.final.objective)
@@ -261,3 +263,220 @@ class TestFlopsAccounting:
         )
         ops_say_fused_cheaper = fused_ops < composed_ops
         assert flops_say_fused_cheaper and ops_say_fused_cheaper
+
+
+class TestMixedLocalSolve:
+    """Newton-ADMM's default local x-update runs on a float32 copy of each
+    shard at float64 iterates; ``precision="fp64"`` is the reference path."""
+
+    #: ``final_w`` sha256 of ``NewtonADMM(precision="fp64")`` on the two
+    #: problems of ``_fit`` — the fp64 local solve as it was before the
+    #: mixed default existed
+    FP64_SHA256 = {
+        "dense": "670f33b9510929a702d8dc3e0e99477a0fb4f84fc9c63065e8dda2824064fa91",
+        "csr": "c4fdab73bbb1334d29fddbee9cedc8b03bb353f458eb45eda6602f67aa5ef016",
+    }
+
+    @staticmethod
+    def _fit(problem, **kwargs):
+        from repro.datasets.registry import load_dataset
+        from repro.datasets.synthetic import make_multiclass_gaussian
+
+        if problem == "dense":
+            train = make_multiclass_gaussian(
+                400, 12, 4, condition_number=8.0, class_separation=2.5, random_state=1
+            )
+            cluster = SimulatedCluster(train, 4, random_state=0)
+            solver = NewtonADMM(lam=1e-4, max_epochs=8, **kwargs)
+        else:
+            train, _ = load_dataset("e18_like", n_train=300, n_test=50, random_state=0)
+            cluster = SimulatedCluster(train, 2, random_state=0)
+            solver = NewtonADMM(lam=1e-4, max_epochs=6, **kwargs)
+        return solver.fit(cluster), cluster
+
+    def test_float64_iterate_runs_float32_products(self):
+        rng = np.random.default_rng(3)
+        X = rng.standard_normal((90, 7))
+        y = rng.integers(0, 4, size=90)
+        y[:4] = np.arange(4)
+        obj = SoftmaxCrossEntropy(X, y, 4, precision="mixed")
+        w = rng.standard_normal(obj.dim) * 0.1
+        V = rng.standard_normal((obj.dim, 3))
+        _, grad = obj.value_and_gradient(w)
+        assert obj._iterate_cache["logits"].dtype == np.float32
+        assert obj._iterate_cache["logits_hp"].dtype == np.float64
+        assert grad.dtype == np.float64
+        assert obj.hvp(w, V[:, 0]).dtype == np.float64
+        assert obj.hvp_mat(w, V).dtype == np.float64
+        ref = SoftmaxCrossEntropy(X, y, 4)
+        assert _relative(grad, ref.gradient(w)) < 1e-5
+        assert _relative(obj.hvp(w, V[:, 0]), ref.hvp(w, V[:, 0])) < 1e-5
+
+    def test_logistic_float64_iterate_runs_float32_products(self):
+        """The binary logistic loss takes the same cast: every product with
+        float32 ``X`` runs in float32, results come back float64."""
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((80, 6))
+        y = (rng.random(80) < 0.5).astype(int)
+        y[:2] = [0, 1]
+        obj = BinaryLogistic(X, y, precision="mixed")
+        products = []
+
+        class _Recording(np.ndarray):
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                inputs = [np.asarray(x) for x in inputs]
+                if ufunc is np.matmul:
+                    products.append(np.result_type(*inputs))
+                return getattr(ufunc, method)(*inputs, **kwargs)
+
+        obj.X = obj.X.view(_Recording)
+        w, v = rng.standard_normal(6), rng.standard_normal(6)
+        _, grad = obj.value_and_gradient(w)
+        hv = obj.hvp(w, v)
+        proba = obj.predict_proba(w, X)
+        assert products == [np.float32] * 5
+        assert obj._eval_matrix(X).dtype == np.float32
+        assert grad.dtype == hv.dtype == np.float64
+        ref = BinaryLogistic(X, y)
+        assert _relative(grad, ref.gradient(w)) < 1e-5
+        assert _relative(hv, ref.hvp(w, v)) < 1e-5
+        np.testing.assert_allclose(proba, ref.predict_proba(w, X), rtol=1e-5)
+
+    def test_logistic_cluster_solves_on_a_float32_copy(self):
+        from repro.datasets.synthetic import make_multiclass_gaussian
+
+        train = make_multiclass_gaussian(
+            400, 12, 2, condition_number=8.0, class_separation=2.5, random_state=1
+        )
+
+        def fit(**kwargs):
+            cluster = SimulatedCluster(train, 4, loss="logistic", random_state=0)
+            return NewtonADMM(lam=1e-4, max_epochs=8, **kwargs).fit(cluster), cluster
+
+        ref, _ = fit(precision="fp64")
+        low, cluster = fit()
+        copies = cluster._worker_losses.values()
+        assert len(copies) == 4
+        assert all(loss.base.X.dtype == np.float32 for loss in copies)
+        assert abs(low.final.objective - ref.final.objective) <= (
+            OBJECTIVE_RTOL * abs(ref.final.objective)
+        )
+        assert _relative(low.final_w, ref.final_w) <= ITERATE_RTOL
+
+    def test_factory_ignoring_precision_solves_on_the_workers_own_loss(
+        self, small_multiclass_split
+    ):
+        train, _ = small_multiclass_split
+
+        def factory(shard, n_total):
+            return SoftmaxCrossEntropy(
+                shard.X, shard.y, shard.n_classes, scale=1.0 / n_total
+            )
+
+        cluster = SimulatedCluster(train, 2, loss=factory, random_state=0)
+        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+        assert sorted(cluster._worker_losses) == [(0, "mixed"), (1, "mixed")]
+        for worker in cluster.workers:
+            assert cluster._worker_losses[(worker.worker_id, "mixed")] is worker.objective
+
+    @pytest.mark.parametrize("problem", ["dense", "csr"])
+    def test_fp64_reproduces_the_reference_path(self, problem):
+        trace, _ = self._fit(problem, precision="fp64")
+        digest = hashlib.sha256(np.ascontiguousarray(trace.final_w).tobytes())
+        assert digest.hexdigest() == self.FP64_SHA256[problem]
+
+    @pytest.mark.parametrize("problem", ["dense", "csr"])
+    def test_default_within_documented_tolerance_of_fp64(self, problem):
+        ref, _ = self._fit(problem, precision="fp64")
+        low, cluster = self._fit(problem)
+        copies = cluster._worker_losses.values()
+        assert all(loss.base.precision == "mixed" for loss in copies)
+        assert not np.array_equal(low.final_w, ref.final_w)  # it did run mixed
+        assert abs(low.final.objective - ref.final.objective) <= (
+            OBJECTIVE_RTOL * abs(ref.final.objective)
+        )
+        assert _relative(low.final_w, ref.final_w) <= ITERATE_RTOL
+
+    def test_modelled_clock_and_flops_match_fp64(self):
+        ref, _ = self._fit("dense", precision="fp64")
+        low, _ = self._fit("dense")
+        assert low.info["total_flops"] == ref.info["total_flops"]
+        for a, b in zip(low.records, ref.records):
+            assert a.compute_time == b.compute_time
+            assert a.modelled_time == b.modelled_time
+
+    def test_shard_copy_built_once_per_cluster(self, small_multiclass_split):
+        train, _ = small_multiclass_split
+        cluster = SimulatedCluster(train, 3, random_state=0)
+        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+        copies = dict(cluster._worker_losses)
+        assert sorted(copies) == [(i, "mixed") for i in range(3)]
+        for (i, _), loss in copies.items():
+            assert loss.base.X.dtype == np.float32
+            assert loss._account is cluster.workers[i].objective
+        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+        assert all(cluster._worker_losses[k] is v for k, v in copies.items())
+
+    def test_cluster_or_session_precision_selects_the_local_solve(
+        self, small_multiclass_split, clean_default_precision
+    ):
+        train, _ = small_multiclass_split
+        for precision in ("fp64", "mixed"):
+            cluster = SimulatedCluster(train, 2, random_state=0, precision=precision)
+            NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+            assert cluster._worker_losses == {}  # the workers' own losses
+        set_default_precision("fp64")
+        cluster = SimulatedCluster(train, 2, random_state=0)
+        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+        assert cluster._worker_losses == {}
+
+    def test_each_epoch_starts_from_the_previous_evaluation(
+        self, small_multiclass_split, monkeypatch
+    ):
+        """The x-update warm-starts from the very object the previous local
+        solve last evaluated, so only each worker's first local solve pays a
+        cold forward+gradient pass; the epoch records pay one per shard."""
+        train, _ = small_multiclass_split
+        cold = []
+        inner = SoftmaxCrossEntropy._forward_and_gradient
+        monkeypatch.setattr(
+            SoftmaxCrossEntropy,
+            "_forward_and_gradient",
+            lambda obj, w: cold.append(obj.precision) or inner(obj, w),
+        )
+        cluster = SimulatedCluster(train, 3, random_state=0)
+        trace = NewtonADMM(lam=1e-4, max_epochs=6).fit(cluster)
+        assert cold.count("mixed") == 3
+        assert cold.count(None) == 3 * len(trace.records)
+
+    def test_cli_precision_fp64_restores_the_fp64_local_solve(
+        self, small_multiclass_split, monkeypatch, clean_default_precision
+    ):
+        """``python -m repro run ... --precision fp64`` sets the session
+        default the cluster resolves, and Newton-ADMM's local solve follows
+        it back to the workers' own float64 losses."""
+        from repro.harness import cli
+
+        train, _ = small_multiclass_split
+        fits = []
+
+        def tiny_experiment(scale, *, seed=0):
+            cluster = SimulatedCluster(train, 2, random_state=seed)
+            fits.append((NewtonADMM(lam=1e-4, max_epochs=3).fit(cluster), cluster))
+            return {"report": "tiny"}
+
+        monkeypatch.setitem(
+            cli.EXPERIMENT_REGISTRY, "table1", (tiny_experiment, "tiny", None)
+        )
+        assert cli.main(["run", "table1", "--no-plot"], print_fn=lambda _: None) == 0
+        args = ["run", "table1", "--no-plot", "--precision", "fp64"]
+        assert cli.main(args, print_fn=lambda _: None) == 0
+        (mixed, mixed_cluster), (fp64, fp64_cluster) = fits
+        assert len(mixed_cluster._worker_losses) == 2
+        assert fp64_cluster.precision == "fp64" and fp64_cluster._worker_losses == {}
+        set_default_precision(None)
+        reference = NewtonADMM(lam=1e-4, max_epochs=3, precision="fp64").fit(
+            SimulatedCluster(train, 2, random_state=0)
+        )
+        np.testing.assert_array_equal(fp64.final_w, reference.final_w)
+        assert not np.array_equal(mixed.final_w, reference.final_w)
