@@ -17,6 +17,10 @@ from repro.datasets.base import ClassificationDataset
 from repro.utils.rng import check_random_state
 from repro.utils.validation import check_positive
 
+#: Rows of a dense design matrix are transformed in blocks of about this many
+#: bytes, so a generator's temporaries stay this small whatever ``n_samples``.
+BLOCK_BYTES = 1 << 20
+
 
 def _feature_scales(n_features: int, condition_number: float, rng) -> np.ndarray:
     """Per-feature standard deviations spanning ``sqrt(condition_number)``.
@@ -55,6 +59,12 @@ def make_multiclass_gaussian(
     AR(1)-style mixing introduces inter-feature ``correlation`` (which further
     degrades conditioning, mimicking natural-image statistics).
 
+    The matrix is built in place, one block of rows (about
+    :data:`BLOCK_BYTES`) at a time: the peak allocation is the ``(n, p)``
+    output plus one block's temporary, not several copies of the output.
+    Every step is element-wise or reads only the row it writes, so the block
+    size cannot change the result.
+
     Parameters
     ----------
     label_noise:
@@ -76,17 +86,21 @@ def make_multiclass_gaussian(
 
     y = rng.integers(0, n_classes, size=n_samples)
     X = rng.standard_normal((n_samples, n_features))
-    X += means[y]
-    X *= scales[None, :]
-
-    if correlation > 0.0:
-        # Mix neighbouring features: X <- X @ M with M = (1-c) I + c S where S
-        # shifts columns, producing banded correlation without a dense p x p
-        # covariance factorization (important for large p).
-        shifted = np.empty_like(X)
-        shifted[:, 1:] = X[:, :-1]
-        shifted[:, 0] = X[:, -1]
-        X = (1.0 - correlation) * X + correlation * shifted
+    rows = max(1, BLOCK_BYTES // max(1, X.shape[1] * X.itemsize))
+    for start in range(0, n_samples, rows):
+        block = X[start : start + rows]
+        block += means[y[start : start + rows]]
+        block *= scales
+        if correlation > 0.0:
+            # Mix neighbouring features: X <- X @ M with M = (1-c) I + c S
+            # where S shifts columns, producing banded correlation without a
+            # dense p x p covariance factorization (important for large p).
+            shifted = np.empty_like(block)
+            shifted[:, 1:] = block[:, :-1]
+            shifted[:, 0] = block[:, -1]
+            shifted *= correlation
+            block *= 1.0 - correlation
+            block += shifted
 
     if label_noise > 0.0:
         flip = rng.random(n_samples) < label_noise
@@ -122,13 +136,18 @@ def make_binary_margin(
     Used as the HIGGS stand-in: low dimensional, close to linearly separable,
     and well conditioned, so that second-order methods converge in a handful
     of iterations (as the paper observes for HIGGS).
+
+    The draw is scaled in place, so the peak allocation is the ``(n, p)``
+    output plus ``O(n)`` for the logits and labels; there is no blocking and
+    hence no block size that could change the result.
     """
     rng = check_random_state(random_state)
     scales = _feature_scales(n_features, condition_number, rng)
     w_true = rng.standard_normal(n_features)
     w_true /= np.linalg.norm(w_true) + 1e-12
 
-    X = rng.standard_normal((n_samples, n_features)) * scales[None, :]
+    X = rng.standard_normal((n_samples, n_features))
+    X *= scales
     logits = X @ w_true * margin
     prob = 1.0 / (1.0 + np.exp(-logits))
     y = (rng.random(n_samples) < prob).astype(np.int64)
@@ -196,11 +215,12 @@ def make_sparse_multiclass(
     # can never ask for more informative columns than exist.
     n_info_per_row = min(max(nnz_per_row // 2, 1), n_informative)
     n_bg_per_row = nnz_per_row - n_info_per_row
+    sorted_informative = np.sort(informative_idx)
     for i in range(n_samples):
         start = i * nnz_per_row
         info_cols = rng.choice(informative_idx, size=n_info_per_row, replace=False)
         # Map chosen informative columns back to signature positions.
-        sig_pos = np.searchsorted(np.sort(informative_idx), info_cols)
+        sig_pos = np.searchsorted(sorted_informative, info_cols)
         sig_vals = signatures[y[i], sig_pos % n_informative]
         cols[start : start + n_info_per_row] = info_cols
         data[start : start + n_info_per_row] = sig_vals + 0.3 * rng.standard_normal(

@@ -1,6 +1,10 @@
 """Tests for the dataset registry (Table 1 stand-ins)."""
 
+import hashlib
+
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.datasets.registry import (
     DATASET_REGISTRY,
@@ -91,3 +95,43 @@ class TestLoadDataset:
             "e18_like", n_train=100, n_test=20, feature_scale=0.02, random_state=0
         )
         assert train.n_features == int(279_998 * 0.02)
+
+
+def _digest(train, test) -> str:
+    """sha256 over ``train.X``, ``train.y``, ``test.X``, ``test.y``: dtype,
+    shape and bytes of each dense array; ``data``/``indices``/``indptr`` and
+    shape of each CSR matrix."""
+    h = hashlib.sha256()
+    for part in (train.X, train.y, test.X, test.y):
+        if sp.issparse(part):
+            for a in (part.data, part.indices, part.indptr):
+                h.update(np.ascontiguousarray(a).tobytes())
+            h.update(repr(part.shape).encode())
+        else:
+            a = np.ascontiguousarray(part)
+            h.update(a.dtype.str.encode())
+            h.update(repr(a.shape).encode())
+            h.update(a.tobytes())
+    return h.hexdigest()
+
+
+#: ``load_dataset`` outputs, pinned bit for bit: a generator may change how it
+#: builds its arrays (blocking, in-place arithmetic, hoisted invariants) but
+#: never a bit of what it returns.  Recorded before the in-place build.
+PINNED_DIGESTS = {
+    ("mnist_like", 2000, 500, 0): "7163738ca970ab0bf0fa17d05b771e992fd15e2ac6d4e6889ddd7801d9b98438",
+    ("mnist_like", 2000, 500, 7): "af8ea50a09ff7b05ad6ab4c8f098924dc8eb5e281145e3efe21c8773211d5663",
+    ("cifar_like", 600, 120, 0): "97b084c40ee3d189e4745471df3ac4b361b0bd6d3ba486a3ad1d3cadc7ad7ec4",
+    ("cifar_like", 600, 120, 7): "029e5f7030ca867b6bce0a0d42c9f3895613abf8f88c60b20d63fa0e9423772b",
+    ("higgs_like", 2000, 400, 0): "a164c8719040aaf05548b3790ee221f59e45b3b50eaeddb632e81090b3b5383a",
+    ("higgs_like", 2000, 400, 7): "8db120211198aa6294667764b9e42323041f184a9129c01575de42d9922bf740",
+    ("e18_like", 400, 80, 0): "05e6a72ad7bc037b5bfe224d7d40b5108b28ab3de883c4be885036e763a6c522",
+    ("e18_like", 400, 80, 7): "3a078c67b9c72aa39b03fbb96ac46c0e0bcfee13d59c025d9bcb58b405bd017b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_DIGESTS), ids=lambda c: "-".join(map(str, c)))
+def test_load_dataset_output_is_pinned(case):
+    name, n_train, n_test, seed = case
+    train, test = load_dataset(name, n_train=n_train, n_test=n_test, random_state=seed)
+    assert _digest(train, test) == PINNED_DIGESTS[case]

@@ -1,9 +1,12 @@
 """Tests for the synthetic dataset generators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.datasets import synthetic
 from repro.datasets.synthetic import (
     make_binary_margin,
     make_multiclass_gaussian,
@@ -136,3 +139,34 @@ class TestSparseMulticlass:
         W, *_ = np.linalg.lstsq(X, Y, rcond=None)
         acc = np.mean(np.argmax(X @ W, axis=1) == ds.y)
         assert acc > 0.55
+
+
+class TestPeakAllocation:
+    """A dense generator builds its output in place: its traced peak stays
+    within a quarter of the output on top of the output itself."""
+
+    @pytest.mark.parametrize(
+        "make, args, kwargs",
+        [
+            (make_multiclass_gaussian, (4000, 784, 10), {"correlation": 0.2}),
+            (make_binary_margin, (20000, 28), {}),
+        ],
+        ids=["multiclass_gaussian", "binary_margin"],
+    )
+    def test_peak_is_close_to_the_output(self, make, args, kwargs):
+        tracemalloc.start()
+        try:
+            ds = make(*args, random_state=0, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * ds.X.nbytes
+
+    def test_block_size_cannot_change_the_result(self, monkeypatch):
+        kwargs = dict(correlation=0.6, condition_number=1e4, random_state=3)
+        whole = make_multiclass_gaussian(37, 11, 4, **kwargs)
+        for block_bytes in (1, 8 * 11 * 5, 8 * 11 * 36):
+            monkeypatch.setattr(synthetic, "BLOCK_BYTES", block_bytes)
+            blocked = make_multiclass_gaussian(37, 11, 4, **kwargs)
+            np.testing.assert_array_equal(blocked.X, whole.X)
+            np.testing.assert_array_equal(blocked.y, whole.y)

@@ -70,3 +70,19 @@ def test_faults_guide_references_the_example_and_ablation():
     guide = (REPO / "docs" / "faults.md").read_text(encoding="utf-8")
     assert "examples/faults_and_quorum.py" in guide
     assert "ablation-faults" in guide
+
+
+def test_memory_stages_smoke_reports_every_stage(capsys):
+    # docs/performance.md's "Peak memory" tables come from this probe; the
+    # docs CI job runs the same --smoke invocation.
+    spec = importlib.util.spec_from_file_location(
+        "memory_stages", REPO / "scripts" / "memory_stages.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--smoke"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    stages = [line.split("VmRSS")[0].strip() for line in lines if "VmRSS" in line]
+    assert stages == [
+        "start", "import numpy", "import repro", "load_dataset", "cluster build", "fit 1"
+    ]
