@@ -1,6 +1,6 @@
 """Performance-regression gate over the committed BENCH_*.json files (stdlib only).
 
-Three benchmark families feed this gate:
+Two benchmark families feed this gate:
 
 - ``BENCH_kernels.json`` (``benchmarks/test_bench_kernels.py``): each optimized
   hot path measured against its pre-optimization baseline.  A gated kernel's
@@ -17,10 +17,6 @@ Three benchmark families feed this gate:
   usable cores as workers — are enforced at >= 1.0x; single-core runners
   record the (necessarily < 1.0x) ratios for the trajectory without failing
   the build, with the reason stored in the entry.
-
-- ``BENCH_analysis.json`` (``benchmarks/test_bench_static_verify.py``): static
-  plan verification against trial execution — identical proposals always,
-  gated speedups >= 1.0x where a plan has overlap candidates.
 
 Serving has no file here: ``python3 -m bench --workload serve_http`` measures
 the request path end to end and checks every reply.
@@ -55,7 +51,6 @@ _REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_FILES = (
     _REPO_ROOT / "BENCH_kernels.json",
     _REPO_ROOT / "BENCH_process_engine.json",
-    _REPO_ROOT / "BENCH_analysis.json",
 )
 
 
@@ -116,42 +111,6 @@ def _check_process_engine(path: Path, entries: dict) -> int:
     return failures
 
 
-def _check_analysis(path: Path, entries: dict) -> int:
-    failures = 0
-    gated = 0
-    for name in sorted(entries):
-        entry = entries[name]
-        speedup = float(entry["speedup"])
-        if not entry.get("identical_proposals", False):
-            print(
-                f"check_bench: {name} — static verification reached different "
-                "proposals than trial execution; the static verifier is wrong",
-                file=sys.stderr,
-            )
-            failures += 1
-            continue
-        if not entry.get("gated", False):
-            reason = entry.get("ungated_reason", "recorded ungated")
-            print(f"check_bench: {name}: {speedup:.3f}x [ungated: {reason}]")
-            continue
-        gated += 1
-        status = "OK" if speedup >= THRESHOLD else "REGRESSED"
-        print(
-            f"check_bench: {name}: {speedup:.3f}x "
-            f"({entry.get('candidates', '?')} candidate(s)) [{status}]"
-        )
-        if speedup < THRESHOLD:
-            print(
-                f"check_bench: {name} — static plan verification ran slower "
-                "than trial execution on a plan with overlap candidates",
-                file=sys.stderr,
-            )
-            failures += 1
-    if not failures:
-        print(f"check_bench: OK ({gated} gated static-verify entr(y/ies))")
-    return failures
-
-
 def check_file(path: Path) -> int:
     if not path.exists():
         print(f"check_bench: {path} not found — run "
@@ -167,9 +126,7 @@ def check_file(path: Path) -> int:
         return _check_kernels(path, payload["kernels"])
     if "entries" in payload:
         return _check_process_engine(path, payload["entries"])
-    if "analysis" in payload:
-        return _check_analysis(path, payload["analysis"])
-    print(f"check_bench: {path} has no 'kernels', 'entries' or 'analysis' key", file=sys.stderr)
+    print(f"check_bench: {path} has no 'kernels' or 'entries' key", file=sys.stderr)
     return 1
 
 

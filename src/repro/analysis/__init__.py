@@ -7,9 +7,9 @@ Two layers share this package:
   (:func:`verify_plan`) that proves or refutes a :class:`RoundPlan`'s
   legality *without executing it*: overlap races, dead Joins, round-count
   drift, degrade plans that never consume ``alive_workers``, and
-  quorum-unsatisfiable plans under a declared fault profile.  The autotuner's
-  ``verify="static"`` mode and the effect-verified hoist proposer are built
-  on it.
+  quorum-unsatisfiable plans under a declared fault profile.  Its verdict
+  matches the executor's runtime in-flight guard, and
+  ``scripts/verify_solver_plans.py`` runs it over every solver's plan.
 
 * :mod:`repro.analysis.lint` — an AST lint (``python -m repro lint``) that
   enforces the repo's hand-maintained contracts: backend purity (RPR001),

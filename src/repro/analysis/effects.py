@@ -3,8 +3,8 @@
 Every step of a :class:`~repro.distributed.schedule.RoundPlan` moves data
 through the execution context (``ctx[key]``) and, for local steps, through
 per-worker state (``worker.state`` / ``get_vector`` / ``set_vector``).  The
-static verifier and the hoist proposer need those footprints *before*
-execution, so this module computes an :class:`Effects` record per step:
+static verifier needs those footprints *before* execution, so this module
+computes an :class:`Effects` record per step:
 
 * **Declared**: a step built with ``effects={"reads": [...], "writes":
   [...]}`` states its footprint explicitly.  Worker-state channels use
@@ -56,8 +56,8 @@ class Effects:
     ``reads``/``writes`` hold context keys plus ``worker:<key>`` pseudo-keys.
     ``ctx_exact`` means the context footprint is complete (no unanalyzable
     use of the context object); ``state_exact`` the same for worker state.
-    The verifier's race rules only need ``ctx_exact``; reordering proposals
-    (hoist) require both.
+    The verifier's race rules only need ``ctx_exact``; PLN010 and the
+    per-step ``exact`` flag use both.
     """
 
     reads: FrozenSet[str] = _EMPTY

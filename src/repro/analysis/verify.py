@@ -222,15 +222,14 @@ def _fault_findings(plan: RoundPlan, profile: Any) -> List[Finding]:
 
 
 def verify_plan(plan: RoundPlan, profile: Any = None) -> PlanReport:
-    """Statically verify ``plan``; optionally against a ``ClusterProfile``.
+    """Statically verify ``plan``; optionally against a fault ``profile``.
 
     Execution-free: resolves each flattened step's effect footprint
     (declared or inferred — see :mod:`repro.analysis.effects`) and walks the
     sequence with the same in-flight bookkeeping the executor enforces at
     runtime.  With a ``profile`` (anything exposing ``n_workers`` and a
-    ``faults`` :class:`FailureModel`, e.g.
-    :class:`~repro.distributed.schedule_diff.ClusterProfile`), fault-policy
-    satisfiability is checked as well (PLN006).
+    ``faults`` :class:`FailureModel`, e.g. a ``types.SimpleNamespace``),
+    fault-policy satisfiability is checked as well (PLN006).
     """
     report = PlanReport(plan_name=plan.name)
     steps = plan.flattened()

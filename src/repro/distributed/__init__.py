@@ -52,20 +52,6 @@ from repro.distributed.schedule import (
     ScheduleError,
     execute_plan,
 )
-from repro.distributed.schedule_diff import (
-    ClusterProfile,
-    PlanCostEstimate,
-    PlanDiff,
-    diff_plans,
-    estimate_plan_time,
-)
-from repro.distributed.autotune import (
-    OverlapProposal,
-    TournamentEntry,
-    TournamentResult,
-    propose_overlap,
-    run_tournament,
-)
 from repro.distributed.comm import Communicator, CommunicationLog
 from repro.distributed.worker import Worker
 from repro.distributed.cluster import SimulatedCluster
@@ -105,16 +91,6 @@ __all__ = [
     "RoundPlan",
     "ScheduleError",
     "execute_plan",
-    "ClusterProfile",
-    "PlanCostEstimate",
-    "PlanDiff",
-    "diff_plans",
-    "estimate_plan_time",
-    "OverlapProposal",
-    "TournamentEntry",
-    "TournamentResult",
-    "propose_overlap",
-    "run_tournament",
     "Communicator",
     "CommunicationLog",
     "Worker",

@@ -53,7 +53,7 @@ observations for the harness and plotting to consume.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.distributed.faults import (
@@ -84,9 +84,8 @@ class ScheduleError(RuntimeError):
 #: declared effect footprint of a step's thunk: ``{"reads": [...], "writes":
 #: [...]}`` over context keys plus ``worker:<key>`` pseudo-keys for per-worker
 #: state.  ``None`` means "infer from the thunk's source" (see
-#: :mod:`repro.analysis.effects`).  Deliberately excluded from
-#: :func:`step_signature` and ``describe()`` — effects annotate the schedule,
-#: they are not part of its structural identity.
+#: :mod:`repro.analysis.effects`).  Deliberately excluded from ``describe()``
+#: — effects annotate the schedule, they are not part of its structure.
 EffectSpec = Dict[str, Sequence[str]]
 
 
@@ -223,40 +222,8 @@ Step = Union[LocalStep, Collective, GlobalStep, Barrier, Join, DynamicStep, Repe
 
 
 # ---------------------------------------------------------------------------
-# Introspection hooks (consumed by schedule_diff / autotune)
+# Introspection
 # ---------------------------------------------------------------------------
-def step_signature(step: Step) -> tuple:
-    """Hashable structural identity of a step.
-
-    Two steps with equal signatures occupy the same schedule position for
-    diffing purposes: same kind, same binding name, same round-accounting
-    flags.  Thunks are deliberately excluded — a plan rebuilt each epoch
-    closes over fresh state, but its *schedule* is unchanged.
-    """
-    if isinstance(step, LocalStep):
-        return ("local", step.name, step.label)
-    if isinstance(step, Collective):
-        return (
-            "collective",
-            step.op,
-            step.name,
-            bool(step.joint_with_previous),
-            bool(step.overlap),
-            step.on_failure,
-        )
-    if isinstance(step, GlobalStep):
-        return ("global", step.name or "")
-    if isinstance(step, Barrier):
-        return ("barrier", step.label)
-    if isinstance(step, Join):
-        return ("join",)
-    if isinstance(step, DynamicStep):
-        return ("dynamic", step.name, step.rounds)
-    if isinstance(step, Repeat):
-        return ("repeat", step.times) + tuple(step_signature(s) for s in step.steps)
-    raise TypeError(f"unknown plan step {step!r}")
-
-
 def iter_steps(steps: Sequence[Step], *, expand_repeat: bool = True) -> Iterator[Step]:
     """Yield steps in execution order, unrolling :class:`Repeat` bodies.
 
@@ -269,13 +236,6 @@ def iter_steps(steps: Sequence[Step], *, expand_repeat: bool = True) -> Iterator
                 yield from iter_steps(step.steps, expand_repeat=True)
         else:
             yield step
-
-
-def copy_step(step: Step) -> Step:
-    """Structural copy of a step: new node objects, shared thunks."""
-    if isinstance(step, Repeat):
-        return Repeat(step.times, [copy_step(s) for s in step.steps])
-    return _dc_replace(step)
 
 
 def _count(steps: Sequence[Step], measure: Callable[[Collective], int]) -> Optional[int]:
@@ -515,24 +475,6 @@ class RoundPlan:
     def flattened(self) -> List[Step]:
         """Steps in execution order with :class:`Repeat` bodies unrolled."""
         return list(iter_steps(self.steps))
-
-    def signature(self) -> tuple:
-        """Structural identity of the whole plan (see :func:`step_signature`)."""
-        return tuple(step_signature(s) for s in self.steps)
-
-    def structural_copy(self, name: Optional[str] = None) -> "RoundPlan":
-        """A plan with fresh step nodes (shared thunks) safe to rewrite.
-
-        The autotuner's overlap proposer mutates step flags and inserts
-        :class:`Join` nodes; copying first keeps the solver-built original
-        intact.
-        """
-        clone = RoundPlan(
-            name or self.name, context=self.context, on_failure=self.on_failure
-        )
-        clone.steps = [copy_step(s) for s in self.steps]
-        clone.returns_key = self.returns_key
-        return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rounds = self.declared_rounds

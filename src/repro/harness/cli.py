@@ -109,12 +109,6 @@ EXPERIMENT_REGISTRY: Dict[str, tuple] = {
         "Ablation — a master↔worker link dies and heals: quorum async rides through the cut",
         None,
     ),
-    "ablation-autotune": (
-        experiments.ablation_autotune,
-        "Ablation — tournament-tuned schedule beats every hand-written plan "
-        "under a straggler+fault profile",
-        None,
-    ),
 }
 
 
@@ -205,53 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip the ASCII rendering of time-series figures",
     )
-
-    tune = sub.add_parser(
-        "tune",
-        help="tournament-search the schedule for a declared cluster profile "
-        "(quorum / staleness / penalty / overlap knobs; see docs/schedule-ir.md)",
-    )
-    tune.add_argument(
-        "--dataset",
-        choices=sorted(DATASET_REGISTRY),
-        default="mnist_like",
-        help="workload to tune on (default: mnist_like)",
-    )
-    tune.add_argument("--workers", type=int, default=8, help="cluster size (default 8)")
-    tune.add_argument(
-        "--network",
-        default="infiniband_100g",
-        help="network preset: infiniband_100g / ethernet_10g / wan_slow",
-    )
-    tune.add_argument(
-        "--n-train", type=int, default=2000,
-        help="training rows for the tournament fits (default 2000)",
-    )
-    tune.add_argument(
-        "--epochs", type=int, default=12,
-        help="synchronous epoch budget; async entrants get 4x (default 12)",
-    )
-    tune.add_argument(
-        "--lam", type=float, default=1e-5, help="l2 regularization (default 1e-5)"
-    )
-    tune.add_argument(
-        "--straggler-slowdown", type=float, default=0.0,
-        help="persistent-straggler slowdown factor (0 = no stragglers)",
-    )
-    tune.add_argument(
-        "--stragglers", type=int, default=1, metavar="N",
-        help="how many workers straggle persistently (default 1; "
-        "used with --straggler-slowdown)",
-    )
-    tune.add_argument(
-        "--faults", default=None, metavar="SPEC",
-        help="fault spec for the profile (same grammar as 'run --faults')",
-    )
-    tune.add_argument(
-        "--trials", type=int, default=6,
-        help="seeded search draws on top of the hand-written field (default 6)",
-    )
-    tune.add_argument("--seed", type=int, default=0, help="search seed (default 0)")
 
     serve = sub.add_parser(
         "serve",
@@ -501,82 +448,6 @@ def _cmd_run(args, print_fn: Callable[[str], None]) -> int:
     return exit_code
 
 
-def _cmd_tune(args, print_fn: Callable[[str], None]) -> int:
-    from repro.datasets.registry import load_dataset
-    from repro.distributed.autotune import run_tournament
-    from repro.distributed.schedule_diff import ClusterProfile
-    from repro.distributed.stragglers import StragglerModel
-    from repro.harness.runner import resolve_network
-
-    try:
-        network = resolve_network(args.network)
-    except KeyError as exc:
-        print_fn(f"error: {exc}")
-        return 2
-    straggler = None
-    if args.straggler_slowdown and args.straggler_slowdown > 1.0:
-        straggler = StragglerModel(
-            slowdown=args.straggler_slowdown,
-            persistent_stragglers=list(range(max(1, args.stragglers))),
-            random_state=args.seed,
-        )
-    try:
-        profile = ClusterProfile(
-            n_workers=args.workers,
-            network=network,
-            straggler=straggler,
-            faults=args.faults,
-        )
-    except ValueError as exc:
-        print_fn(f"error: {exc}")
-        return 2
-    train, test = load_dataset(
-        args.dataset,
-        n_train=args.n_train,
-        n_test=max(200, args.n_train // 5),
-        random_state=args.seed,
-    )
-    print_fn(
-        f"tuning schedule for {args.dataset} on {args.workers} workers "
-        f"({args.network}"
-        + (f", {args.stragglers} straggler(s) @ {args.straggler_slowdown:g}x"
-           if straggler else "")
-        + (f", faults {args.faults}" if args.faults else "")
-        + f"), seed {args.seed}, {args.trials} trial(s)"
-    )
-    result = run_tournament(
-        train,
-        profile,
-        seed=args.seed,
-        n_trials=args.trials,
-        sync_epochs=args.epochs,
-        lam=args.lam,
-        test=test,
-    )
-    rows = [
-        {
-            "candidate": c["label"],
-            "hand_written": c["hand_written"],
-            "epochs": c["epochs"],
-            "time_to_target_s": c["score"],
-            "final_objective": c["final_objective"],
-        }
-        for c in result.candidates
-    ]
-    print_fn(format_table(rows, title="Tournament candidates"))
-    provenance = result.winner_trace.info["autotune"]
-    print_fn(
-        f"winner: {result.winner} "
-        f"(target objective {result.target:.6g}, "
-        f"beat every hand-written plan: "
-        f"{provenance['beat_every_hand_written']})"
-    )
-    winner = next(c for c in result.candidates if c["label"] == result.winner)
-    for key, value in sorted(winner["params"].items()):
-        print_fn(f"  {key}: {value}")
-    return 0
-
-
 def _cmd_serve(args, print_fn: Callable[[str], None]) -> int:
     if args.backend:
         from repro.backend import BackendUnavailableError, set_default_backend
@@ -644,8 +515,6 @@ def main(argv: Optional[Sequence[str]] = None, *, print_fn: Callable[[str], None
         return _cmd_engines(print_fn)
     if args.command == "run":
         return _cmd_run(args, print_fn)
-    if args.command == "tune":
-        return _cmd_tune(args, print_fn)
     if args.command == "serve":
         return _cmd_serve(args, print_fn)
     if args.command == "lint":

@@ -1244,153 +1244,3 @@ def ablation_partitions(
         "report": sweep["report"],
     }
 
-
-def ablation_autotune(
-    scale=ExperimentScale.QUICK,
-    *,
-    dataset: str = "mnist_like",
-    n_workers: int = 8,
-    lam: float = 1e-5,
-    network: str = "infiniband_100g",
-    slowdown: float = 8.0,
-    n_stragglers: int = 2,
-    n_trials: int = 6,
-    seed: int = 0,
-    check_reproducible: bool = True,
-) -> dict:
-    """Ablation: tournament-tune the schedule against a straggler+fault profile.
-
-    Declares a hostile cluster profile — ``n_stragglers`` persistent
-    stragglers at ``slowdown``× plus an MTBF crash/restart schedule
-    calibrated from a fault-free baseline run (an MTBF fixed in wall-clock
-    units would either never fire or always be down at another scale's
-    modelled runtime) — then runs :func:`repro.distributed.run_tournament`:
-    every hand-written solver plan the repo ships enters first, followed by
-    ``n_trials`` seeded draws over quorum size, staleness bound, ADMM
-    penalty / over-relaxation, and overlap flags.
-
-    The headline assertion (made by the benchmark over this driver's rows):
-    under the declared profile the tuned schedule reaches the synchronous
-    baseline's final objective in strictly less modelled time than *every*
-    hand-written plan, and the tournament is bit-reproducible under the
-    fixed seed.  The report also prints the priced structural diff between
-    the paper's 1-round Newton-ADMM plan and GIANT's 3-round plan under the
-    same profile — the diff is the tuner's *explanation*, the tournament its
-    *verdict*.
-    """
-    from repro.admm.newton_admm import NewtonADMM
-    from repro.baselines.giant import GIANT
-    from repro.datasets.registry import load_dataset as _load
-    from repro.distributed.autotune import run_tournament
-    from repro.distributed.cluster import SimulatedCluster
-    from repro.distributed.schedule_diff import ClusterProfile, diff_plans
-    from repro.distributed.stragglers import StragglerModel
-    from repro.harness.plotting import format_plan_diff
-    from repro.harness.runner import resolve_network
-
-    scale = _scale(scale)
-    sync_epochs = _epoch_budget(scale, 12, 25, 60)
-    # The tournament fits ~10 candidates (async entrants at a 4x epoch
-    # budget), so it runs on a reduced slice of the dataset; the schedule
-    # comparison is about modelled cluster time, not statistical scale.
-    n_train = min(train_size_for(dataset, scale), 2000)
-    n_test = test_size_for(dataset, scale)
-    train, test = _load(dataset, n_train=n_train, n_test=n_test, random_state=seed)
-    net = resolve_network(network)
-
-    def straggler() -> StragglerModel:
-        return StragglerModel(
-            slowdown=slowdown,
-            persistent_stragglers=list(range(n_stragglers)),
-            random_state=seed,
-        )
-
-    # ---- calibrate the fault schedule from a fault-free baseline ----------
-    base_cluster = SimulatedCluster(
-        train, n_workers, network=net, straggler=straggler(),
-        engine="event", random_state=seed,
-    )
-    baseline = NewtonADMM(
-        lam=lam, max_epochs=sync_epochs, cg_max_iter=10, record_accuracy=False
-    ).fit(base_cluster, test=test)
-    base_time = baseline.total_time()
-    faults = f"mtbf={base_time / 6.0:g},restart={base_time / 25.0:g},seed={seed}"
-
-    profile = ClusterProfile(
-        n_workers=n_workers,
-        network=net,
-        straggler=straggler(),
-        faults=faults,
-        payload_bytes=8.0 * train.n_features * train.n_classes,
-    )
-
-    def tournament():
-        return run_tournament(
-            train, profile, seed=seed, n_trials=n_trials,
-            sync_epochs=sync_epochs, lam=lam, test=test,
-        )
-
-    result = tournament()
-    reproducible = None
-    if check_reproducible:
-        rerun = tournament()
-        reproducible = rerun.winner == result.winner and all(
-            a["label"] == b["label"] and a["score"] == b["score"]
-            for a, b in zip(result.candidates, rerun.candidates)
-        )
-
-    rows = [
-        {
-            "candidate": c["label"],
-            "hand_written": c["hand_written"],
-            "epochs": c["epochs"],
-            "score_time_to_target_s": c["score"],
-            "final_objective": c["final_objective"],
-            "total_modelled_time_s": c["total_modelled_time"],
-        }
-        for c in result.candidates
-    ]
-
-    # ---- priced structural diff: the paper's plan vs the 3-round shape ----
-    def plan_of(solver):
-        probe = SimulatedCluster(train, n_workers, random_state=seed)
-        solver.fit(probe)
-        return solver._plan_epoch(probe, 0)
-
-    diff = diff_plans(
-        plan_of(NewtonADMM(lam=lam, max_epochs=1, record_accuracy=False)),
-        plan_of(GIANT(lam=lam, max_epochs=1, record_accuracy=False)),
-        profile,
-    )
-
-    provenance = result.winner_trace.info["autotune"]
-    lines = [
-        format_table(
-            rows,
-            title=(
-                f"Ablation — schedule autotuning under {n_stragglers} "
-                f"persistent straggler(s) ({slowdown:g}x) + faults "
-                f"({faults}) on {n_workers} workers / {network}"
-            ),
-        ),
-        "",
-        f"winner: {result.winner} (target objective {result.target:.6f}, "
-        f"seed {result.seed})",
-        f"beat every hand-written plan: "
-        f"{provenance['beat_every_hand_written']}",
-    ]
-    if reproducible is not None:
-        lines.append(f"bit-reproducible rerun (same profile + seed): {reproducible}")
-    lines += ["", format_plan_diff(diff)]
-
-    return {
-        "rows": rows,
-        "traces": result.traces,
-        "result": result,
-        "target": result.target,
-        "profile": profile.describe(),
-        "base_time": base_time,
-        "reproducible": reproducible,
-        "diff": diff,
-        "report": "\n".join(lines),
-    }

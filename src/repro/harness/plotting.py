@@ -368,55 +368,6 @@ def format_schedule(trace: RunTrace) -> str:
     return "\n".join(lines)
 
 
-def format_plan_diff(diff) -> str:
-    """Render a :class:`~repro.distributed.schedule_diff.PlanDiff` as text.
-
-    One line per structural entry (changed / added / removed step), the
-    header-level differences, and — when the diff was priced against a
-    :class:`~repro.distributed.schedule_diff.ClusterProfile` — the modelled
-    per-epoch cost of each plan and the delta, broken into compute, exposed
-    communication, and expected fault stall.
-    """
-    lines = [f"plan diff: {diff.plan_a!r} -> {diff.plan_b!r}"]
-    if diff.is_empty:
-        lines.append("  structurally identical")
-
-    def step_id(d: dict) -> str:
-        return f"{d.get('step', '?')}({d.get('name', d.get('label', ''))})"
-
-    for entry in diff.entries:
-        if entry.kind == "changed":
-            what = ", ".join(
-                f"{key}: {old!r} -> {new!r}"
-                for key, (old, new) in sorted(entry.fields.items())
-            )
-            lines.append(f"  ~ step {entry.index:>2} {step_id(entry.a)} {what}")
-        elif entry.kind == "added":
-            lines.append(f"  + step {entry.index:>2} {step_id(entry.b)}")
-        else:
-            lines.append(f"  - step {entry.index:>2} {step_id(entry.a)}")
-    for key, vals in sorted(diff.header.items()):
-        lines.append(f"  ~ header {key}: {vals['a']!r} -> {vals['b']!r}")
-    if diff.estimate_a is not None and diff.estimate_b is not None:
-        for tag, est in (("a", diff.estimate_a), ("b", diff.estimate_b)):
-            lines.append(
-                f"  modelled[{tag}] {est.plan}: {est.seconds:.3e}s/epoch "
-                f"(compute {est.compute_seconds:.3e}, "
-                f"comm {est.comm_seconds:.3e}, "
-                f"hidden {est.hidden_seconds:.3e}, "
-                f"fault stall {est.fault_stall_seconds:.3e}, "
-                f"{est.rounds} round(s))"
-                + (" [dynamic]" if est.dynamic else "")
-            )
-        delta = diff.modelled_delta
-        sign = "+" if delta >= 0 else ""
-        lines.append(
-            f"  modelled delta: {sign}{delta:.3e}s/epoch "
-            f"({'b slower' if delta > 0 else 'b faster' if delta < 0 else 'even'})"
-        )
-    return "\n".join(lines)
-
-
 def plot_scaling(
     rows: Sequence[dict],
     *,

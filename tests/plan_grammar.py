@@ -1,7 +1,7 @@
 """Shared generated-plan grammar for the schedule property suites.
 
 ``round_plans()`` draws random *legal* round plans built from executable
-segments; it is used by ``test_schedule_properties.py`` (diff/proposer
+segments; it is used by ``test_schedule_properties.py`` (execution
 properties) and ``test_analysis_properties.py`` (static-verifier
 differential properties).  Import this module only after
 ``pytest.importorskip("hypothesis")``.

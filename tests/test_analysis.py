@@ -1,9 +1,9 @@
 """Unit tests for the static plan analysis layer (repro.analysis).
 
 Covers the effect model (inference, declaration, conservative fallback),
-every verifier rule PLN001..PLN009 with a triggering and a clean case, the
-static/execute equivalence of the overlap proposer across all registered
-sync solvers, and the effect-verified hoist proposer on the GIANT pattern.
+every verifier rule PLN001..PLN010 with a triggering and a clean case, and
+the static verdict against the runtime in-flight guard on overlap rewrites of
+every registered sync solver's real epoch plan.
 
 The thunks used to build plans are module-level on purpose: effect
 inference reads function sources through ``linecache``, so thunks defined
@@ -14,22 +14,24 @@ which is itself one of the cases below.
 from __future__ import annotations
 
 import json
+import types
 
 import pytest
 
 from repro.analysis import infer_effects, step_effects, verify_plan
 from repro.analysis.effects import UNKNOWN_EFFECTS, declared_effects
 from repro.datasets.synthetic import make_binary_margin, make_multiclass_gaussian
-from repro.distributed.autotune import propose_hoist, propose_overlap
 from repro.distributed.cluster import SimulatedCluster
+from repro.distributed.faults import FailureModel
 from repro.distributed.schedule import (
     Collective,
     Join,
     LocalStep,
+    Repeat,
     RoundPlan,
+    ScheduleError,
     execute_plan,
 )
-from repro.distributed.schedule_diff import ClusterProfile
 from repro.harness.runner import SOLVER_REGISTRY
 
 # ---------------------------------------------------------------------------
@@ -80,6 +82,13 @@ SYNC_SOLVERS = (
 def _cluster(binary: bool = False) -> SimulatedCluster:
     data = _BINARY if binary else _DATASET
     return SimulatedCluster(data, 4, engine="event", random_state=0)
+
+
+def _profile(n_workers: int, faults: str) -> types.SimpleNamespace:
+    """What ``verify_plan`` reads of a profile: a size and a fault model."""
+    return types.SimpleNamespace(
+        n_workers=n_workers, faults=FailureModel.from_spec(faults)
+    )
 
 
 def _fitted_plan(name: str):
@@ -211,7 +220,7 @@ class TestVerifyRules:
         plan = RoundPlan("stall", on_failure="stall")
         plan.local("g1", _compute)
         plan.allreduce("s1", _payload("g1"))
-        profile = ClusterProfile(n_workers=4, faults="0@1.0")
+        profile = _profile(4, "0@1.0")
         report = verify_plan(plan, profile=profile)
         assert not report.ok
         assert [f.rule for f in report.errors] == ["PLN006"]
@@ -220,7 +229,7 @@ class TestVerifyRules:
 
     def test_pln006_raise_policy_is_warning(self):
         plan = _clean_plan()  # on_failure defaults to "raise"
-        profile = ClusterProfile(n_workers=4, faults="0@1.0")
+        profile = _profile(4, "0@1.0")
         report = verify_plan(plan, profile=profile)
         assert report.ok
         assert [f.rule for f in report.warnings] == ["PLN006"]
@@ -230,7 +239,7 @@ class TestVerifyRules:
         plan.local("g1", _compute)
         plan.allreduce("total", _payload("g1"))
         plan.master(_reweight, name="m1")
-        profile = ClusterProfile(n_workers=4, faults="0@1,1@1,2@1,3@1")
+        profile = _profile(4, "0@1,1@1,2@1,3@1")
         report = verify_plan(plan, profile=profile)
         assert not report.ok
         assert [f.rule for f in report.errors] == ["PLN006"]
@@ -317,105 +326,48 @@ def test_solver_plans_verify_clean(name):
 
 
 # ---------------------------------------------------------------------------
-# Static verification replaces trial execution in the proposer
+# Static verdict == runtime guard on overlap rewrites of real solver plans
 # ---------------------------------------------------------------------------
+def _overlap_sites(steps):
+    """``(step list, index)`` of each collective that may be forced to overlap.
+
+    ``Repeat`` bodies are walked too: sync SGD's only collective lives in one,
+    and a Join placed inside the body joins on every trip.
+    """
+    for i, step in enumerate(steps):
+        if isinstance(step, Repeat):
+            yield from _overlap_sites(step.steps)
+        elif (
+            isinstance(step, Collective)
+            and not step.overlap
+            and not step.joint_with_previous
+            and step.op != "reduce_scalar"
+        ):
+            yield steps, i
+
+
 @pytest.mark.parametrize("name", SYNC_SOLVERS)
 def test_overlap_proposals_static_equals_execute(name):
-    plan, cluster = _fitted_plan(name)
-    static = propose_overlap(plan, verify="static")
-    executed = propose_overlap(plan, verify_on=cluster, verify="execute")
-    assert [(c["name"], c["status"]) for c in static.candidates] == [
-        (c["name"], c["status"]) for c in executed.candidates
-    ]
-    assert static.proposed.signature() == executed.proposed.signature()
-    assert static.verify_mode == "static"
-    assert executed.verify_mode == "execute"
-
-
-def test_overlap_both_mode_backstops_static_with_execution():
-    plan, cluster = _fitted_plan("inexact_dane")
-    both = propose_overlap(plan, verify="both", verify_on=cluster)
-    assert both.verify_mode == "both"
-    assert both.verified
-
-
-def test_overlap_execute_mode_requires_a_cluster():
-    plan, _ = _fitted_plan("giant")
-    with pytest.raises(ValueError):
-        propose_overlap(plan, verify="execute")
-    with pytest.raises(ValueError):
-        propose_overlap(plan, verify="both")
-    with pytest.raises(ValueError):
-        propose_overlap(plan, verify="bogus")
-
-
-# ---------------------------------------------------------------------------
-# The effect-verified hoist proposer (GIANT pattern)
-# ---------------------------------------------------------------------------
-def _unhoisted_giant():
-    from repro.baselines.giant import GIANT
-
-    cluster = _cluster()
-    solver = GIANT(max_epochs=1, overlap_gradient=True)
-    solver.fit(cluster)
-    overlap_plan = solver._plan_epoch(cluster, 0)
-
-    plan = overlap_plan.structural_copy("giant-unhoisted")
-    grad_sum = next(
-        i
-        for i, s in enumerate(plan.steps)
-        if isinstance(s, Collective) and s.name == "grad_sum"
-    )
-    plan.steps[grad_sum].overlap = False
-    plan.steps.pop(
-        next(i for i, s in enumerate(plan.steps) if isinstance(s, Join))
-    )
-    moved = plan.steps.pop(
-        next(
-            i
-            for i, s in enumerate(plan.steps)
-            if isinstance(s, LocalStep) and s.name == "value_at_w"
-        )
-    )
-    plan.steps.insert(
-        next(
-            i
-            for i, s in enumerate(plan.steps)
-            if isinstance(s, LocalStep) and s.name == "line_values"
-        ),
-        moved,
-    )
-    return plan, overlap_plan, cluster
-
-
-def test_hoist_recovers_hand_written_giant_overlap():
-    unhoisted, overlap_plan, _ = _unhoisted_giant()
-    proposal = propose_hoist(unhoisted)
-    assert proposal.n_applied == 1
-    applied = [c for c in proposal.candidates if c["status"] == "proposed"]
-    assert [(c["collective"], c["local"]) for c in applied] == [
-        ("grad_sum", "value_at_w")
-    ]
-    assert proposal.proposed.signature() == overlap_plan.signature()
-    assert verify_plan(proposal.proposed).ok
-
-
-def test_hoist_both_mode_executes_the_rewrite():
-    unhoisted, _, cluster = _unhoisted_giant()
-    proposal = propose_hoist(unhoisted, verify="both", verify_on=cluster)
-    assert proposal.n_applied == 1
-    execution = execute_plan(cluster, proposal.proposed)
-    assert execution.rounds == unhoisted.declared_rounds
-
-
-def test_hoist_refuses_execute_only_verification():
-    plan, cluster = _fitted_plan("giant")
-    with pytest.raises(ValueError):
-        propose_hoist(plan, verify="execute", verify_on=cluster)
-
-
-def test_hoist_leaves_plans_without_candidates_alone():
-    plan, _ = _fitted_plan("newton_admm")
-    proposal = propose_hoist(plan)
-    assert proposal.n_applied == 0
-    assert proposal.proposed.signature() == plan.signature()
+    # Each eligible collective is forced to overlap in turn: with no Join,
+    # with one right after it, and with one after the step that follows it.
+    # Every variant is built on a fresh plan and cluster, since execution
+    # mutates both.
+    n_sites = len(list(_overlap_sites(_fitted_plan(name)[0].steps)))
+    assert n_sites, f"{name}'s plan has no collective to overlap"
+    for site in range(n_sites):
+        for join_after in (None, 0, 1):
+            plan, cluster = _fitted_plan(name)
+            steps, index = list(_overlap_sites(plan.steps))[site]
+            steps[index].overlap = True
+            if join_after is not None:
+                steps.insert(index + 1 + join_after, Join())
+            report = verify_plan(plan)
+            try:
+                execute_plan(cluster, plan)
+                runtime_ok = True
+            except ScheduleError:
+                runtime_ok = False
+            assert report.ok == runtime_ok, (
+                f"{steps[index].name} join_after={join_after}: "
+                f"static={report.ok} runtime={runtime_ok}: {report.reason()}"
+            )

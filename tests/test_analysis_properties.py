@@ -9,10 +9,7 @@ generated plans:
   illegality — the static verdict matches whether ``execute_plan`` raises
   ``ScheduleError`` (the in-flight guard is the runtime oracle);
 - every plan the verifier passes executes with its declared round and
-  collective counts;
-- ``propose_overlap(verify="static")`` reaches the same accept/reject
-  decisions — and the same rewritten plan — as trial execution;
-- ``propose_hoist`` rewrites stay statically legal and executable.
+  collective counts.
 
 Mutations are applied to top-level steps only: mutating a step inside a
 ``Repeat`` body re-issues the same collective while a previous issue may be
@@ -33,7 +30,6 @@ from plan_grammar import round_plans  # noqa: E402
 
 from repro.analysis import verify_plan  # noqa: E402
 from repro.datasets.synthetic import make_multiclass_gaussian  # noqa: E402
-from repro.distributed.autotune import propose_hoist, propose_overlap  # noqa: E402
 from repro.distributed.cluster import SimulatedCluster  # noqa: E402
 from repro.distributed.schedule import (  # noqa: E402
     Collective,
@@ -127,30 +123,3 @@ def test_generated_plans_have_exact_footprints(plan):
     # step built from the grammar's thunks must infer an exact footprint.
     report = verify_plan(plan)
     assert all(entry["exact"] for entry in report.step_effects)
-
-
-# ---------------------------------------------------------------------------
-# Static proposer == trial-execution proposer
-# ---------------------------------------------------------------------------
-@BOUNDED
-@given(plan=mutated_plans())
-def test_static_and_executed_overlap_proposals_agree(plan):
-    if not verify_plan(plan).ok:
-        return  # the proposer contract starts from a legal plan
-    static = propose_overlap(plan, verify="static")
-    executed = propose_overlap(plan, verify_on=_cluster(), verify="execute")
-    assert [(c["name"], c["status"]) for c in static.candidates] == [
-        (c["name"], c["status"]) for c in executed.candidates
-    ]
-    assert static.proposed.signature() == executed.proposed.signature()
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_hoist_rewrites_stay_legal_and_executable(plan):
-    proposal = propose_hoist(plan)
-    report = verify_plan(proposal.proposed)
-    assert report.ok, report.reason()
-    execution = execute_plan(_cluster(), proposal.proposed)
-    assert execution.rounds == plan.declared_rounds
-    assert execution.collectives == plan.declared_collectives

@@ -19,7 +19,6 @@ import pytest
 
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.schedule_diff import ClusterProfile
 from repro.distributed.solver_base import DistributedSolver
 from repro.distributed.stragglers import StragglerModel
 from repro.harness.runner import SOLVER_REGISTRY
@@ -137,15 +136,3 @@ def test_straggler_describe_covers_every_field():
     assert described == declared
     json.dumps(model.describe())
 
-
-def test_cluster_profile_describe_is_complete_and_serializable():
-    profile = ClusterProfile(
-        n_workers=8,
-        straggler=StragglerModel(slowdown=4.0, persistent_stragglers=[0]),
-        faults="mtbf=0.01,restart=0.002,seed=0",
-    )
-    info = profile.describe()
-    assert info["n_workers"] == 8
-    assert info["straggler"]["slowdown"] == 4.0
-    assert info["faults"] is not None
-    json.dumps(info)

@@ -1,14 +1,8 @@
-"""Property-based tests for the schedule IR, diff, and overlap proposer.
+"""Property-based tests for the schedule IR.
 
 Random *legal* round plans are generated from a small grammar of executable
-segments and pushed through the structural diff and the tuner's overlap
-proposer:
-
-- ``diff_plans(p, p)`` is empty and prices to a zero modelled delta;
-- ``diff_plans(a, b)`` mirrors ``diff_plans(b, a)`` entry for entry
-  (symmetric up to direction);
-- every proposer rewrite passes the executor's in-flight guard and preserves
-  the declared round and collective counts.
+segments (``plan_grammar.round_plans``) and executed: each must run with its
+declared round and collective counts.
 
 The hypothesis profile is bounded (capped ``max_examples``, deadline
 disabled) so the suite stays inside the fast tier's budget; see
@@ -24,20 +18,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 
 from repro.datasets.synthetic import make_multiclass_gaussian  # noqa: E402
-from repro.distributed.autotune import propose_overlap  # noqa: E402
 from repro.distributed.cluster import SimulatedCluster  # noqa: E402
-from repro.distributed.schedule import (  # noqa: E402
-    Collective,
-    Join,
-    execute_plan,
-    iter_steps,
-    step_signature,
-)
-from repro.distributed.schedule_diff import (  # noqa: E402
-    ClusterProfile,
-    diff_plans,
-    estimate_plan_time,
-)
+from repro.distributed.schedule import execute_plan  # noqa: E402
 
 from plan_grammar import round_plans  # noqa: E402
 
@@ -50,7 +32,6 @@ BOUNDED = settings(
 )
 
 _DATASET = make_multiclass_gaussian(120, 6, 3, class_separation=2.0, random_state=0)
-_PROFILE = ClusterProfile(n_workers=4)
 
 
 def _cluster() -> SimulatedCluster:
@@ -66,118 +47,3 @@ def test_generated_plans_execute(plan):
     execution = execute_plan(_cluster(), plan)
     assert execution.rounds == plan.declared_rounds
     assert execution.collectives == plan.declared_collectives
-
-
-# ---------------------------------------------------------------------------
-# Diff properties
-# ---------------------------------------------------------------------------
-@BOUNDED
-@given(plan=round_plans())
-def test_diff_with_itself_is_empty(plan):
-    diff = diff_plans(plan, plan, _PROFILE)
-    assert diff.is_empty
-    assert not diff.entries and not diff.header
-    assert diff.modelled_delta == 0.0
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_diff_with_structural_copy_is_empty(plan):
-    assert diff_plans(plan, plan.structural_copy()).is_empty
-
-
-@BOUNDED
-@given(a=round_plans(), b=round_plans())
-def test_diff_is_symmetric_up_to_direction(a, b):
-    fwd = diff_plans(a, b, _PROFILE)
-    rev = diff_plans(b, a, _PROFILE)
-    assert fwd.is_empty == rev.is_empty
-    assert len(fwd.entries) == len(rev.entries)
-    flipped = {"added": "removed", "removed": "added", "changed": "changed"}
-    by_index = {(e.kind, e.index) for e in rev.entries}
-    for entry in fwd.entries:
-        assert (flipped[entry.kind], entry.index) in by_index
-    rev_entries = {e.index: e for e in rev.entries}
-    for entry in fwd.entries:
-        mirror = rev_entries[entry.index]
-        assert mirror.a == entry.b and mirror.b == entry.a
-        if entry.kind == "changed":
-            assert mirror.fields == {
-                k: (vb, va) for k, (va, vb) in entry.fields.items()
-            }
-    assert set(fwd.header) == set(rev.header)
-    for key, vals in fwd.header.items():
-        assert rev.header[key] == {"a": vals["b"], "b": vals["a"]}
-    if fwd.modelled_delta is not None:
-        assert rev.modelled_delta == pytest.approx(-fwd.modelled_delta)
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_signature_is_stable_across_structural_copy(plan):
-    assert plan.signature() == plan.structural_copy().signature()
-
-
-# ---------------------------------------------------------------------------
-# Proposer properties
-# ---------------------------------------------------------------------------
-@BOUNDED
-@given(plan=round_plans())
-def test_proposed_rewrites_pass_the_in_flight_guard(plan):
-    proposal = propose_overlap(plan, verify_on=_cluster(), profile=_PROFILE)
-    assert proposal.verified
-    # The rewritten plan executes cleanly on a fresh cluster: the guard is
-    # the legality oracle, and it has no objection.
-    execution = execute_plan(_cluster(), proposal.proposed)
-    assert execution.rounds == proposal.proposed.declared_rounds
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_proposals_preserve_declared_counts(plan):
-    proposal = propose_overlap(plan, verify_on=_cluster())
-    assert proposal.proposed.declared_rounds == plan.declared_rounds
-    assert proposal.proposed.declared_collectives == plan.declared_collectives
-    # Overlap never *removes* steps: flattened length can only grow (Joins).
-    n_before = len(list(iter_steps(plan.steps)))
-    n_after = len(list(iter_steps(proposal.proposed.steps)))
-    assert n_after >= n_before
-    applied = {c["name"] for c in proposal.candidates if c["status"] == "proposed"}
-    now_overlapped = {
-        step.name
-        for step in iter_steps(proposal.proposed.steps)
-        if isinstance(step, Collective) and step.overlap
-    }
-    assert applied <= now_overlapped
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_proposals_only_add_joins_and_overlap_flags(plan):
-    proposal = propose_overlap(plan, verify_on=_cluster())
-    originals = [
-        step_signature(s)
-        for s in iter_steps(plan.steps)
-        if not isinstance(s, Join)
-    ]
-    rewritten = [
-        step_signature(s)
-        for s in iter_steps(proposal.proposed.steps)
-        if not isinstance(s, Join)
-    ]
-    assert len(originals) == len(rewritten)
-    for before, after in zip(originals, rewritten):
-        if before[0] == "collective":
-            # Signatures match except possibly the overlap flag (index 4).
-            assert before[:4] == after[:4] and before[5:] == after[5:]
-        else:
-            assert before == after
-
-
-@BOUNDED
-@given(plan=round_plans())
-def test_estimates_never_price_proposals_higher(plan):
-    proposal = propose_overlap(plan, verify_on=_cluster(), profile=_PROFILE)
-    before = estimate_plan_time(plan, _PROFILE)
-    after = estimate_plan_time(proposal.proposed, _PROFILE)
-    assert after.seconds <= before.seconds + 1e-12
