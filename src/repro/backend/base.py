@@ -125,18 +125,6 @@ class ArrayBackend(ABC):
         """Euclidean norm with float64 accumulation (see :meth:`dot_hp`)."""
         return float(np.sqrt((v * v).sum(dtype=np.float64)))
 
-    def colwise_dot(self, A, B, *, high_precision: bool = False):
-        """Per-column inner products ``sum(A * B, axis=0)`` of two 2-D arrays.
-
-        The block-CG recurrences need one scalar per right-hand side; this is
-        that reduction, kept on the backend (one kernel, no host round-trip
-        per column).  ``high_precision`` accumulates in float64 for the
-        mixed-precision mode.
-        """
-        if high_precision:
-            return (A * B).sum(axis=0, dtype=np.float64)
-        return (A * B).sum(axis=0)
-
     def promote_fp64(self, x):
         """``x`` as a float64 array (no copy when already float64).
 

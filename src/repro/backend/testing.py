@@ -47,10 +47,10 @@ class TracingBackend(NumpyBackend):
         ``Counter`` of ``xp.<op>`` invocations plus the conversion helpers
         (``asarray``, ``as_vector``, ``asarray_data``, ``zeros``, ``norm``,
         ``dot``, ``to_numpy`` — the device-to-host transfer — and the fused /
-        high-precision kernels ``fused_lse_probs``, ``dot_hp``, ``norm_hp``,
-        ``colwise_dot``).  The fused kernel's *internal* ufunc calls are also
-        traced (its reference implementation runs on this namespace), so op
-        budgets of fused vs. composed paths are directly comparable.
+        high-precision kernels ``fused_lse_probs``, ``dot_hp``, ``norm_hp``).
+        The fused kernel's *internal* ufunc calls are also traced (its
+        reference implementation runs on this namespace), so op budgets of
+        fused vs. composed paths are directly comparable.
     """
 
     name = "tracing"
@@ -100,10 +100,6 @@ class TracingBackend(NumpyBackend):
     def norm_hp(self, v) -> float:
         self.calls["norm_hp"] += 1
         return super().norm_hp(v)
-
-    def colwise_dot(self, A, B, *, high_precision: bool = False):
-        self.calls["colwise_dot"] += 1
-        return super().colwise_dot(A, B, high_precision=high_precision)
 
     def fused_lse_probs(self, logits):
         self.calls["fused_lse_probs"] += 1

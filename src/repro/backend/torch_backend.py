@@ -207,11 +207,6 @@ class TorchBackend(ArrayBackend):
     def norm_hp(self, v) -> float:
         return float((v * v).sum(dtype=self._torch.float64).sqrt())
 
-    def colwise_dot(self, A, B, *, high_precision: bool = False):
-        if high_precision:
-            return (A * B).sum(dim=0, dtype=self._torch.float64)
-        return (A * B).sum(dim=0)
-
     def promote_fp64(self, x):
         return x if x.dtype == self._torch.float64 else x.double()
 

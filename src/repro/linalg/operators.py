@@ -142,37 +142,6 @@ class HessianOperator(LinearOperator):
         super().__init__(objective.dim, lambda v: objective.hvp(w, v))
 
 
-class BatchedHessianOperator(HessianOperator):
-    """Hessian at a fixed iterate with a batched multi-vector product.
-
-    Returned by :meth:`Objective.value_and_gradient_and_hvp_operator`: the
-    operator is bound to the *same object* ``w`` the value/gradient were
-    computed at (``check_weights`` is identity-preserving for 1-D arrays), so
-    every ``matvec``/``matmat`` against it reuses the objective's per-iterate
-    forward cache instead of recomputing logits.
-
-    ``matmat`` applies the Hessian to all columns of ``V`` at once — for
-    softmax objectives this is one GEMM per CG iteration instead of one GEMV
-    per class (see :func:`repro.linalg.cg.block_conjugate_gradient`).
-    """
-
-    def matmat(self, V):
-        if getattr(V, "ndim", None) != 2:
-            raise ValueError("matmat expects a 2-D block of column vectors")
-        if V.shape[0] != self.dim:
-            raise ValueError(
-                f"block has leading dimension {V.shape[0]}, expected {self.dim}"
-            )
-        check_dtype_match(self.dtype, _dtype_of(V), context="matmat")
-        self.n_matvecs += int(V.shape[1])
-        out = self.objective.hvp_mat(self.w, V)
-        if out.shape != V.shape:
-            raise ValueError(
-                f"matmat returned shape {tuple(out.shape)}, expected {tuple(V.shape)}"
-            )
-        return out
-
-
 class DiagonalOperator(LinearOperator):
     """Diagonal operator, e.g. a Jacobi preconditioner."""
 

@@ -131,47 +131,28 @@ class Objective(ABC):
         objectives with per-iterate caches (the softmax computes
         logits/log-sum-exp/softmax once per distinct ``w``) serve the value,
         the gradient *and* every HVP of the subsequent CG solve from that one
-        forward pass.  The operator also exposes ``matmat`` (block-CG batched
-        right-hand sides) via :meth:`hvp_mat`.
+        forward pass.
 
         The operator is bound to this exact iterate object; it must not be
         applied after ``w`` is mutated in place (solvers here never do).
         """
-        from repro.linalg.operators import BatchedHessianOperator
+        from repro.linalg.operators import HessianOperator
 
         value, grad = self.value_and_gradient(w)
-        return value, grad, BatchedHessianOperator(self, w)
+        return value, grad, HessianOperator(self, w)
 
-    def hvp_mat(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        """Hessian-matrix product ``H(w) @ V`` for a ``(dim, s)`` block ``V``.
-
-        The generic implementation loops :meth:`hvp` over columns; data-bound
-        objectives override it to batch all ``s`` products into single GEMMs
-        (one ``(n, p) @ (p, c*s)`` product instead of ``s`` smaller ones),
-        which is what makes block CG one-GEMM-per-iteration.
-        """
-        xp = self.backend.xp
-        cols = [self.hvp(w, V[:, j]).reshape(-1, 1) for j in range(V.shape[1])]
-        return xp.hstack(cols)
-
-    def hessian(self, w: np.ndarray, *, block_size: int = 32) -> np.ndarray:
-        """Dense Hessian at ``w`` built from batched Hessian-matrix products.
+    def hessian(self, w: np.ndarray) -> np.ndarray:
+        """Dense Hessian at ``w``, one :meth:`hvp` per basis vector.
 
         Intended for small problems (tests); cost is ``dim`` Hessian-vector
-        products, issued in blocks of ``block_size`` basis vectors so
-        objectives with a batched :meth:`hvp_mat` (the softmax) pay two GEMMs
-        per block instead of per column.
+        products.
         """
         d = self.dim
         backend = self.backend
         H = np.empty((d, d))  # repro-lint: ignore[RPR001] host-side by contract
-        for start in range(0, d, block_size):
-            stop = min(start + block_size, d)
-            E = np.zeros((d, stop - start))  # repro-lint: ignore[RPR001] host-side by contract
-            E[start:stop] = np.eye(stop - start)  # repro-lint: ignore[RPR001] host-side by contract
-            H[:, start:stop] = backend.to_numpy(
-                self.hvp_mat(w, backend.asarray(E))
-            )
+        E = np.eye(d)  # repro-lint: ignore[RPR001] host-side by contract
+        for j in range(d):
+            H[:, j] = backend.to_numpy(self.hvp(w, backend.asarray(E[j])))
         return 0.5 * (H + H.T)
 
     def initial_point(self) -> np.ndarray:
@@ -324,10 +305,6 @@ class RegularizedObjective(Objective):
         w = self.check_weights(w)
         return self.loss.hvp(w, v) + self.regularizer.hvp(w, v)
 
-    def hvp_mat(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        w = self.check_weights(w)
-        return self.loss.hvp_mat(w, V) + self.regularizer.hvp_mat(w, V)
-
     def flops_value(self) -> float:
         return self.loss.flops_value() + self.regularizer.flops_value()
 
@@ -389,9 +366,6 @@ class ScaledObjective(Objective):
     def hvp(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         return self.factor * self.base.hvp(w, v)
 
-    def hvp_mat(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        return self.factor * self.base.hvp_mat(w, V)
-
     def flops_value(self) -> float:
         return self.base.flops_value()
 
@@ -444,10 +418,6 @@ class ProximallyAugmentedObjective(Objective):
     def hvp(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         w = self.check_weights(w)
         return self.base.hvp(w, v) + self.rho * v
-
-    def hvp_mat(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        w = self.check_weights(w)
-        return self.base.hvp_mat(w, V) + self.rho * V
 
     def flops_value(self) -> float:
         return self.base.flops_value() + 3.0 * self.dim
@@ -528,13 +498,6 @@ class LinearlyPerturbedObjective(Objective):
         out = self.base.hvp(w, v)
         if self.mu > 0:
             out = out + self.mu * v
-        return out
-
-    def hvp_mat(self, w: np.ndarray, V: np.ndarray) -> np.ndarray:
-        w = self.check_weights(w)
-        out = self.base.hvp_mat(w, V)
-        if self.mu > 0:
-            out = out + self.mu * V
         return out
 
     def flops_value(self) -> float:

@@ -308,53 +308,13 @@ class SoftmaxCrossEntropy(Objective):
         )
         return self.scale * self._as_vector(self._promoted(out, v))
 
-    def hvp_mat(self, w, V):
-        """Hessian applied to all ``s`` columns of ``V`` — two GEMMs per tile.
-
-        Each column of ``V`` is a flat ``(C-1)*p`` direction; the columns'
-        per-class weight matrices are laid side by side into one ``(p, s*c)``
-        block so the forward and backward products are GEMMs of width
-        ``s*c`` instead of ``s`` separate GEMMs of width ``c``.  The
-        per-column results agree with ``hvp`` up to GEMM reassociation.
-        """
-        xp = self._backend.xp
-        cache = self._forward(w, need_probs=True)
-        V = self._backend.asarray(V)
-        if V.ndim != 2 or V.shape[0] != self.dim:
-            raise ValueError(
-                f"V must have shape ({self.dim}, s), got {tuple(V.shape)}"
-            )
-        P = cache["P"]
-        s = int(V.shape[1])
-        c = self.n_classes - 1
-        p = self.n_features
-        # Column j of V reshaped to its (p, c) weight matrix occupies columns
-        # [j*c, (j+1)*c) of the stacked block.
-        Vstack = self._at_storage(V.T.reshape(s * c, p).T)
-
-        def block(rows, X_t):
-            U, P_t = X_t @ Vstack, P[rows]
-            blocks = [
-                self._curvature_block(P_t, U[:, j * c : (j + 1) * c], xp)
-                for j in range(s)
-            ]
-            return xp.hstack(blocks) if s > 1 else blocks[0]
-
-        out = self._promoted(self._xt_sum(block), V)
-        cols = [
-            self._as_vector(out[:, j * c : (j + 1) * c]).reshape(-1, 1)
-            for j in range(s)
-        ]
-        res = xp.hstack(cols) if s > 1 else cols[0]
-        return self.scale * res
-
     def hvp_per_class(self, w, v):
         """Reference HVP issuing one GEMV per class column.
 
         This is the pre-batching formulation (a loop of ``(n, p) @ (p,)``
-        products instead of one ``(n, p) @ (p, c)`` GEMM); it is kept as the
-        benchmark baseline for ``BENCH_kernels.json`` and as an independent
-        cross-check of :meth:`hvp` in tests.  Never on the hot path.
+        products instead of one ``(n, p) @ (p, c)`` GEMM); it is kept only as
+        an independent cross-check of :meth:`hvp` in tests.  Never on the hot
+        path.
         """
         xp = self._backend.xp
         cache = self._forward(w, need_probs=True)

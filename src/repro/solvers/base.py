@@ -145,11 +145,6 @@ class CountingObjective(Objective):
         self._charge(self.base.flops_hvp(), hvp=1)
         return self.base.hvp(w, v)
 
-    def hvp_mat(self, w: np.ndarray, V) -> np.ndarray:
-        n_rhs = int(V.shape[1])
-        self._charge(n_rhs * self.base.flops_hvp(), hvp=n_rhs)
-        return self.base.hvp_mat(w, V)
-
     def add_flops(self, flops: float) -> None:
         """Charge work performed outside the wrapper (e.g. mini-batch
         gradients computed directly from the shard by a distributed SGD

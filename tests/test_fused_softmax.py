@@ -278,7 +278,7 @@ TILE_RTOL = {"fp64": 1e-12, "fp32": 2e-5, "mixed": 2e-5}
 SMALL_TILES = (7000, 1)
 
 
-def _evaluate(obj, w, v, V):
+def _evaluate(obj, w, v):
     """Every kernel with a product with ``X``, each from a cold cache, as
     flat arrays."""
     out = {}
@@ -287,7 +287,6 @@ def _evaluate(obj, w, v, V):
         ("gradient", lambda: obj.gradient(w)),
         ("value_and_gradient", lambda: obj.value_and_gradient(w)),
         ("hvp", lambda: obj.hvp(w, v)),
-        ("hvp_mat", lambda: obj.hvp_mat(w, V)),
         ("predict_proba", lambda: obj.predict_proba(w)),
     ):
         obj._iterate_cache = None
@@ -307,12 +306,12 @@ class TestRowTiles:
         rng = np.random.default_rng(seed)
         dim = 20 * 3
         w = rng.standard_normal(dim) * 0.1
-        return X, y, w, rng.standard_normal(dim), rng.standard_normal((dim, 3))
+        return X, y, w, rng.standard_normal(dim)
 
     @pytest.mark.parametrize("tile_bytes", SMALL_TILES)
     @pytest.mark.parametrize("precision", ["fp64", "fp32", "mixed"])
     def test_tiled_results_match_single_tile(self, monkeypatch, precision, tile_bytes):
-        X, y, w, v, V = self._setup()
+        X, y, w, v = self._setup()
         single = SoftmaxCrossEntropy(X, y, 4, precision=precision)
         assert len(single._tiles) == 1
         monkeypatch.setattr(softmax, "TILE_BYTES", tile_bytes)
@@ -324,8 +323,8 @@ class TestRowTiles:
         if tile_bytes > 1:
             assert last.shape[0] < rows  # ragged
 
-        w, v, V = (a.astype(tiled.X.dtype) for a in (w, v, V))
-        expected, got = _evaluate(single, w, v, V), _evaluate(tiled, w, v, V)
+        w, v = (a.astype(tiled.X.dtype) for a in (w, v))
+        expected, got = _evaluate(single, w, v), _evaluate(tiled, w, v)
         rtol = TILE_RTOL[precision]
         for name in expected:
             scale = np.max(np.abs(expected[name]))
@@ -346,7 +345,7 @@ class TestRowTiles:
         """Same tiles in the same order everywhere: separate and fused, cold
         and warm calls are the same floating-point program."""
         monkeypatch.setattr(softmax, "TILE_BYTES", tile_bytes)
-        X, y, w, v, _ = self._setup()
+        X, y, w, v = self._setup()
         obj = SoftmaxCrossEntropy(X, y, 4, precision=precision)
         fresh = SoftmaxCrossEntropy(X, y, 4, precision=precision)
         assert len(obj._tiles) > 1
@@ -372,7 +371,7 @@ class TestRowTiles:
         cache the fused pass leaves serves HVPs and predictions with no
         further forward pass."""
         monkeypatch.setattr(softmax, "TILE_BYTES", 7000)
-        X, y, w, v, _ = self._setup()
+        X, y, w, v = self._setup()
         bk = TracingBackend()
         obj = SoftmaxCrossEntropy(X, y, 4, backend=bk, precision=precision)
         obj.X = obj.X.view(_CountingArray)
@@ -420,7 +419,7 @@ class TestRowTiles:
     ):
         """Inputs the tile rule leaves whole compute the literal ``X @ W`` and
         ``X.T @ T``, bit for bit (holds before the tile loop existed too)."""
-        X, y, w, v, _ = self._setup()
+        X, y, w, v = self._setup()
         if layout != "small":
             monkeypatch.setattr(softmax, "TILE_BYTES", 1, raising=False)
         data = {"csr": sp.csr_matrix, "fortran": np.asfortranarray, "small": np.asarray}[

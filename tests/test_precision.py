@@ -227,15 +227,6 @@ class TestFlopsAccounting:
         assert counted.flops == obj.flops_value_and_gradient()
         assert counted.flops < obj.flops_value() + obj.flops_gradient()
 
-    def test_counting_objective_hvp_mat_charges_per_column(self):
-        X, y = self._problem()
-        obj = SoftmaxCrossEntropy(X, y, 4)
-        counted = CountingObjective(obj)
-        V = np.random.default_rng(6).standard_normal((obj.dim, 5))
-        counted.hvp_mat(np.zeros(obj.dim), V)
-        assert counted.n_hvp == 5
-        assert counted.flops == 5 * obj.flops_hvp()
-
     def test_flops_ordering_matches_traced_op_ordering(self):
         """The flops model claims fused < composed; the backend op counts
         must agree, so modelled time and real work move together."""
@@ -301,16 +292,15 @@ class TestMixedLocalSolve:
         y[:4] = np.arange(4)
         obj = SoftmaxCrossEntropy(X, y, 4, precision="mixed")
         w = rng.standard_normal(obj.dim) * 0.1
-        V = rng.standard_normal((obj.dim, 3))
+        v = rng.standard_normal(obj.dim)
         _, grad = obj.value_and_gradient(w)
         assert obj._iterate_cache["logits"].dtype == np.float32
         assert obj._iterate_cache["logits_hp"].dtype == np.float64
         assert grad.dtype == np.float64
-        assert obj.hvp(w, V[:, 0]).dtype == np.float64
-        assert obj.hvp_mat(w, V).dtype == np.float64
+        assert obj.hvp(w, v).dtype == np.float64
         ref = SoftmaxCrossEntropy(X, y, 4)
         assert _relative(grad, ref.gradient(w)) < 1e-5
-        assert _relative(obj.hvp(w, V[:, 0]), ref.hvp(w, V[:, 0])) < 1e-5
+        assert _relative(obj.hvp(w, v), ref.hvp(w, v)) < 1e-5
 
     def test_logistic_float64_iterate_runs_float32_products(self):
         """The binary logistic loss takes the same cast: every product with

@@ -151,6 +151,16 @@ class TestEngineEquivalence:
         two, _ = _fit(dataset, "newton_admm", "process")
         assert np.array_equal(one.final_w, two.final_w)
 
+    # Eight ranks is past the quick subset's two-worker cap (and ~4 s on two
+    # cores), so that case runs with the slow tests.
+    @pytest.mark.parametrize("n_workers", [1, pytest.param(8, marks=pytest.mark.slow)])
+    def test_extreme_widths_match_event_engine(self, n_workers, dataset):
+        """A single rank and eight ranks, the widths the 2/4-rank tests above
+        never reach, still change no float."""
+        event, _ = _fit(dataset, "newton_admm", "event", n_workers=n_workers)
+        process, _ = _fit(dataset, "newton_admm", "process", n_workers=n_workers)
+        assert np.array_equal(process.final_w, event.final_w)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
     def test_matches_pre_refactor_golden_at_four_workers(
