@@ -44,6 +44,10 @@ def max_iter_share(reasons_per_worker) -> float:
 class NewtonADMM(DistributedSolver):
     """Distributed Newton-ADMM solver.
 
+    The local x-update's precision is the cluster's: under the default
+    ``"mixed"`` its GEMMs read float32 shards and everything else stays
+    float64 (``docs/performance.md``, "Mixed-precision local solve").
+
     Parameters
     ----------
     lam:
@@ -81,19 +85,6 @@ class NewtonADMM(DistributedSolver):
         Boyd-style absolute/relative tolerances on the primal and dual
         residuals; when both are positive the solver stops as soon as both
         residuals fall below their thresholds (before ``max_epochs``).
-    precision:
-        Precision of the local x-update (:mod:`repro.backend.precision`).
-        ``None`` (default) resolves to the cluster's precision — the session
-        default unless the cluster was given one — and, when that is unset
-        too, to ``"mixed"``: each worker solves on a float32 copy of its
-        shard (built once per cluster, its FLOPs charged to the worker), so
-        the GEMMs run in single precision while the iterates, CG vectors,
-        line search, log-sum-exp, z/dual/penalty updates and the epoch
-        records stay float64.  ``"fp64"``, or the cluster's own precision,
-        solves on the worker's own loss — float64 only when the cluster is.
-        The mixed solve reaches the fp64 one within the documented
-        tolerance; ``docs/performance.md``, "Mixed-precision local solve",
-        has the measurements.
     on_failure:
         Reaction of the strict-sync schedule to an injected worker crash:
         ``"raise"`` (default, a :class:`~repro.distributed.faults.WorkerLostError`)
@@ -118,7 +109,6 @@ class NewtonADMM(DistributedSolver):
         over_relaxation: float = 1.0,
         stop_abs_tol: float = 0.0,
         stop_rel_tol: float = 0.0,
-        precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
         tol_grad: float = 0.0,
@@ -152,7 +142,6 @@ class NewtonADMM(DistributedSolver):
         self.over_relaxation = float(over_relaxation)
         self.stop_abs_tol = float(stop_abs_tol)
         self.stop_rel_tol = float(stop_rel_tol)
-        self.precision = precision
         if callable(penalty):
             self._custom_policy_factory: Optional[PolicyFactory] = penalty
             self.penalty = getattr(penalty, "__name__", "custom")
@@ -188,28 +177,22 @@ class NewtonADMM(DistributedSolver):
         """Algorithm 2's local x-update of ``worker`` against consensus ``z``.
 
         Minimizes ``f_i(x) + (rho_i/2) ||x - (z + y_i / rho_i)||^2`` from the
-        worker's previous ``x`` with inexact Newton-CG, at the resolved
-        ``precision`` (see the class docstring).  Stores ``x``, the
-        over-relaxed ``x_relaxed`` and the spectral policy's ``y_hat`` on the
-        worker and returns the consensus payload with the solve's counts.
+        worker's previous ``x`` with inexact Newton-CG on the worker's own
+        loss.  Stores ``x``, the over-relaxed ``x_relaxed`` and the spectral
+        policy's ``y_hat`` on the worker and returns the consensus payload
+        with the solve's counts.
         """
-        precision = self.precision or cluster.precision or "mixed"
-        loss = (
-            worker.objective
-            if precision in ("fp64", cluster.precision)
-            else cluster.worker_loss(worker, precision)
-        )
         x = worker.get_vector("x")
         y = worker.get_vector("y")
         rho = float(worker.state["rho"])
-        subproblem = ProximallyAugmentedObjective(loss, rho, z + y / rho)
+        subproblem = ProximallyAugmentedObjective(worker.objective, rho, z + y / rho)
         result = NewtonCG(
             max_iterations=self.local_newton_iters,
             grad_tol=1e-10,
             cg_max_iter=self.cg_max_iter,
             cg_tol=self.cg_tol,
             line_search_max_iter=self.line_search_max_iter,
-            precision=precision,
+            precision=cluster.precision,
         ).minimize(subproblem, x)
         x_new = result.w
         # Over-relaxed iterate used by the z- and dual updates (alpha = 1

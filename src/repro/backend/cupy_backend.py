@@ -13,9 +13,9 @@ registry turns into a graceful fallback.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.backend.base import ArrayBackend, BackendUnavailableError
+from repro.utils.validation import issparse
 
 
 class CupyBackend(ArrayBackend):
@@ -56,7 +56,7 @@ class CupyBackend(ArrayBackend):
         return self._cupy.asnumpy(x)
 
     def asarray_data(self, X):
-        if sp.issparse(X):
+        if issparse(X):
             return self._sparse.csr_matrix(X.tocsr())
         if self.is_sparse(X):
             return X.tocsr()

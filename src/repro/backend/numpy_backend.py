@@ -9,9 +9,9 @@ from __future__ import annotations
 
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.backend.base import ArrayBackend
+from repro.utils.validation import issparse
 
 
 class NumpyBackend(ArrayBackend):
@@ -33,7 +33,7 @@ class NumpyBackend(ArrayBackend):
         return np.asarray(x)
 
     def asarray_data(self, X):
-        if sp.issparse(X):
+        if issparse(X):
             return X.tocsr()
         return self.asarray(X)
 
@@ -50,7 +50,7 @@ class NumpyBackend(ArrayBackend):
         return bool(np.any(v))
 
     def is_native(self, x) -> bool:
-        return isinstance(x, np.ndarray) or sp.issparse(x)
+        return isinstance(x, np.ndarray) or issparse(x)
 
     def is_sparse(self, X) -> bool:
-        return sp.issparse(X)
+        return issparse(X)

@@ -3,38 +3,27 @@
 The paper's kernels run fastest in single precision, but naive fp32
 accumulation loses enough bits in the log-sum-exp and CG dot products to
 perturb convergence.  Following the GPU-accelerated primal-learning recipe
-(PAPERS.md), the library therefore distinguishes three modes:
+(PAPERS.md) there are three modes.  The storage precision is the data's: a
+:class:`~repro.distributed.cluster.SimulatedCluster` stores each shard once,
+in its mode's storage dtype, and every solver and epoch record reads it.
 
-``None`` (follow-data)
-    The historical behaviour: the design matrix keeps whatever floating
-    dtype it arrived with (float64 for fresh NumPy data) and every reduction
-    runs in that dtype.  This is the bit-reproducible default.
-``"fp32"``
-    Host design matrices are cast to float32 at objective construction, so
-    storage, GEMMs *and* reductions all run in single precision.
-``"mixed"``
-    Storage and GEMMs run in float32, but the log-sum-exp of the softmax and
-    the dot products / norms inside CG accumulate in float64 (see
-    :meth:`~repro.backend.base.ArrayBackend.dot_hp`).  This keeps the GEMM
-    speed of fp32 while restoring the reduction accuracy that drives
-    convergence — the documented tolerance is that a mixed-mode solve reaches
-    the same final objective as fp64 within ``5e-4`` relative and the same
-    final iterate within ``2e-3`` relative L2 (see ``docs/performance.md``;
-    asserted in ``tests/test_precision.py``).  A float64 iterate may meet
-    float32 storage: the softmax casts its small weight/direction block to
-    float32 before each product and returns gradients and HVPs in float64.
-    That is how Newton-ADMM's local x-update runs by default
-    (:class:`~repro.admm.newton_admm.NewtonADMM` ``precision=None``): a
-    float32 copy of each shard under float64 iterates, CG vectors and
-    records.
+``"mixed"`` (the cluster default)
+    Float32 storage and GEMMs; float64 iterates (``initial_point``),
+    gradients, HVPs, log-sum-exp and CG scalars (see
+    :meth:`~repro.backend.base.ArrayBackend.dot_hp`).  The softmax and the
+    logistic loss cast the small weight/direction block to float32 before
+    each product with ``X``.  A mixed solve reaches the fp64 one's final
+    objective within ``5e-4`` relative and its final iterate within
+    ``2e-3`` relative L2 (``docs/performance.md``; asserted in
+    ``tests/test_precision.py``).
 ``"fp64"``
-    Explicitly promote host data to float64 (useful to force the reference
-    behaviour on a float32 dataset).
+    Float64 throughout: the reference path.
+``"fp32"``
+    Float32 storage, GEMMs, reductions *and* iterates.
 
-A session-wide default (the CLI's ``--precision``) is resolved by
-:class:`~repro.distributed.cluster.SimulatedCluster` and the objective
-constructors whenever their ``precision`` argument is ``None``, mirroring the
-``set_default_engine`` / ``set_default_faults`` pattern of the harness.
+A lone objective with ``precision=None`` follows its data's dtype, unless a
+session default (the CLI's ``--precision``, mirroring ``set_default_engine``)
+is set; a cluster without either resolves to ``"mixed"``.
 """
 
 from __future__ import annotations
@@ -42,6 +31,8 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+
+from repro.utils.validation import issparse
 
 #: modes accepted by ``precision=`` arguments (``None`` = follow the data)
 PRECISION_MODES = ("fp64", "fp32", "mixed")
@@ -99,9 +90,7 @@ def apply_storage_precision(X, mode: Optional[str]):
     dtype = storage_dtype(mode)
     if dtype is None:
         return X
-    import scipy.sparse as sp
-
-    if isinstance(X, np.ndarray) or sp.issparse(X):
+    if isinstance(X, np.ndarray) or issparse(X):
         if X.dtype != dtype:
             return X.astype(dtype)
     return X

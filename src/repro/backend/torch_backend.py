@@ -15,9 +15,9 @@ missing install raises :class:`BackendUnavailableError`.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.backend.base import ArrayBackend, BackendUnavailableError
+from repro.utils.validation import issparse
 
 
 class _TorchNamespace:
@@ -166,7 +166,7 @@ class TorchBackend(ArrayBackend):
         torch = self._torch
         if isinstance(X, _TorchCSR):
             return X
-        if sp.issparse(X):
+        if issparse(X):
             csr = X.tocsr()
             csr_t = csr.T.tocsr()
             return _TorchCSR(

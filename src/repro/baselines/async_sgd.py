@@ -225,6 +225,7 @@ class AsynchronousSGD(DistributedSolver):
                 worker.shard.n_classes,
                 scale="mean",
                 backend=cluster.backend,
+                precision=cluster.precision,
             )
             worker.state["rng"] = check_random_state(int(rng.integers(0, 2**31 - 1)))
         for worker in cluster.workers:

@@ -19,13 +19,13 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.schedule import RoundPlan
 from repro.distributed.solver_base import DistributedSolver
 from repro.distributed.worker import Worker
 from repro.utils.rng import check_random_state
+from repro.utils.validation import issparse
 
 
 def _conjugate_logistic(alpha: np.ndarray) -> np.ndarray:
@@ -105,7 +105,7 @@ class CoCoA(DistributedSolver):
         for worker in cluster.local_workers():
             X = worker.shard.X
             y = worker.shard.y
-            if sp.issparse(X):
+            if issparse(X):
                 row_sq = np.asarray(X.multiply(X).sum(axis=1)).ravel()
             else:
                 row_sq = np.einsum("ij,ij->i", X, X)
@@ -153,7 +153,7 @@ class CoCoA(DistributedSolver):
                 order = rng.permutation(n_local)
                 for i in order:
                     a_row = X[i]
-                    if sp.issparse(a_row):
+                    if issparse(a_row):
                         a_row = np.asarray(a_row.todense()).ravel()
                     else:
                         a_row = np.asarray(a_row).ravel()

@@ -104,6 +104,7 @@ class InexactDANE(DistributedSolver):
                 worker.shard.n_classes,
                 scale="mean",
                 backend=cluster.backend,
+                precision=cluster.precision,
             )
             worker.state["local_objective"] = RegularizedObjective(
                 loss, L2Regularizer(loss.dim, self.lam)

@@ -37,9 +37,6 @@ class DiSCO(DistributedSolver):
     damped:
         Use the self-concordant damping ``1 / (1 + newton_decrement)`` for the
         step size (the reference method); otherwise take unit steps.
-    precision:
-        ``"mixed"`` accumulates CG reduction scalars in float64; ``None``
-        follows the session default (:mod:`repro.backend.precision`).
     """
 
     name = "disco"
@@ -52,7 +49,6 @@ class DiSCO(DistributedSolver):
         cg_max_iter: int = 20,
         cg_tol: float = 1e-4,
         damped: bool = True,
-        precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
         tol_grad: float = 0.0,
@@ -69,7 +65,6 @@ class DiSCO(DistributedSolver):
         self.cg_max_iter = int(cg_max_iter)
         self.cg_tol = float(cg_tol)
         self.damped = bool(damped)
-        self.precision = precision
         self._w: Optional[np.ndarray] = None
         self._last_extras: Dict[str, float] = {}
 
@@ -104,7 +99,7 @@ class DiSCO(DistributedSolver):
                 grad,
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
-                precision=self.precision,
+                precision=cluster.precision,
             )
             direction = cg_result.x
 

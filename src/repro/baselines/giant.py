@@ -65,9 +65,6 @@ class GIANT(DistributedSolver):
         iteration that does not consume the reduced gradient (event engine).
         Iterates are bit-identical to the default; only the modelled schedule
         changes.
-    precision:
-        ``"mixed"`` accumulates CG reduction scalars in float64; ``None``
-        follows the session default (:mod:`repro.backend.precision`).
     """
 
     name = "giant"
@@ -82,7 +79,6 @@ class GIANT(DistributedSolver):
         line_search_max_iter: int = 10,
         line_search_beta: float = 1e-4,
         overlap_gradient: bool = False,
-        precision: Optional[str] = None,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
         tol_grad: float = 0.0,
@@ -101,7 +97,6 @@ class GIANT(DistributedSolver):
         self.line_search_max_iter = int(line_search_max_iter)
         self.line_search_beta = float(line_search_beta)
         self.overlap_gradient = bool(overlap_gradient)
-        self.precision = precision
         self._w: Optional[np.ndarray] = None
         self._last_extras: Dict[str, float] = {}
 
@@ -139,7 +134,7 @@ class GIANT(DistributedSolver):
                 grad,
                 tol=self.cg_tol,
                 max_iter=self.cg_max_iter,
-                precision=self.precision,
+                precision=cluster.precision,
             )
             return result.x
 

@@ -94,6 +94,7 @@ class SynchronousSGD(DistributedSolver):
                 worker.shard.n_classes,
                 scale="mean",
                 backend=cluster.backend,
+                precision=cluster.precision,
             )
             worker.state["rng"] = check_random_state(seeds[worker.worker_id])
 

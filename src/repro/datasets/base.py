@@ -6,10 +6,9 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.utils.rng import check_random_state
-from repro.utils.validation import check_array, check_labels
+from repro.utils.validation import check_array, check_labels, issparse
 
 
 @dataclass
@@ -56,7 +55,7 @@ class ClassificationDataset:
 
     @property
     def is_sparse(self) -> bool:
-        return sp.issparse(self.X)
+        return issparse(self.X)
 
     @property
     def dim(self) -> int:
@@ -147,22 +146,14 @@ class ClassificationDataset:
         )
 
 
-def train_test_split(
+def split_mask(
     dataset: ClassificationDataset,
     *,
     test_size: float | int = 0.2,
     random_state=None,
     stratified: bool = True,
-) -> Tuple[ClassificationDataset, ClassificationDataset]:
-    """Split a dataset into train and test partitions.
-
-    Parameters
-    ----------
-    test_size:
-        Either a fraction in (0, 1) or an absolute number of test samples.
-    stratified:
-        Preserve class proportions in both splits.
-    """
+) -> np.ndarray:
+    """Boolean mask of the rows :func:`train_test_split` puts in the test set."""
     n = dataset.n_samples
     if isinstance(test_size, float):
         if not 0.0 < test_size < 1.0:
@@ -200,6 +191,29 @@ def train_test_split(
 
     test_mask = np.zeros(n, dtype=bool)
     test_mask[test_idx] = True
+    return test_mask
+
+
+def train_test_split(
+    dataset: ClassificationDataset,
+    *,
+    test_size: float | int = 0.2,
+    random_state=None,
+    stratified: bool = True,
+) -> Tuple[ClassificationDataset, ClassificationDataset]:
+    """Split a dataset into train and test partitions (``dataset`` is left
+    as it is; both partitions are copies).
+
+    Parameters
+    ----------
+    test_size:
+        Either a fraction in (0, 1) or an absolute number of test samples.
+    stratified:
+        Preserve class proportions in both splits.
+    """
+    test_mask = split_mask(
+        dataset, test_size=test_size, random_state=random_state, stratified=stratified
+    )
     train = dataset.subset(np.flatnonzero(~test_mask), name=f"{dataset.name}-train")
     test = dataset.subset(np.flatnonzero(test_mask), name=f"{dataset.name}-test")
     return train, test

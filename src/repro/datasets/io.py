@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.datasets.base import ClassificationDataset
 
@@ -105,6 +104,8 @@ def load_libsvm(
         raise ValueError(
             f"{path} has feature index {max_index} >= n_features={width}"
         )
+    import scipy.sparse as sp
+
     X = sp.csr_matrix(
         (vals, (rows, cols)), shape=(len(labels), width), dtype=np.float64
     )
@@ -122,7 +123,9 @@ def save_libsvm(dataset: ClassificationDataset, path: PathLike, *, zero_based: b
     """Write a dataset in LIBSVM text format (omitting explicit zeros)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    X = dataset.X.tocsr() if dataset.is_sparse else sp.csr_matrix(dataset.X)
+    import scipy.sparse as sp
+
+    X = sp.csr_matrix(dataset.X)
     offset = 0 if zero_based else 1
     with path.open("w") as handle:
         for i in range(dataset.n_samples):

@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.datasets.base import ClassificationDataset
+from repro.utils.validation import issparse
 
 
 @dataclass
@@ -29,7 +29,7 @@ class Standardizer:
     with_mean: bool = True
 
     def fit(self, X) -> "Standardizer":
-        if sp.issparse(X):
+        if issparse(X):
             self.with_mean = False
             mean = np.zeros(X.shape[1])
             # E[x^2] per column for CSR without densifying.
@@ -47,7 +47,9 @@ class Standardizer:
     def transform(self, X):
         if self.mean_ is None or self.scale_ is None:
             raise RuntimeError("Standardizer must be fit before transform")
-        if sp.issparse(X):
+        if issparse(X):
+            import scipy.sparse as sp
+
             inv = sp.diags(1.0 / self.scale_)
             return (X @ inv).tocsr()
         return (X - self.mean_) / self.scale_
@@ -82,6 +84,8 @@ def standardize(
 def add_bias_column(dataset: ClassificationDataset) -> ClassificationDataset:
     """Append a constant ``1`` feature so the linear model learns an intercept."""
     if dataset.is_sparse:
+        import scipy.sparse as sp
+
         ones = sp.csr_matrix(np.ones((dataset.n_samples, 1)))
         X = sp.hstack([dataset.X, ones], format="csr")
     else:
@@ -98,6 +102,8 @@ def add_bias_column(dataset: ClassificationDataset) -> ClassificationDataset:
 def normalize_rows(dataset: ClassificationDataset) -> ClassificationDataset:
     """Scale every sample to unit L2 norm (common for sparse count data)."""
     if dataset.is_sparse:
+        import scipy.sparse as sp
+
         norms = np.sqrt(np.asarray(dataset.X.multiply(dataset.X).sum(axis=1)).ravel())
         norms[norms < 1e-12] = 1.0
         inv = sp.diags(1.0 / norms)

@@ -12,8 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Optional, Tuple
 
-from repro.datasets.base import ClassificationDataset, train_test_split
+import numpy as np
+
+from repro.datasets.base import ClassificationDataset, split_mask
 from repro.datasets.synthetic import (
+    copy_rows,
     make_binary_margin,
     make_multiclass_gaussian,
     make_sparse_multiclass,
@@ -61,7 +64,22 @@ class DatasetSpec:
 
 
 def _split(dataset: ClassificationDataset, n_test: int, random_state):
-    return train_test_split(dataset, test_size=n_test, random_state=random_state)
+    """``train_test_split`` of a dataset this module just generated, with no
+    second full copy: the test rows are copied out, the (ascending) train rows
+    compacted to the front of the buffer, and the buffer shrunk.  ``dataset``
+    is unusable afterwards; CSR is copied."""
+    mask = split_mask(dataset, test_size=n_test, random_state=random_state)
+    test = dataset.subset(np.flatnonzero(mask), name=f"{dataset.name}-test")
+    train_idx = np.flatnonzero(~mask)
+    X = dataset.X
+    if dataset.is_sparse or not (X.flags.owndata and X.flags.c_contiguous):
+        return dataset.subset(train_idx, name=f"{dataset.name}-train"), test
+    copy_rows(X, train_idx, X).resize((train_idx.size, X.shape[1]), refcheck=False)
+    train = ClassificationDataset(
+        X, dataset.y[train_idx], dataset.n_classes,
+        name=f"{dataset.name}-train", metadata=dict(dataset.metadata),
+    )
+    return train, test
 
 
 def higgs_like(

@@ -14,42 +14,37 @@ from typing import List
 import numpy as np
 
 from repro.datasets.base import ClassificationDataset
+from repro.datasets.synthetic import copy_rows
 from repro.utils.rng import check_random_state
 
 
-def shard_contiguous(dataset: ClassificationDataset, n_shards: int) -> List[ClassificationDataset]:
-    """Split rows into ``n_shards`` contiguous, nearly equal-sized blocks."""
-    _validate_n_shards(dataset, n_shards)
-    bounds = np.linspace(0, dataset.n_samples, n_shards + 1).astype(int)
-    shards = []
-    for i in range(n_shards):
-        idx = np.arange(bounds[i], bounds[i + 1])
-        shards.append(dataset.subset(idx, name=f"{dataset.name}[shard {i}]"))
-    return shards
+def shard_indices(
+    dataset: ClassificationDataset,
+    n_shards: int,
+    *,
+    strategy: str = "stratified",
+    random_state=None,
+) -> List[np.ndarray]:
+    """The ascending row indices of each shard under the named strategy.
 
-
-def shard_round_robin(dataset: ClassificationDataset, n_shards: int) -> List[ClassificationDataset]:
-    """Deal rows to shards in round-robin order (shard ``i`` gets rows ``i, i+N, ...``)."""
-    _validate_n_shards(dataset, n_shards)
-    shards = []
-    for i in range(n_shards):
-        idx = np.arange(i, dataset.n_samples, n_shards)
-        shards.append(dataset.subset(idx, name=f"{dataset.name}[shard {i}]"))
-    return shards
-
-
-def shard_stratified(
-    dataset: ClassificationDataset, n_shards: int, *, random_state=None
-) -> List[ClassificationDataset]:
-    """Split rows so every shard gets (approximately) every class.
-
-    Rows of each class are shuffled and dealt round-robin to the shards, so
-    shard sizes differ by at most ``n_classes`` and class proportions match
-    the global dataset.
+    ``"stratified"`` shuffles the rows of each class and deals them
+    round-robin, so shard sizes differ by at most ``n_classes`` and class
+    proportions match the global dataset.
     """
+    if strategy not in ("contiguous", "round_robin", "stratified"):
+        raise ValueError(
+            f"unknown sharding strategy {strategy!r}; "
+            "expected 'contiguous', 'round_robin' or 'stratified'"
+        )
     _validate_n_shards(dataset, n_shards)
+    n = dataset.n_samples
+    if strategy == "contiguous":
+        bounds = np.linspace(0, n, n_shards + 1).astype(int)
+        return [np.arange(bounds[i], bounds[i + 1]) for i in range(n_shards)]
+    if strategy == "round_robin":
+        return [np.arange(i, n, n_shards) for i in range(n_shards)]
     rng = check_random_state(random_state)
-    assignment = np.empty(dataset.n_samples, dtype=np.int64)
+    assignment = np.empty(n, dtype=np.int64)
     offset = 0
     for c in range(dataset.n_classes):
         class_idx = np.flatnonzero(dataset.y == c)
@@ -58,11 +53,23 @@ def shard_stratified(
         positions = (np.arange(class_idx.size) + offset) % n_shards
         assignment[class_idx] = positions
         offset += class_idx.size
-    shards = []
-    for i in range(n_shards):
-        idx = np.flatnonzero(assignment == i)
-        shards.append(dataset.subset(idx, name=f"{dataset.name}[shard {i}]"))
-    return shards
+    return [np.flatnonzero(assignment == i) for i in range(n_shards)]
+
+
+def gather_shard(
+    dataset: ClassificationDataset, indices: np.ndarray, dtype, *, name: str
+) -> ClassificationDataset:
+    """``dataset.subset(indices)`` with ``X`` stored as ``dtype``; dense rows
+    are cast a block at a time, so no copy at the source dtype is held."""
+    if dataset.is_sparse:
+        X = dataset.X[indices].astype(dtype, copy=False)
+    else:
+        out = np.empty((indices.size, dataset.n_features), dtype=dtype)
+        X = copy_rows(dataset.X, indices, out)
+    return ClassificationDataset(
+        X, dataset.y[indices], dataset.n_classes, name=name,
+        metadata=dict(dataset.metadata),
+    )
 
 
 def shard_dataset(
@@ -72,23 +79,32 @@ def shard_dataset(
     strategy: str = "stratified",
     random_state=None,
 ) -> List[ClassificationDataset]:
-    """Shard a dataset with the named strategy.
+    """Shard a dataset with the named strategy (see :func:`shard_indices`).
 
     Parameters
     ----------
     strategy:
         ``"contiguous"``, ``"round_robin"`` or ``"stratified"``.
     """
-    if strategy == "contiguous":
-        return shard_contiguous(dataset, n_shards)
-    if strategy == "round_robin":
-        return shard_round_robin(dataset, n_shards)
-    if strategy == "stratified":
-        return shard_stratified(dataset, n_shards, random_state=random_state)
-    raise ValueError(
-        f"unknown sharding strategy {strategy!r}; "
-        "expected 'contiguous', 'round_robin' or 'stratified'"
-    )
+    parts = shard_indices(dataset, n_shards, strategy=strategy, random_state=random_state)
+    return [dataset.subset(idx, name=f"{dataset.name}[shard {i}]") for i, idx in enumerate(parts)]
+
+
+def shard_contiguous(dataset: ClassificationDataset, n_shards: int) -> List[ClassificationDataset]:
+    """Split rows into ``n_shards`` contiguous, nearly equal-sized blocks."""
+    return shard_dataset(dataset, n_shards, strategy="contiguous")
+
+
+def shard_round_robin(dataset: ClassificationDataset, n_shards: int) -> List[ClassificationDataset]:
+    """Deal rows to shards in round-robin order (shard ``i`` gets rows ``i, i+N, ...``)."""
+    return shard_dataset(dataset, n_shards, strategy="round_robin")
+
+
+def shard_stratified(
+    dataset: ClassificationDataset, n_shards: int, *, random_state=None
+) -> List[ClassificationDataset]:
+    """Split rows so every shard gets (approximately) every class."""
+    return shard_dataset(dataset, n_shards, strategy="stratified", random_state=random_state)
 
 
 def _validate_n_shards(dataset: ClassificationDataset, n_shards: int) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.datasets.base import ClassificationDataset
 from repro.utils.rng import check_random_state
@@ -20,6 +19,16 @@ from repro.utils.validation import check_positive
 #: Rows of a dense design matrix are transformed in blocks of about this many
 #: bytes, so a generator's temporaries stay this small whatever ``n_samples``.
 BLOCK_BYTES = 1 << 20
+
+
+def copy_rows(src: np.ndarray, indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[:indices.size] = src[indices]`` one ``BLOCK_BYTES`` block of rows
+    at a time; ``out`` may be ``src`` when ascending ``indices[j] >= j``."""
+    rows = max(1, BLOCK_BYTES // (src.shape[1] * src.itemsize))
+    for r in range(0, indices.size, rows):
+        block = indices[r : r + rows]
+        out[r : r + block.size] = src[block]
+    return out
 
 
 def _feature_scales(n_features: int, condition_number: float, rng) -> np.ndarray:
@@ -232,6 +241,8 @@ def make_sparse_multiclass(
             data[start + n_info_per_row : start + nnz_per_row] = rng.standard_normal(
                 n_bg_per_row
             )
+
+    import scipy.sparse as sp
 
     X = sp.coo_matrix(
         (data, (rows, cols)), shape=(n_samples, n_features), dtype=np.float64

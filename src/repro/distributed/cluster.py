@@ -16,9 +16,9 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro.backend import ArrayBackend, BackendLike, get_backend, resolve_precision
+from repro.backend import ArrayBackend, BackendLike, get_backend, resolve_precision, storage_dtype
 from repro.datasets.base import ClassificationDataset
-from repro.datasets.sharding import shard_dataset
+from repro.datasets.sharding import gather_shard, shard_indices
 from repro.distributed.comm import Communicator
 from repro.distributed.device import DeviceModel
 from repro.distributed.engine import EventEngine, resolve_engine
@@ -105,11 +105,6 @@ def _call_loss_factory(
     return factory(shard, n_total)
 
 
-def _storage_itemsize(loss: Objective) -> int:
-    """Bytes per entry of ``loss``'s design matrix (8 when it exposes none)."""
-    return getattr(getattr(getattr(loss, "X", None), "dtype", None), "itemsize", 8)
-
-
 class SimulatedCluster:
     """A deterministic in-process stand-in for the paper's GPU cluster.
 
@@ -154,10 +149,11 @@ class SimulatedCluster:
         When ``device`` is omitted the cost model keys off this backend via
         :meth:`~repro.backend.base.ArrayBackend.default_device_model`.
     precision:
-        Storage/compute precision mode forwarded to every worker's loss
-        factory (``"fp64"``, ``"fp32"``, ``"mixed"``, or ``None`` to resolve
-        the session default set by the CLI's ``--precision``); see
-        :mod:`repro.backend.precision`.
+        Storage precision of the data (:mod:`repro.backend.precision`):
+        ``"mixed"`` (float32 shards, float64 iterates), ``"fp64"`` or
+        ``"fp32"``; ``None`` resolves the CLI's ``--precision``, else
+        ``"mixed"``.  Each shard is gathered once, straight into the storage
+        dtype, and every worker loss and epoch record reads that buffer.
     engine:
         ``"event"`` (default) schedules every worker in-process on the
         discrete-event :class:`~repro.distributed.engine.EventEngine`, which
@@ -173,7 +169,7 @@ class SimulatedCluster:
         :class:`~repro.distributed.faults.WorkerLostError`).
     shards:
         Internal (process engine): pre-computed shards for a rank-local
-        replica, skipping :func:`~repro.datasets.sharding.shard_dataset` so
+        replica, skipping :func:`~repro.datasets.sharding.shard_indices` so
         children reuse the parent's shared-memory shards zero-copy.  An
         ``int`` entry is the row count of a shard another rank holds: that
         worker carries its size, not its data (:meth:`Worker.elsewhere`).
@@ -210,7 +206,7 @@ class SimulatedCluster:
         self.train = train
         self.n_workers = int(n_workers)
         self.backend: ArrayBackend = get_backend(backend)
-        self.precision = resolve_precision(precision)
+        self.precision = resolve_precision(precision) or "mixed"
         if engine == "process":
             # Real parallelism composes with neither the modelled perturbation
             # models (stragglers/faults live in simulated time) nor the thread
@@ -281,9 +277,6 @@ class SimulatedCluster:
         self._process_role = None
         self._process_runtime = None
         self._process_flops = None
-        #: (worker id, precision) -> the worker's shard loss at a precision
-        #: other than the cluster's (see :meth:`worker_loss`)
-        self._worker_losses: Dict[tuple, CountingObjective] = {}
 
         if isinstance(loss, str):
             if loss not in LOSS_FACTORIES:
@@ -298,9 +291,14 @@ class SimulatedCluster:
         self._loss_name = loss if isinstance(loss, str) else getattr(loss, "__name__", "custom")
 
         if shards is None:
-            shards = shard_dataset(
+            parts = shard_indices(
                 train, self.n_workers, strategy=sharding, random_state=random_state
             )
+            dtype = storage_dtype(self.precision)
+            shards = [
+                gather_shard(train, idx, dtype, name=f"{train.name}[shard {i}]")
+                for i, idx in enumerate(parts)
+            ]
         elif len(shards) != self.n_workers:
             raise ValueError(
                 f"got {len(shards)} pre-computed shards for {self.n_workers} workers"
@@ -736,36 +734,11 @@ class SimulatedCluster:
     # -- objectives -------------------------------------------------------
     def shard_loss(self, shard: ClassificationDataset) -> Objective:
         """A new loss over ``shard`` scaled by ``1 / n_total``: the shard's
-        share of the global mean loss, as every worker's objective is."""
+        share of the global mean loss, as every worker's objective is; it
+        views the shard's rows, stored at the cluster's precision."""
         return _call_loss_factory(
             self._loss_factory, shard, self.n_total, self.backend, self.precision
         )
-
-    def worker_loss(self, worker: Worker, precision: str) -> CountingObjective:
-        """``worker``'s shard loss stored at ``precision``, counted in
-        ``worker.objective``'s counters.
-
-        A local solver may run at another precision than the cluster's own
-        losses, which the epoch records keep evaluating.  The copy is built
-        on first use and kept for the cluster's lifetime, so later fits on
-        this cluster (or rank replica) reuse it; it costs the FLOPs the
-        worker's own loss would, so the modelled clock does not move.  Where
-        the built loss stores ``X`` no narrower than the worker's own (a
-        custom factory that ignores ``precision=``), the worker's own loss
-        is returned instead of a duplicate.
-        """
-        key = (worker.worker_id, precision)
-        loss = self._worker_losses.get(key)
-        if loss is None:
-            base = _call_loss_factory(
-                self._loss_factory, worker.shard, self.n_total, self.backend, precision
-            )
-            if _storage_itemsize(base) < _storage_itemsize(worker.objective.base):
-                loss = worker.objective.over(base)
-            else:  # e.g. a factory that ignores ``precision``: no narrower copy
-                loss = worker.objective
-            self._worker_losses[key] = loss
-        return loss
 
     def global_loss(self) -> Objective:
         """The global mean loss over the full (unsharded) training set."""

@@ -78,7 +78,8 @@ Fork safety
     (:func:`repro.backend.set_default_precision`,
     :func:`repro.harness.config.set_default_engine`, the backend registry
     default) are re-applied in the child bootstrap from explicit bootstrap
-    values — never read from inherited globals.
+    values — never read from inherited globals; the cluster's resolved
+    precision travels apart from the parent's session default.
 
 Failure semantics (the chaos harness)
     A ``kill -9`` of a worker process is detected at the next
@@ -110,6 +111,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.backend import default_precision
 from repro.datasets.base import ClassificationDataset
 from repro.distributed.faults import WorkerLostError
 from repro.metrics.timeline import WorkerTimeline, wall_clock_summary
@@ -674,11 +676,12 @@ class ProcessRuntime:
         }
         session = {
             "backend": cluster.backend.name,
-            "precision": cluster.precision,
+            "precision": default_precision(),
             "engine": "process",
         }
         base = {
             "n_workers": self.n_ranks,
+            "precision": cluster.precision,
             "shard_sizes": cluster.worker_sizes(),
             "loss": cluster._loss_factory_spec(),
             "network": cluster.network,
@@ -917,7 +920,7 @@ def _worker_main(rank: int, conn, bootstrap: Dict[str, Any]) -> None:
             network=bootstrap["network"],
             device=bootstrap["devices"],
             backend=session["backend"],
-            precision=session["precision"],
+            precision=bootstrap["precision"],
             engine="process",
             shards=shards,
         )

@@ -63,7 +63,7 @@ class ShardedLoss(Objective):
     classified rows; ``n_correct`` holds the total of the last evaluation.
     The per-shard losses are built apart from the workers' own, so a record
     never disturbs the per-iterate caches or FLOP counters of the losses the
-    local steps run on.
+    local steps run on; both view the same shard buffers.
     """
 
     def __init__(self, cluster: SimulatedCluster, *, count_correct: bool):
@@ -257,7 +257,7 @@ class DistributedSolver(ABC):
             L2Regularizer(cluster.dim, self.lam),
         )
         if w0 is None:
-            # Zeros on the cluster backend, in the data's floating dtype.
+            # Zeros on the cluster backend, float32 only under "fp32".
             w0 = objective.initial_point()
         else:
             w0 = copy_array(backend.as_vector(w0, cluster.dim, name="w0"))

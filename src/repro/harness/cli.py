@@ -171,11 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["fp64", "fp32", "mixed"],
         default=None,
         help=(
-            "storage/compute precision for every objective the experiment "
-            "builds (default: follow the data's dtype, i.e. fp64, except "
-            "Newton-ADMM's local x-update, which defaults to 'mixed'; "
-            "'mixed' stores fp32 and keeps log-sum-exp and CG reductions in "
-            "fp64 — see docs/performance.md for the convergence-tolerance "
+            "storage precision of every cluster the experiment builds "
+            "(default 'mixed': fp32 shards under fp64 iterates, with "
+            "log-sum-exp and CG reductions in fp64; 'fp64' is the reference "
+            "path — see docs/performance.md for the convergence-tolerance "
             "contract)"
         ),
     )

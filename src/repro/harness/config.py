@@ -108,10 +108,11 @@ class ClusterConfig:
         for the session default set via :func:`set_default_faults` (the
         CLI's ``--faults``).
     precision:
-        Precision mode for every worker objective (``"fp64"``, ``"fp32"``,
-        ``"mixed"``) or ``None`` for the session default set via
+        Storage precision of the cluster (``"mixed"``, ``"fp64"``,
+        ``"fp32"``) or ``None`` for the session default set via
         :func:`repro.backend.set_default_precision` (the CLI's
-        ``--precision``); see :mod:`repro.backend.precision`.
+        ``--precision``), and ``"mixed"`` without one; see
+        :mod:`repro.backend.precision`.
     """
 
     dataset: str

@@ -40,11 +40,9 @@ def validate_design_matrix(X, backend: ArrayBackend, *, name: str = "X"):
     backend are trusted as validated when first loaded, so construction never
     forces a device-to-host round-trip.
     """
-    import scipy.sparse as sp
+    from repro.utils.validation import check_array, issparse
 
-    from repro.utils.validation import check_array
-
-    if isinstance(X, np.ndarray) or sp.issparse(X) or not backend.is_native(X):
+    if isinstance(X, np.ndarray) or issparse(X) or not backend.is_native(X):
         dtype = getattr(X, "dtype", None)
         target = dtype if dtype is not None and _is_float_dtype(dtype) else np.float64
         X = check_array(X, name=name, allow_sparse=True, dtype=target)
@@ -160,11 +158,13 @@ class Objective(ABC):
 
         Follows the design matrix's floating dtype where one is exposed, so
         native float32 problems start from float32 zeros instead of forcing a
-        float64 promotion on the first matmul.
+        float64 promotion on the first matmul; ``"mixed"`` iterates are float64.
         """
         dtype = getattr(getattr(self, "X", None), "dtype", None)
         if dtype is not None and not _is_float_dtype(dtype):
             dtype = None
+        if getattr(self, "precision", None) == "mixed":
+            dtype = np.float64
         return self.backend.zeros(self.dim, dtype=dtype)
 
     def check_weights(self, w: np.ndarray) -> np.ndarray:
@@ -194,35 +194,28 @@ class Objective(ABC):
         return out
 
     def _eval_matrix(self, X):
-        """Backend-converted evaluation matrix for ``predict``/``predict_proba``
-        with an explicit ``X``, cached by identity on non-NumPy backends.
+        """Checked, converted evaluation matrix for ``predict`` /
+        ``predict_proba`` with an explicit ``X``, in the storage dtype of the
+        objective's own design matrix (float64 when there is none), so it is
+        scored by the same products as the objective's own data.
 
-        It comes in the storage dtype of the objective's own design matrix
-        (float64 when there is none), so an explicit ``X`` is scored by the
-        same products as the objective's own data.
-
-        The per-epoch trace recorder evaluates accuracy on the same train/test
-        matrices every epoch; without this cache each evaluation re-transfers
-        the full matrix to the device on cupy/torch backends.  The cache keys
-        on object identity (``X is cached``), holds a single entry (train and
-        test matrices live on separate objectives), and assumes the caller
-        does not mutate ``X`` in place between evaluations.  The NumPy backend
-        skips the cache — conversion is free there.
+        The epoch record scores one test matrix every epoch, so a
+        single-entry cache keyed on identity (``X is cached``) saves a
+        finiteness check, a float32 cast or a device transfer per record; the
+        caller must not mutate ``X`` in place between evaluations.
         """
         from repro.utils.validation import check_array
 
-        if self.backend.name != "numpy":
-            cached = getattr(self, "_eval_matrix_cache", None)
-            if cached is not None and cached[0] is X:
-                return cached[1]
+        cached = getattr(self, "_eval_matrix_cache", None)
+        if cached is not None and cached[0] is X:
+            return cached[1]
         data = self.backend.asarray_data(
             check_array(X, name="X", allow_sparse=True)
         )
         storage = getattr(getattr(self, "X", None), "dtype", None)
         if storage is not None and data.dtype != storage:  # float32 storage
             data = self.backend.demote_fp32(data)
-        if self.backend.name != "numpy":
-            self._eval_matrix_cache = (X, data)
+        self._eval_matrix_cache = (X, data)
         return data
 
     def _rows(self, indices: np.ndarray):

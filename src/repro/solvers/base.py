@@ -96,35 +96,20 @@ class CountingObjective(Objective):
     def __init__(self, base: Objective):
         self.base = base
         self.dim = base.dim
-        #: the wrapper whose counters this one charges when it is a view
-        #: (:meth:`over`); ``None`` charges its own
-        self._account: Optional[CountingObjective] = None
         self.n_value = 0
         self.n_gradient = 0
         self.n_hvp = 0
         self.flops = 0.0
-
-    def over(self, base: Objective) -> "CountingObjective":
-        """``base`` counted in this wrapper's counters.
-
-        For another loss over the same rows — e.g. a copy of a worker's
-        shard stored at another precision — whose work must show up in the
-        worker's FLOP total exactly as this wrapper's own would.
-        """
-        view = CountingObjective(base)
-        view._account = self if self._account is None else self._account
-        return view
 
     @property
     def backend(self):
         return self.base.backend
 
     def _charge(self, flops: float, *, value: int = 0, gradient: int = 0, hvp: int = 0):
-        account = self if self._account is None else self._account
-        account.n_value += value
-        account.n_gradient += gradient
-        account.n_hvp += hvp
-        account.flops += flops
+        self.n_value += value
+        self.n_gradient += gradient
+        self.n_hvp += hvp
+        self.flops += flops
 
     def value(self, w: np.ndarray) -> float:
         self._charge(self.base.flops_value(), value=1)

@@ -6,10 +6,18 @@ its public API boundary; internal hot loops assume validated inputs.
 
 from __future__ import annotations
 
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
+
+
+def issparse(x) -> bool:
+    """``scipy.sparse.issparse(x)`` without importing scipy: nothing is a CSR
+    matrix unless :mod:`scipy.sparse` was imported to build it, so a dense
+    process never pays for the import (about 16 MB and 0.2 s)."""
+    sp = sys.modules.get("scipy.sparse")
+    return sp is not None and sp.issparse(x)
 
 
 def check_array(
@@ -42,7 +50,7 @@ def check_array(
     -------
     numpy.ndarray or scipy.sparse.csr_matrix
     """
-    if sp.issparse(X):
+    if issparse(X):
         if not allow_sparse:
             raise TypeError(f"{name} must be a dense array, got a sparse matrix")
         X = X.tocsr().astype(dtype, copy=False)

@@ -82,14 +82,11 @@ class TestAsyncSGDSchedule:
         assert {"busy", "comm"} <= kinds
 
     def test_grad_bytes_follow_dtype(self, dataset):
-        # float32 data => float32 iterates => half the modelled traffic of the
-        # old hard-coded 8 bytes/element assumption.
-        ds32 = make_multiclass_gaussian(
-            240, 10, 3, class_separation=3.0, random_state=0
-        )
-        ds32.X = ds32.X.astype(np.float32)
-        c64 = SimulatedCluster(dataset, 4, random_state=0)
-        c32 = SimulatedCluster(ds32, 4, random_state=0)
+        # fp32 storage => float32 iterates => half the modelled traffic of the
+        # old hard-coded 8 bytes/element assumption.  The reference pins
+        # "fp64": under the default "mixed" the iterates are float64 too.
+        c64 = SimulatedCluster(dataset, 4, random_state=0, precision="fp64")
+        c32 = SimulatedCluster(dataset, 4, random_state=0, precision="fp32")
         AsynchronousSGD(lam=1e-3, max_epochs=1, random_state=0).fit(c64)
         AsynchronousSGD(lam=1e-3, max_epochs=1, random_state=0).fit(c32)
         assert c32.comm.log.bytes_transferred == pytest.approx(

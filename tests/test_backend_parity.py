@@ -156,13 +156,31 @@ class TestDispatchSeam:
         obj.predict_proba(w, X[:5].copy())
         assert backend.calls["asarray_data"] == converts + 1
 
-    def test_predict_cache_disabled_on_numpy(self):
+    def test_predict_cache_enabled_on_numpy(self, monkeypatch):
+        # NumPy converts for free, but the finiteness check and a float32
+        # storage cast are not: a repeated X is checked and cast once.
+        from repro.utils import validation
+
+        checks = []
+        check_array = validation.check_array
+        monkeypatch.setattr(
+            validation,
+            "check_array",
+            lambda X, **kw: checks.append(X) or check_array(X, **kw),
+        )
         X, y = _rng_problem()
-        obj = SoftmaxCrossEntropy(X, y, 3)
+        obj = SoftmaxCrossEntropy(X, y, 3, precision="mixed")
         w = np.zeros(obj.dim)
         X_eval = X[:5].copy()
-        obj.predict_proba(w, X_eval)
-        assert not hasattr(obj, "_eval_matrix_cache")
+        checks.clear()
+        first = obj.predict_proba(w, X_eval)
+        assert obj._eval_matrix_cache[0] is X_eval
+        cast = obj._eval_matrix_cache[1]
+        assert cast.dtype == np.float32
+        second = obj.predict_proba(w, X_eval)
+        assert obj._eval_matrix_cache[1] is cast
+        assert [c is X_eval for c in checks] == [True]
+        np.testing.assert_array_equal(first, second)
 
 
 class TestRegistry:

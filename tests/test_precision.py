@@ -84,8 +84,7 @@ class TestSolverParity:
         cluster = SimulatedCluster(
             train, 4, random_state=0, backend=backend_name, precision=precision
         )
-        kwargs = {"precision": precision} if precision != "fp32" else {}
-        return SOLVERS[solver_name](**kwargs).fit(cluster)
+        return SOLVERS[solver_name]().fit(cluster)
 
     def _assert_parity(self, train, solver_name, mode, backend_name):
         ref = self._run(train, solver_name, "fp64", backend_name)
@@ -139,12 +138,14 @@ class TestPrecisionPlumbing:
         for worker in cluster.workers:
             assert worker.objective.base.X.dtype == np.float32
 
-    def test_cluster_default_precision_unchanged(self, small_multiclass_split):
+    def test_cluster_default_precision_is_mixed(self, small_multiclass_split):
         train, _ = small_multiclass_split
         cluster = SimulatedCluster(train, 3, random_state=0)
-        assert cluster.describe()["precision"] is None
+        assert cluster.describe()["precision"] == "mixed"
         for worker in cluster.workers:
-            assert worker.objective.base.X.dtype == np.float64
+            assert worker.shard.X.dtype == np.float32
+            assert worker.objective.base.X is worker.shard.X
+            assert worker.objective.initial_point().dtype == np.float64
 
     def test_minibatch_inherits_precision(self):
         rng = np.random.default_rng(1)
@@ -257,19 +258,20 @@ class TestFlopsAccounting:
 
 
 class TestMixedLocalSolve:
-    """Newton-ADMM's default local x-update runs on a float32 copy of each
-    shard at float64 iterates; ``precision="fp64"`` is the reference path."""
+    """Under the default ``"mixed"`` cluster precision, Newton-ADMM's local
+    x-update reads each worker's float32 shard at float64 iterates; a
+    cluster of ``precision="fp64"`` is the reference path."""
 
-    #: ``final_w`` sha256 of ``NewtonADMM(precision="fp64")`` on the two
-    #: problems of ``_fit`` — the fp64 local solve as it was before the
-    #: mixed default existed
+    #: ``final_w`` sha256 of Newton-ADMM on an ``precision="fp64"`` cluster
+    #: for the two problems of ``_fit`` — the fp64 local solve as it was
+    #: before the mixed default existed
     FP64_SHA256 = {
         "dense": "670f33b9510929a702d8dc3e0e99477a0fb4f84fc9c63065e8dda2824064fa91",
         "csr": "c4fdab73bbb1334d29fddbee9cedc8b03bb353f458eb45eda6602f67aa5ef016",
     }
 
     @staticmethod
-    def _fit(problem, **kwargs):
+    def _fit(problem, precision=None):
         from repro.datasets.registry import load_dataset
         from repro.datasets.synthetic import make_multiclass_gaussian
 
@@ -277,12 +279,12 @@ class TestMixedLocalSolve:
             train = make_multiclass_gaussian(
                 400, 12, 4, condition_number=8.0, class_separation=2.5, random_state=1
             )
-            cluster = SimulatedCluster(train, 4, random_state=0)
-            solver = NewtonADMM(lam=1e-4, max_epochs=8, **kwargs)
+            cluster = SimulatedCluster(train, 4, random_state=0, precision=precision)
+            solver = NewtonADMM(lam=1e-4, max_epochs=8)
         else:
             train, _ = load_dataset("e18_like", n_train=300, n_test=50, random_state=0)
-            cluster = SimulatedCluster(train, 2, random_state=0)
-            solver = NewtonADMM(lam=1e-4, max_epochs=6, **kwargs)
+            cluster = SimulatedCluster(train, 2, random_state=0, precision=precision)
+            solver = NewtonADMM(lam=1e-4, max_epochs=6)
         return solver.fit(cluster), cluster
 
     def test_float64_iterate_runs_float32_products(self):
@@ -339,15 +341,18 @@ class TestMixedLocalSolve:
             400, 12, 2, condition_number=8.0, class_separation=2.5, random_state=1
         )
 
-        def fit(**kwargs):
-            cluster = SimulatedCluster(train, 4, loss="logistic", random_state=0)
-            return NewtonADMM(lam=1e-4, max_epochs=8, **kwargs).fit(cluster), cluster
+        def fit(precision=None):
+            cluster = SimulatedCluster(
+                train, 4, loss="logistic", random_state=0, precision=precision
+            )
+            return NewtonADMM(lam=1e-4, max_epochs=8).fit(cluster), cluster
 
-        ref, _ = fit(precision="fp64")
+        ref, _ = fit("fp64")
         low, cluster = fit()
-        copies = cluster._worker_losses.values()
-        assert len(copies) == 4
-        assert all(loss.base.X.dtype == np.float32 for loss in copies)
+        for worker in cluster.workers:
+            assert worker.objective.base.X.dtype == np.float32
+            assert worker.objective.base.X is worker.shard.X
+        assert low.final_w.dtype == np.float64
         assert abs(low.final.objective - ref.final.objective) <= (
             OBJECTIVE_RTOL * abs(ref.final.objective)
         )
@@ -356,6 +361,8 @@ class TestMixedLocalSolve:
     def test_factory_ignoring_precision_solves_on_the_workers_own_loss(
         self, small_multiclass_split
     ):
+        """A two-argument factory gets the cluster's float32 shard and its
+        loss follows that data; the x-update runs on it, without a copy."""
         train, _ = small_multiclass_split
 
         def factory(shard, n_total):
@@ -364,10 +371,11 @@ class TestMixedLocalSolve:
             )
 
         cluster = SimulatedCluster(train, 2, loss=factory, random_state=0)
-        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
-        assert sorted(cluster._worker_losses) == [(0, "mixed"), (1, "mixed")]
+        trace = NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
         for worker in cluster.workers:
-            assert cluster._worker_losses[(worker.worker_id, "mixed")] is worker.objective
+            assert worker.objective.base.X is worker.shard.X
+            assert worker.objective.n_hvp > 0
+        assert np.isfinite(trace.final.objective)
 
     @pytest.mark.parametrize("problem", ["dense", "csr"])
     def test_fp64_reproduces_the_reference_path(self, problem):
@@ -379,8 +387,8 @@ class TestMixedLocalSolve:
     def test_default_within_documented_tolerance_of_fp64(self, problem):
         ref, _ = self._fit(problem, precision="fp64")
         low, cluster = self._fit(problem)
-        copies = cluster._worker_losses.values()
-        assert all(loss.base.precision == "mixed" for loss in copies)
+        assert cluster.precision == "mixed"
+        assert all(w.objective.base.precision == "mixed" for w in cluster.workers)
         assert not np.array_equal(low.final_w, ref.final_w)  # it did run mixed
         assert abs(low.final.objective - ref.final.objective) <= (
             OBJECTIVE_RTOL * abs(ref.final.objective)
@@ -396,29 +404,35 @@ class TestMixedLocalSolve:
             assert a.modelled_time == b.modelled_time
 
     def test_shard_copy_built_once_per_cluster(self, small_multiclass_split):
+        """The cluster gathers each shard once, at build, in float32; the
+        workers' losses and later fits read that buffer and copy nothing."""
         train, _ = small_multiclass_split
         cluster = SimulatedCluster(train, 3, random_state=0)
-        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
-        copies = dict(cluster._worker_losses)
-        assert sorted(copies) == [(i, "mixed") for i in range(3)]
-        for (i, _), loss in copies.items():
-            assert loss.base.X.dtype == np.float32
-            assert loss._account is cluster.workers[i].objective
-        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
-        assert all(cluster._worker_losses[k] is v for k, v in copies.items())
+        shards = [w.shard.X for w in cluster.workers]
+        assert all(X.dtype == np.float32 for X in shards)
+        for _ in range(2):
+            NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
+        for worker, X in zip(cluster.workers, shards):
+            assert worker.shard.X is X
+            assert worker.objective.base.X is X
 
     def test_cluster_or_session_precision_selects_the_local_solve(
         self, small_multiclass_split, clean_default_precision
     ):
+        """The storage dtype the local solve reads is the cluster's: its
+        own ``precision=``, else the session default, else ``"mixed"``."""
         train, _ = small_multiclass_split
-        for precision in ("fp64", "mixed"):
-            cluster = SimulatedCluster(train, 2, random_state=0, precision=precision)
+
+        def storage(cluster):
             NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
-            assert cluster._worker_losses == {}  # the workers' own losses
+            return {w.objective.base.X.dtype.type for w in cluster.workers}
+
+        for precision, dtype in (("fp64", np.float64), ("mixed", np.float32)):
+            cluster = SimulatedCluster(train, 2, random_state=0, precision=precision)
+            assert storage(cluster) == {dtype}
         set_default_precision("fp64")
         cluster = SimulatedCluster(train, 2, random_state=0)
-        NewtonADMM(lam=1e-4, max_epochs=2).fit(cluster)
-        assert cluster._worker_losses == {}
+        assert cluster.precision == "fp64" and storage(cluster) == {np.float64}
 
     def test_each_epoch_starts_from_the_previous_evaluation(
         self, small_multiclass_split, monkeypatch
@@ -432,19 +446,21 @@ class TestMixedLocalSolve:
         monkeypatch.setattr(
             SoftmaxCrossEntropy,
             "_forward_and_gradient",
-            lambda obj, w: cold.append(obj.precision) or inner(obj, w),
+            lambda obj, w: cold.append(obj) or inner(obj, w),
         )
         cluster = SimulatedCluster(train, 3, random_state=0)
         trace = NewtonADMM(lam=1e-4, max_epochs=6).fit(cluster)
-        assert cold.count("mixed") == 3
-        assert cold.count(None) == 3 * len(trace.records)
+        worker_losses = [w.objective.base for w in cluster.workers]
+        local = [obj for obj in cold if any(obj is loss for loss in worker_losses)]
+        assert len(local) == 3
+        assert len(cold) - len(local) == 3 * len(trace.records)
 
     def test_cli_precision_fp64_restores_the_fp64_local_solve(
         self, small_multiclass_split, monkeypatch, clean_default_precision
     ):
         """``python -m repro run ... --precision fp64`` sets the session
         default the cluster resolves, and Newton-ADMM's local solve follows
-        it back to the workers' own float64 losses."""
+        it back to float64 shards."""
         from repro.harness import cli
 
         train, _ = small_multiclass_split
@@ -462,11 +478,11 @@ class TestMixedLocalSolve:
         args = ["run", "table1", "--no-plot", "--precision", "fp64"]
         assert cli.main(args, print_fn=lambda _: None) == 0
         (mixed, mixed_cluster), (fp64, fp64_cluster) = fits
-        assert len(mixed_cluster._worker_losses) == 2
-        assert fp64_cluster.precision == "fp64" and fp64_cluster._worker_losses == {}
+        assert mixed_cluster.precision == "mixed"
+        assert fp64_cluster.precision == "fp64"
         set_default_precision(None)
-        reference = NewtonADMM(lam=1e-4, max_epochs=3, precision="fp64").fit(
-            SimulatedCluster(train, 2, random_state=0)
+        reference = NewtonADMM(lam=1e-4, max_epochs=3).fit(
+            SimulatedCluster(train, 2, random_state=0, precision="fp64")
         )
         np.testing.assert_array_equal(fp64.final_w, reference.final_w)
         assert not np.array_equal(mixed.final_w, reference.final_w)
