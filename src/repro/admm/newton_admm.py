@@ -311,44 +311,19 @@ class NewtonADMM(DistributedSolver):
                     self._stop_requested = True
 
         plan = RoundPlan("newton_admm")
-        plan.local(
-            "x_update",
-            local_x_update,
-            label="x-update",
-            effects={
-                "reads": ["worker:x", "worker:y", "worker:rho"],
-                "writes": ["worker:x", "worker:x_relaxed", "worker:y_hat"],
-            },
-        )
+        plan.local("x_update", local_x_update, label="x-update")
         plan.allreduce(
             "payload_sum",
             lambda ctx: [r["payload"] for r in ctx["x_update"]],
-            effects={"reads": ["x_update"]},
         )
         plan.reduce_scalar(
             "rho_sum",
             lambda ctx: [r["rho"] for r in ctx["x_update"]],
             joint_with_previous=True,
-            effects={"reads": ["x_update"]},
         )
-        plan.master(z_update, name="z", effects={"reads": ["payload_sum", "rho_sum"]})
-        plan.local(
-            "dual",
-            local_dual_update,
-            label="dual-update",
-            effects={
-                "reads": [
-                    "z",
-                    "worker:x_relaxed",
-                    "worker:y",
-                    "worker:y_hat",
-                    "worker:rho",
-                    "worker:policy",
-                ],
-                "writes": ["worker:y", "worker:rho"],
-            },
-        )
-        plan.master(finalize, effects={"reads": ["x_update", "dual", "z"]})
+        plan.master(z_update, name="z")
+        plan.local("dual", local_dual_update, label="dual-update")
+        plan.master(finalize)
         plan.returns("z")
         return plan
 

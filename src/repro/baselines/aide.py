@@ -69,6 +69,6 @@ class AIDE(InexactDANE):
             self._last_extras["momentum"] = beta
             return self._w
 
-        plan.master(commit, name="w", effects={"reads": ["averaged"]})
+        plan.master(commit, name="w")
         plan.returns("w")
         return plan

@@ -200,27 +200,9 @@ class CoCoA(DistributedSolver):
         # a single all-reduce of delta_v is the round's only communication —
         # the one round the plan declares.
         plan = RoundPlan("cocoa")
-        plan.local(
-            "deltas",
-            local_sdca,
-            label="sdca",
-            effects={
-                "reads": [
-                    "worker:alpha",
-                    "worker:b",
-                    "worker:row_sq",
-                    "worker:sigma_prime",
-                    "worker:rng",
-                ],
-                "writes": ["worker:alpha", "worker:rng"],
-            },
-        )
-        plan.allreduce(
-            "total_delta",
-            lambda ctx: [delta for delta, _ in ctx["deltas"]],
-            effects={"reads": ["deltas"]},
-        )
-        plan.master(commit, name="w", effects={"reads": ["total_delta", "deltas"]})
+        plan.local("deltas", local_sdca, label="sdca")
+        plan.allreduce("total_delta", lambda ctx: [delta for delta, _ in ctx["deltas"]])
+        plan.master(commit, name="w")
         plan.returns("w")
         return plan
 

@@ -190,30 +190,15 @@ class InexactDANE(DistributedSolver):
             "local_grads",
             lambda worker, ctx: worker.objective.gradient(w),
             label="gradient",
-            effects={"reads": []},
         )
-        plan.allreduce(
-            "grad_sum",
-            lambda ctx: ctx["local_grads"],
-            effects={"reads": ["local_grads"]},
-        )
-        plan.master(make_global_grad, name="global_grad", effects={"reads": ["grad_sum"]})
-        plan.local(
-            "local_solutions",
-            local_solve,
-            label="svrg-solve",
-            effects={"reads": ["global_grad", "worker:local_objective"]},
-        )
+        plan.allreduce("grad_sum", lambda ctx: ctx["local_grads"])
+        plan.master(make_global_grad, name="global_grad")
+        plan.local("local_solutions", local_solve, label="svrg-solve")
         plan.allreduce(
             "solution_sum",
             lambda ctx: [r[0] for r in ctx["local_solutions"]],
-            effects={"reads": ["local_solutions"]},
         )
-        plan.master(
-            average,
-            name="averaged",
-            effects={"reads": ["solution_sum", "local_solutions", "global_grad"]},
-        )
+        plan.master(average, name="averaged")
         return plan
 
     def _plan_epoch(self, cluster: SimulatedCluster, epoch: int) -> RoundPlan:
@@ -225,7 +210,7 @@ class InexactDANE(DistributedSolver):
             self._w = ctx["averaged"]
             return self._w
 
-        plan.master(commit, name="w", effects={"reads": ["averaged"]})
+        plan.master(commit, name="w")
         plan.returns("w")
         return plan
 

@@ -128,23 +128,13 @@ class DiSCO(DistributedSolver):
             "local_grads",
             lambda worker, ctx: worker.objective.gradient(w),
             label="gradient",
-            effects={"reads": []},
         )
-        plan.allreduce(
-            "grad_sum",
-            lambda ctx: ctx["local_grads"],
-            effects={"reads": ["local_grads"]},
-        )
-        plan.master(
-            lambda ctx: ctx["grad_sum"] + lam * w,
-            name="grad",
-            effects={"reads": ["grad_sum"]},
-        )
+        plan.allreduce("grad_sum", lambda ctx: ctx["local_grads"])
+        plan.master(lambda ctx: ctx["grad_sum"] + lam * w, name="grad")
         plan.dynamic(
             "w",
             distributed_newton,
             rounds="one all-reduce per CG matvec (+1 for the Newton decrement)",
-            effects={"reads": ["grad"]},
         )
         plan.returns("w")
         return plan

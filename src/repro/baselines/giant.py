@@ -16,18 +16,8 @@ evaluates the full step-size grid — are exactly the per-iteration overheads
 the paper contrasts with Newton-ADMM's single round and local early-stopping
 line search.  The schedule is declared as a
 :class:`~repro.distributed.schedule.RoundPlan`, so the engine *checks* the
-three rounds instead of trusting call order.
-
-``overlap_gradient=True`` marks the gradient all-reduce overlappable — but
-not with the CG solves, whose right-hand side *is* the reduced gradient (a
-data dependency the schedule IR enforces: reading an overlapped collective's
-result before its ``Join`` raises ``ScheduleError``).  The work it genuinely
-can hide is the line search's step-independent evaluation of the local
-objective at the *current* point ``f_i(w)`` — round 3 always needs that value
-and it consumes neither the gradient nor the direction, so hoisting it under
-the in-flight transfer is realizable on hardware.  Only the part of the
-transfer that evaluation does not hide is charged; iterates are
-bit-identical either way.
+three rounds instead of trusting call order.  Every collective blocks:
+each round's transfer is charged in full.
 """
 
 from __future__ import annotations
@@ -59,12 +49,6 @@ class GIANT(DistributedSolver):
         always evaluated, by design of the method.
     line_search_beta:
         Armijo sufficient-decrease constant.
-    overlap_gradient:
-        Overlap the gradient all-reduce with the line search's
-        step-independent ``f_i(w)`` evaluation, the only local work in the
-        iteration that does not consume the reduced gradient (event engine).
-        Iterates are bit-identical to the default; only the modelled schedule
-        changes.
     """
 
     name = "giant"
@@ -78,7 +62,6 @@ class GIANT(DistributedSolver):
         cg_tol: float = 1e-4,
         line_search_max_iter: int = 10,
         line_search_beta: float = 1e-4,
-        overlap_gradient: bool = False,
         evaluate_every: int = 1,
         record_accuracy: bool = True,
         tol_grad: float = 0.0,
@@ -96,7 +79,6 @@ class GIANT(DistributedSolver):
         self.cg_tol = float(cg_tol)
         self.line_search_max_iter = int(line_search_max_iter)
         self.line_search_beta = float(line_search_beta)
-        self.overlap_gradient = bool(overlap_gradient)
         self._w: Optional[np.ndarray] = None
         self._last_extras: Dict[str, float] = {}
 
@@ -145,17 +127,12 @@ class GIANT(DistributedSolver):
 
         def local_line_values(worker: Worker, ctx: dict) -> np.ndarray:
             # Every worker evaluates its local loss contribution at *all*
-            # candidate steps plus the current point (last entry).  The
-            # overlap variant hoisted the current-point value under the
-            # in-flight gradient transfer; the buffer is identical either way.
+            # candidate steps plus the current point (last entry).
             direction = ctx["direction"]
             values = np.empty(alphas.shape[0] + 1)
             for j, alpha in enumerate(alphas):
                 values[j] = worker.objective.value(w - alpha * direction)
-            if self.overlap_gradient:
-                values[-1] = ctx["value_at_w"][worker.worker_id]
-            else:
-                values[-1] = worker.objective.value(w)
+            values[-1] = worker.objective.value(w)
             return values
 
         def choose_step(ctx: dict) -> np.ndarray:
@@ -180,80 +157,16 @@ class GIANT(DistributedSolver):
             }
             return self._w
 
-        # Effect declarations: ``local_line_values`` reads ``value_at_w``
-        # only in the overlap variant (a conditional the AST inference would
-        # over-approximate), so each variant declares its exact footprint.
-        line_values_reads = ["direction"]
-        if self.overlap_gradient:
-            line_values_reads.append("value_at_w")
-
-        plan = RoundPlan("giant-overlap" if self.overlap_gradient else "giant")
-        plan.local(
-            "local_grads", local_gradient, label="gradient", effects={"reads": []}
-        )
-        if self.overlap_gradient:
-            # The all-reduce rides in the background while every worker
-            # evaluates f_i(w) — round 3's step-independent term, the one
-            # piece of local work that does not consume the reduced gradient.
-            # Only then is the transfer joined; the CG solve (whose RHS is
-            # the reduced gradient) stays strictly after the join, which the
-            # context's in-flight guard enforces.
-            plan.allreduce(
-                "grad_sum",
-                lambda ctx: ctx["local_grads"],
-                overlap=True,
-                effects={"reads": ["local_grads"]},
-            )
-            plan.local(
-                "value_at_w",
-                lambda worker, ctx: worker.objective.value(w),
-                label="line-search-f0",
-                effects={"reads": []},
-            )
-            plan.join()
-        else:
-            plan.allreduce(
-                "grad_sum",
-                lambda ctx: ctx["local_grads"],
-                effects={"reads": ["local_grads"]},
-            )
-        plan.master(
-            lambda ctx: ctx["grad_sum"] + lam * w,
-            name="grad",
-            effects={"reads": ["grad_sum"]},
-        )
-        plan.local(
-            "local_dirs",
-            local_direction,
-            label="newton-cg",
-            effects={"reads": ["grad", "worker:local_mean_loss"]},
-        )
-        plan.allreduce(
-            "dir_sum",
-            lambda ctx: ctx["local_dirs"],
-            effects={"reads": ["local_dirs"]},
-        )
-        plan.master(
-            lambda ctx: ctx["dir_sum"] / cluster.n_workers,
-            name="direction",
-            effects={"reads": ["dir_sum"]},
-        )
-        plan.local(
-            "line_values",
-            local_line_values,
-            label="line-search",
-            effects={"reads": line_values_reads},
-        )
-        plan.allreduce(
-            "line_values_sum",
-            lambda ctx: ctx["line_values"],
-            effects={"reads": ["line_values"]},
-        )
-        plan.master(
-            choose_step,
-            name="w",
-            effects={"reads": ["direction", "grad", "line_values_sum"]},
-        )
+        plan = RoundPlan("giant")
+        plan.local("local_grads", local_gradient, label="gradient")
+        plan.allreduce("grad_sum", lambda ctx: ctx["local_grads"])
+        plan.master(lambda ctx: ctx["grad_sum"] + lam * w, name="grad")
+        plan.local("local_dirs", local_direction, label="newton-cg")
+        plan.allreduce("dir_sum", lambda ctx: ctx["local_dirs"])
+        plan.master(lambda ctx: ctx["dir_sum"] / cluster.n_workers, name="direction")
+        plan.local("line_values", local_line_values, label="line-search")
+        plan.allreduce("line_values_sum", lambda ctx: ctx["line_values"])
+        plan.master(choose_step, name="w")
         plan.returns("w")
         return plan
 

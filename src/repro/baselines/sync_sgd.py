@@ -142,23 +142,9 @@ class SynchronousSGD(DistributedSolver):
                 "step_grads",
                 lambda worker, ctx: self._local_batch_gradient(worker, ctx["w"]),
                 label="minibatch-grad",
-                effects={
-                    "reads": ["w", "worker:local_mean_loss", "worker:rng"],
-                    "writes": ["worker:rng"],
-                },
             )
-            body.allreduce(
-                "step_grad_sum",
-                lambda ctx: ctx["step_grads"],
-                effects={"reads": ["step_grads"]},
-            )
-            body.master(
-                update,
-                effects={
-                    "reads": ["step_grad_sum", "w", "velocity"],
-                    "writes": ["w", "velocity"],
-                },
-            )
+            body.allreduce("step_grad_sum", lambda ctx: ctx["step_grads"])
+            body.master(update)
 
         plan.repeat(n_steps, sgd_step)
 
@@ -171,7 +157,7 @@ class SynchronousSGD(DistributedSolver):
             }
             return self._w
 
-        plan.master(commit, name="w", effects={"reads": ["w", "velocity"]})
+        plan.master(commit, name="w")
         plan.returns("w")
         return plan
 

@@ -40,11 +40,9 @@ from repro.distributed.faults import (
 )
 from repro.distributed.engine import Event, EventEngine
 from repro.distributed.schedule import (
-    Barrier,
     Collective,
     DynamicStep,
     GlobalStep,
-    Join,
     LocalStep,
     PlanExecution,
     Repeat,
@@ -80,11 +78,9 @@ __all__ = [
     "WorkerLostError",
     "Event",
     "EventEngine",
-    "Barrier",
     "Collective",
     "DynamicStep",
     "GlobalStep",
-    "Join",
     "LocalStep",
     "PlanExecution",
     "Repeat",

@@ -69,9 +69,7 @@ class Communicator:
         clock receives the modelled communication time.  Every collective is
         a barrier event on it: all workers wait to the synchronization point
         (fast workers accrue ``wait`` segments) and each is charged the
-        collective's modelled time.  ``overlap=True`` on a collective posts
-        the transfer in the background instead (see
-        :meth:`~repro.distributed.engine.EventEngine.background_collective`).
+        collective's modelled time.
 
     Notes
     -----
@@ -139,30 +137,18 @@ class Communicator:
         seconds: float,
         *,
         joint_with_previous: bool,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> None:
         self._check_reachable(participants)
-        if overlap:
-            self.engine.background_collective(seconds, label=operation)
-        else:
-            self.engine.collective(
-                seconds,
-                category="communication",
-                label=operation,
-                worker_ids=participants,
-            )
+        self.engine.collective(
+            seconds,
+            category="communication",
+            label=operation,
+            worker_ids=participants,
+        )
         self.log.record(
             operation, nbytes, seconds, new_round=not joint_with_previous
         )
-
-    def join(self) -> None:
-        """Block until overlapped (``overlap=True``) collectives complete.
-
-        Charges only the part of the transfer that following compute did not
-        hide; a no-op without pending background transfers.
-        """
-        self.engine.join_background()
 
     @staticmethod
     def _check_buffers(buffers: Sequence[np.ndarray], n_expected: int) -> List[np.ndarray]:
@@ -177,16 +163,10 @@ class Communicator:
         # semantics).
         return [ensure_float_array(b) for b in buffers]
 
-    def _membership(
-        self, participants: Optional[Sequence[int]], overlap: bool
-    ) -> tuple:
+    def _membership(self, participants: Optional[Sequence[int]]) -> tuple:
         """Resolve a degraded membership: (participant ids or None, count)."""
         if participants is None:
             return None, self.n_workers
-        if overlap:
-            raise ValueError(
-                "overlapped collectives do not support degraded membership"
-            )
         ids = [int(i) for i in participants]
         if not ids:
             raise ValueError("a collective needs at least one participant")
@@ -198,16 +178,15 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
         """Gather one buffer per (participating) worker at the master."""
-        ids, n = self._membership(participants, overlap)
+        ids, n = self._membership(participants)
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.gather(n, per_worker)
         self._account("gather", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous, overlap=overlap,
+                      joint_with_previous=joint_with_previous,
                       participants=ids)
         return [_copy(b) for b in buffers]
 
@@ -216,16 +195,15 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
         """Send a distinct buffer from the master to each (participating) worker."""
-        ids, n = self._membership(participants, overlap)
+        ids, n = self._membership(participants)
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.scatter(n, per_worker)
         self._account("scatter", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous, overlap=overlap,
+                      joint_with_previous=joint_with_previous,
                       participants=ids)
         return [_copy(b) for b in buffers]
 
@@ -234,15 +212,14 @@ class Communicator:
         buffer: np.ndarray,
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
         """Replicate a master buffer on every (participating) worker."""
-        ids, n = self._membership(participants, overlap)
+        ids, n = self._membership(participants)
         buffer = ensure_float_array(buffer)
         seconds = self.network.broadcast(n, _nbytes(buffer))
         self._account("broadcast", _nbytes(buffer) * n, seconds,
-                      joint_with_previous=joint_with_previous, overlap=overlap,
+                      joint_with_previous=joint_with_previous,
                       participants=ids)
         return [_copy(buffer) for _ in range(n)]
 
@@ -251,11 +228,10 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Element-wise sum of one buffer per worker, result visible everywhere."""
-        ids, n = self._membership(participants, overlap)
+        ids, n = self._membership(participants)
         buffers = self._check_buffers(buffers, n)
         shapes = {b.shape for b in buffers}
         if len(shapes) != 1:
@@ -270,7 +246,7 @@ class Communicator:
         nbytes = _nbytes(buffers[0])
         seconds = self.network.allreduce(n, nbytes)
         self._account("allreduce", nbytes * n, seconds,
-                      joint_with_previous=joint_with_previous, overlap=overlap,
+                      joint_with_previous=joint_with_previous,
                       participants=ids)
         total = _copy(buffers[0])
         for b in buffers[1:]:
@@ -282,16 +258,15 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
         participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
         """Every (participating) worker receives every participant's buffer."""
-        ids, n = self._membership(participants, overlap)
+        ids, n = self._membership(participants)
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.allgather(n, per_worker)
         self._account("allgather", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous, overlap=overlap,
+                      joint_with_previous=joint_with_previous,
                       participants=ids)
         return [_copy(b) for b in buffers]
 
@@ -303,7 +278,7 @@ class Communicator:
         participants: Optional[Sequence[int]] = None,
     ) -> float:
         """Sum one scalar per (participating) worker at the master."""
-        ids, n = self._membership(participants, overlap=False)
+        ids, n = self._membership(participants)
         if len(values) != n:
             raise ValueError(
                 f"expected {n} scalars, got {len(values)}"

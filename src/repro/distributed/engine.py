@@ -1,5 +1,5 @@
 """Discrete-event engine: one timeline per worker, an event queue, and
-barrier / collective / background-transfer primitives.
+barrier / collective primitives.
 
 The paper's systems claims are claims about *schedules* — one synchronization
 point per Newton-ADMM iteration versus GIANT's three, asynchronous SGD's
@@ -13,12 +13,9 @@ synchronization vocabulary the distributed layer is rebuilt on:
     time, then all barrier.  The shared :class:`SimulatedClock` is advanced by
     exactly ``max(times)``: the slowest participant sets the round's time.
 
-``collective`` / ``background_collective``
+``collective``
     A blocking collective barriers every worker and charges each of them the
-    modelled communication time.  The background variant models
-    compute↔communication overlap: the transfer is posted at the barrier time
-    and completes later, while workers keep computing; :meth:`join_background`
-    charges only the part of the transfer that was *not* hidden.
+    modelled communication time.
 
 ``post`` / ``pop``
     The event queue used by the true asynchronous path: a worker posts a
@@ -110,7 +107,6 @@ class EventEngine:
         ]
         self._queue: List[Event] = []
         self._seq = 0
-        self._background_until = 0.0
 
     # -- basic accessors ---------------------------------------------------
     @property
@@ -229,11 +225,8 @@ class EventEngine:
 
         ``worker_ids`` defaults to every worker; a subset models a collective
         over the surviving members of a degraded round (crashed workers'
-        timelines stay frozen).  Any still-pending background transfer is
-        joined first (a blocking collective on the same interconnect cannot
-        start before it drains).
+        timelines stay frozen).
         """
-        self.join_background()
         ids = (
             list(range(self.n_workers))
             if worker_ids is None
@@ -244,51 +237,6 @@ class EventEngine:
             self.timelines[i].advance(seconds, "comm", label)
         self.clock.advance(seconds, category=category)
         return self.now
-
-    # -- overlap (compute <-> communication) --------------------------------
-    def background_collective(
-        self,
-        seconds: float,
-        *,
-        label: str = "overlap-collective",
-    ) -> float:
-        """Start a collective at the barrier time but complete it in the
-        background, overlapping whatever the workers do next.
-
-        Returns the completion time.  Workers' clocks and the shared clock are
-        untouched; :meth:`join_background` (called explicitly, or implicitly
-        by the next blocking :meth:`collective`) charges only the part of the
-        transfer that subsequent compute did not hide.
-        """
-        t = self.barrier(label=label)
-        completion = t
-        for tl in self.timelines:
-            completion = max(completion, tl.post_background(t, seconds, label))
-        self._background_until = max(self._background_until, completion)
-        return completion
-
-    def join_background(self, *, category: str = "communication") -> float:
-        """Block until all background transfers complete.
-
-        Workers idle until the latest completion; the shared clock is charged
-        only the *unhidden* remainder, which is the whole point of overlap.
-        """
-        completion = self._background_until
-        if completion <= 0.0:
-            return self.now
-        self._background_until = 0.0
-        t = self.barrier(label="join")
-        for tl in self.timelines:
-            tl.wait_until(completion, "join")
-        remainder = completion - t
-        if remainder > 0:
-            self.clock.advance(remainder, category=category)
-        return self.now
-
-    @property
-    def background_pending(self) -> bool:
-        """True while an overlapped transfer has not been joined yet."""
-        return self._background_until > 0.0
 
     # -- event queue -------------------------------------------------------
     def post(
@@ -303,8 +251,7 @@ class EventEngine:
         worker's current local time).
 
         The worker's clock is not advanced — the message is in flight while
-        the worker does whatever it does next (this is the engine's
-        compute↔communication overlap primitive for point-to-point traffic).
+        the worker does whatever it does next.
         """
         if delay < 0:
             raise ValueError(f"delay must be >= 0, got {delay}")
@@ -376,7 +323,6 @@ class EventEngine:
         self.timelines = [WorkerTimeline(i) for i in range(self.n_workers)]
         self._queue = []
         self._seq = 0
-        self._background_until = 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

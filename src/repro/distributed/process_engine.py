@@ -28,9 +28,10 @@ Determinism contract
     through the unmodified :class:`~repro.distributed.comm.Communicator` —
     the *same left-fold* and the same modelled accounting as on the
     event engine, moving nothing — so fp64 iterates are bit-identical
-    to the ``event`` engine's.  (That a collective's payload
-    reads only replicated context, never one worker's private state, is
-    what ``verify_plan`` rule PLN010 checks.)  Modelled clocks and
+    to the ``event`` engine's.  (A collective's payload must read only
+    replicated context, never one worker's private state; the process/event
+    bit-identity matrix in ``tests/test_process_engine.py`` runs every
+    plan-driven solver on both engines to check it.)  Modelled clocks and
     per-worker timelines keep running exactly as on the ``event`` engine
     (every rank drives an identical :class:`EventEngine` replica); real time
     is recorded separately, as per-rank wall-clock timelines.
@@ -727,9 +728,14 @@ class ProcessRuntime:
                 except (BrokenPipeError, OSError):
                     pass
         for proc in list(self._procs.values()):
-            proc.join(timeout=None if kill else 5.0)
-            if proc.is_alive():
+            if kill:
+                # A torn-down pool's children may sit in an exchange rank 0
+                # will never finish; joining first would wait out their own
+                # hung-worker watchdog before the caller sees its error.
                 proc.terminate()
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.kill()
                 proc.join(timeout=5.0)
         for conn in self._conns.values():
             try:

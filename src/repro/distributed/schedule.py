@@ -18,17 +18,12 @@ makes the round structure a first-class, inspectable object:
     flags of :class:`~repro.distributed.comm.Communicator`:
     ``joint_with_previous=True`` merges it into the preceding collective's
     synchronization point (the paper's "one round" for a back-to-back
-    reduce+broadcast pair), ``overlap=True`` posts the transfer in the
-    background so subsequent :class:`LocalStep` compute hides it.
+    reduce+broadcast pair).
 
 ``GlobalStep``
     Master-side glue (the ADMM z-update, a line-search argmin): pure Python on
     already-communicated values, charged to nobody — the same accounting the
     imperative solvers used.
-
-``Barrier`` / ``Join``
-    An explicit synchronization point, and the blocking join of previously
-    overlapped collectives (charges only the unhidden remainder).
 
 ``Repeat``
     A body of steps executed a known number of times (sync-SGD's
@@ -54,7 +49,7 @@ observations for the harness and plotting to consume.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from repro.distributed.faults import (
     FAULT_POLICIES,
@@ -81,14 +76,6 @@ class ScheduleError(RuntimeError):
 # IR nodes
 # ---------------------------------------------------------------------------
 
-#: declared effect footprint of a step's thunk: ``{"reads": [...], "writes":
-#: [...]}`` over context keys plus ``worker:<key>`` pseudo-keys for per-worker
-#: state.  ``None`` means "infer from the thunk's source" (see
-#: :mod:`repro.analysis.effects`).  Deliberately excluded from ``describe()``
-#: — effects annotate the schedule, they are not part of its structure.
-EffectSpec = Dict[str, Sequence[str]]
-
-
 @dataclass
 class LocalStep:
     """Per-worker compute thunk ``fn(worker, ctx)``; results bind to ``name``."""
@@ -98,7 +85,6 @@ class LocalStep:
     label: str = "compute"
     #: optional subset of worker ids (default: every worker)
     workers: Optional[Sequence[int]] = None
-    effects: Optional[EffectSpec] = None
 
     def describe(self) -> dict:
         return {"step": "local", "name": self.name, "label": self.label}
@@ -117,17 +103,13 @@ class Collective:
     op: str
     payload: Callable[[dict], Any]
     joint_with_previous: bool = False
-    overlap: bool = False
     on_failure: Optional[str] = None
-    effects: Optional[EffectSpec] = None
 
     def __post_init__(self) -> None:
         if self.op not in COLLECTIVE_OPS:
             raise ValueError(
                 f"unknown collective op {self.op!r}; expected one of {COLLECTIVE_OPS}"
             )
-        if self.overlap and self.op == "reduce_scalar":
-            raise ValueError("reduce_scalar does not support overlap")
         if self.on_failure is not None and self.on_failure not in FAULT_POLICIES:
             raise ValueError(
                 f"on_failure must be one of {FAULT_POLICIES}, got {self.on_failure!r}"
@@ -143,7 +125,6 @@ class Collective:
             "name": self.name,
             "op": self.op,
             "joint_with_previous": self.joint_with_previous,
-            "overlap": self.overlap,
         }
         if self.on_failure is not None:
             out["on_failure"] = self.on_failure
@@ -156,28 +137,9 @@ class GlobalStep:
 
     fn: Callable[[dict], Any]
     name: Optional[str] = None
-    effects: Optional[EffectSpec] = None
 
     def describe(self) -> dict:
         return {"step": "global", "name": self.name or ""}
-
-
-@dataclass
-class Barrier:
-    """Explicit synchronization point: every worker waits for the slowest."""
-
-    label: str = "barrier"
-
-    def describe(self) -> dict:
-        return {"step": "barrier", "label": self.label}
-
-
-@dataclass
-class Join:
-    """Block on previously overlapped collectives (charges the unhidden part)."""
-
-    def describe(self) -> dict:
-        return {"step": "join"}
 
 
 @dataclass
@@ -187,7 +149,6 @@ class DynamicStep:
     name: str
     fn: Callable[..., Any]
     rounds: str = "data-dependent"
-    effects: Optional[EffectSpec] = None
 
     def describe(self) -> dict:
         return {"step": "dynamic", "name": self.name, "rounds": self.rounds}
@@ -218,26 +179,12 @@ class Repeat:
         }
 
 
-Step = Union[LocalStep, Collective, GlobalStep, Barrier, Join, DynamicStep, Repeat]
+Step = Union[LocalStep, Collective, GlobalStep, DynamicStep, Repeat]
 
 
 # ---------------------------------------------------------------------------
 # Introspection
 # ---------------------------------------------------------------------------
-def iter_steps(steps: Sequence[Step], *, expand_repeat: bool = True) -> Iterator[Step]:
-    """Yield steps in execution order, unrolling :class:`Repeat` bodies.
-
-    With ``expand_repeat=False`` the :class:`Repeat` node itself is yielded
-    (one body, not ``times`` copies), matching the declared description.
-    """
-    for step in steps:
-        if isinstance(step, Repeat) and expand_repeat:
-            for _ in range(step.times):
-                yield from iter_steps(step.steps, expand_repeat=True)
-        else:
-            yield step
-
-
 def _count(steps: Sequence[Step], measure: Callable[[Collective], int]) -> Optional[int]:
     """Sum ``measure`` over the collectives of ``steps``; ``None`` if dynamic."""
     total = 0
@@ -327,14 +274,11 @@ class RoundPlan:
         *,
         label: str = "compute",
         workers: Optional[Sequence[int]] = None,
-        effects: Optional[EffectSpec] = None,
     ) -> "RoundPlan":
         """Append a :class:`LocalStep`: run ``fn(worker, ctx)`` on every
         worker (or the ``workers`` subset) in parallel; the list of results
         binds to ``ctx[name]``."""
-        return self.add(
-            LocalStep(name, fn, label=label, workers=workers, effects=effects)
-        )
+        return self.add(LocalStep(name, fn, label=label, workers=workers))
 
     def collective(
         self,
@@ -343,21 +287,12 @@ class RoundPlan:
         payload: Callable[[dict], Any],
         *,
         joint_with_previous: bool = False,
-        overlap: bool = False,
-        effects: Optional[EffectSpec] = None,
     ) -> "RoundPlan":
         """Append a :class:`Collective` of kind ``op`` (see
         :data:`COLLECTIVE_OPS`); ``payload(ctx)`` builds the buffers and the
         reduced/distributed value binds to ``ctx[name]``."""
         return self.add(
-            Collective(
-                name,
-                op,
-                payload,
-                joint_with_previous=joint_with_previous,
-                overlap=overlap,
-                effects=effects,
-            )
+            Collective(name, op, payload, joint_with_previous=joint_with_previous)
         )
 
     def allreduce(self, name: str, payload, **kwargs) -> "RoundPlan":
@@ -391,20 +326,10 @@ class RoundPlan:
         fn: Callable[[dict], Any],
         *,
         name: Optional[str] = None,
-        effects: Optional[EffectSpec] = None,
     ) -> "RoundPlan":
         """Append a :class:`GlobalStep`: uncharged master-side glue ``fn(ctx)``
         whose return value binds to ``ctx[name]`` when named."""
-        return self.add(GlobalStep(fn, name=name, effects=effects))
-
-    def barrier(self, label: str = "barrier") -> "RoundPlan":
-        """Append an explicit synchronization point (event engine only)."""
-        return self.add(Barrier(label))
-
-    def join(self) -> "RoundPlan":
-        """Append a :class:`Join`: block on previously overlapped collectives,
-        charging only the part of the transfer compute did not hide."""
-        return self.add(Join())
+        return self.add(GlobalStep(fn, name=name))
 
     def dynamic(
         self,
@@ -412,11 +337,10 @@ class RoundPlan:
         fn: Callable[..., Any],
         *,
         rounds: str = "data-dependent",
-        effects: Optional[EffectSpec] = None,
     ) -> "RoundPlan":
         """Append a :class:`DynamicStep` ``fn(cluster, ctx)`` issuing its own
         data-dependent rounds; makes the plan's round count undeclarable."""
-        return self.add(DynamicStep(name, fn, rounds=rounds, effects=effects))
+        return self.add(DynamicStep(name, fn, rounds=rounds))
 
     def repeat(self, times: int, build: Callable[["RoundPlan"], Any]) -> "RoundPlan":
         """Append a body of steps executed ``times`` times.
@@ -448,33 +372,17 @@ class RoundPlan:
     def declared_collectives(self) -> Optional[int]:
         return _count(self.steps, lambda c: 1)
 
-    @property
-    def n_overlapped(self) -> int:
-        """Overlapped collectives declared in the plan's static structure.
-
-        Unlike the round counts, a :class:`DynamicStep` does not make this
-        unknowable — the static collectives' flags are declared either way —
-        so dynamic sections simply contribute nothing.
-        """
-        return _tally(self.steps, lambda s: isinstance(s, Collective) and s.overlap)
-
     def describe(self) -> dict:
         """Serializable declared structure (``RunTrace.info['schedule']``)."""
         return {
             "plan": self.name,
             "rounds": self.declared_rounds,
             "collectives": self.declared_collectives,
-            "overlapped": self.n_overlapped,
             "local_steps": _tally(self.steps, lambda s: isinstance(s, LocalStep)),
             "dynamic": not self.is_static,
             "on_failure": self.on_failure,
             "steps": [s.describe() for s in self.steps],
         }
-
-    # -- introspection -----------------------------------------------------
-    def flattened(self) -> List[Step]:
-        """Steps in execution order with :class:`Repeat` bodies unrolled."""
-        return list(iter_steps(self.steps))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rounds = self.declared_rounds
@@ -496,7 +404,6 @@ class PlanExecution:
     rounds: int = 0
     collectives: int = 0
     bytes_transferred: float = 0.0
-    overlapped: int = 0
 
     def summary(self) -> dict:
         """Observed per-epoch schedule facts (logged to ``trace.info``)."""
@@ -504,42 +411,7 @@ class PlanExecution:
             "rounds": self.rounds,
             "collectives": self.collectives,
             "bytes": self.bytes_transferred,
-            "overlapped": self.overlapped,
         }
-
-
-class _PlanContext(dict):
-    """Execution context that enforces overlap data dependencies.
-
-    The simulator moves a collective's bytes immediately and models the
-    transfer time separately, so the *value* of an overlapped collective is
-    available in the context long before the modelled transfer completes.  A
-    plan that reads it before a :class:`Join` (or a blocking collective, which
-    drains the background implicitly) would therefore describe a schedule
-    with a data dependency no real cluster can satisfy — compute consuming
-    bytes still on the wire.  Reading an in-flight key raises
-    :class:`ScheduleError` instead, making unrealizable overlap a structural
-    error rather than a silently optimistic timing.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.in_flight: set = set()
-
-    def __getitem__(self, key):
-        if key in self.in_flight:
-            raise ScheduleError(
-                f"context key {key!r} is the result of an overlapped "
-                "collective whose modelled transfer has not completed; "
-                "add a Join() (or a blocking collective) before reading it"
-            )
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        # Same contract as indexing — .get must not be a guard bypass.
-        if key in self.in_flight:
-            self[key]  # raises ScheduleError
-        return super().get(key, default)
 
 
 def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
@@ -632,12 +504,12 @@ def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
 def _execute_steps(
     cluster,
     steps: Sequence[Step],
-    ctx: _PlanContext,
+    ctx: dict,
     *,
     policy: str = "raise",
     state: Optional[Dict[str, Any]] = None,
-) -> int:
-    """Run ``steps`` in order; returns the number of overlapped collectives."""
+) -> None:
+    """Run ``steps`` in order, binding each step's result into ``ctx``."""
     comm = cluster.comm
     degraded = (
         policy == "degrade" and getattr(cluster, "fault_state", None) is not None
@@ -646,7 +518,6 @@ def _execute_steps(
         # ``members`` tracks the degraded membership of the current epoch:
         # the survivors of the most recent local round, or None for "all".
         state = {"members": None}
-    overlapped = 0
     for step in steps:
         if isinstance(step, LocalStep):
             fn = step.fn
@@ -688,38 +559,20 @@ def _execute_steps(
             kwargs: Dict[str, Any] = {
                 "joint_with_previous": step.joint_with_previous
             }
-            if step.op != "reduce_scalar":
-                kwargs["overlap"] = step.overlap
             if participants is not None:
                 kwargs["participants"] = participants
             ctx[step.name] = getattr(comm, step.op)(buffers, **kwargs)
-            if step.overlap:
-                overlapped += 1
-                ctx.in_flight.add(step.name)
-            else:
-                # A blocking collective drains any background transfer before
-                # it starts (see Communicator/EventEngine), so previously
-                # overlapped results are safe to read from here on.
-                ctx.in_flight.clear()
         elif isinstance(step, GlobalStep):
             value = step.fn(ctx)
             if step.name is not None:
                 ctx[step.name] = value
-        elif isinstance(step, Barrier):
-            cluster.engine.barrier(label=step.label)
-        elif isinstance(step, Join):
-            comm.join()
-            ctx.in_flight.clear()
         elif isinstance(step, DynamicStep):
             ctx[step.name] = step.fn(cluster, ctx)
         elif isinstance(step, Repeat):
             for _ in range(step.times):
-                overlapped += _execute_steps(
-                    cluster, step.steps, ctx, policy=policy, state=state
-                )
+                _execute_steps(cluster, step.steps, ctx, policy=policy, state=state)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown plan step {step!r}")
-    return overlapped
 
 
 def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecution:
@@ -751,26 +604,14 @@ def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecuti
     rounds0 = comm.log.n_rounds
     collectives0 = comm.log.n_collectives
     bytes0 = comm.log.bytes_transferred
-    ctx = _PlanContext(plan.context)
+    ctx = dict(plan.context)
     fault_state = getattr(cluster, "fault_state", None)
     if fault_state is not None and plan.on_failure == "degrade":
         ctx["alive_workers"] = cluster.reachable_worker_ids()
     with cluster.fault_policy(plan.on_failure):
-        overlapped = _execute_steps(
-            cluster, plan.steps, ctx, policy=plan.on_failure
-        )
-    if ctx.in_flight:
-        # An unjoined transfer would silently drain into the *next* epoch's
-        # first blocking collective, undercharging this epoch and
-        # overcharging the next — per-epoch modelled times are the one thing
-        # this simulator must get right, so the plan must end joined.
-        raise ScheduleError(
-            f"plan {plan.name!r} ended with overlapped collective(s) "
-            f"{sorted(ctx.in_flight)} still in flight; add a trailing Join()"
-        )
+        _execute_steps(cluster, plan.steps, ctx, policy=plan.on_failure)
 
-    # Indexing (not .get) so a typoed returns key fails here, at the plan,
-    # and an unjoined overlapped result trips the in-flight guard.
+    # Indexing (not .get) so a typoed returns key fails here, at the plan.
     result = ctx[plan.returns_key] if plan.returns_key else None
     execution = PlanExecution(
         result=result,
@@ -778,7 +619,6 @@ def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecuti
         rounds=comm.log.n_rounds - rounds0,
         collectives=comm.log.n_collectives - collectives0,
         bytes_transferred=comm.log.bytes_transferred - bytes0,
-        overlapped=overlapped,
     )
     if check and plan.declared_rounds is not None:
         if execution.rounds != plan.declared_rounds:

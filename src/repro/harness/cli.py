@@ -89,11 +89,6 @@ EXPERIMENT_REGISTRY: Dict[str, tuple] = {
         "Ablation — straggler sensitivity (persistent slow worker)",
         None,
     ),
-    "ablation-overlap": (
-        experiments.ablation_overlap_giant,
-        "Ablation — GIANT gradient-allreduce overlap (modelled saving)",
-        None,
-    ),
     "ablation-async": (
         experiments.ablation_async_admm,
         "Ablation — async Newton-ADMM / async SGD vs sync under a straggler",

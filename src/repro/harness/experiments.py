@@ -2,8 +2,8 @@
 
 Every public function regenerates one table or figure of the paper's
 evaluation section, plus ablations of the choices the paper fixes (penalty
-policy, CG budget, over-relaxation, interconnect, stragglers, overlap,
-asynchrony, faults, schedules).  Each returns a dictionary with structured
+policy, CG budget, over-relaxation, interconnect, stragglers, asynchrony,
+faults, schedules).  Each returns a dictionary with structured
 results (``rows`` and/or ``traces``) and a plain-text ``report`` mirroring
 what the paper plots — the benchmark suite simply calls these functions and
 prints the reports.
@@ -716,90 +716,6 @@ def ablation_straggler_sensitivity(
         rows, title="Ablation — straggler sensitivity (persistent slow worker 0)"
     )
     return {"rows": rows, "report": report}
-
-
-def ablation_overlap_giant(
-    scale=ExperimentScale.QUICK,
-    *,
-    dataset: str = "mnist_like",
-    n_workers: int = 8,
-    lam: float = 1e-5,
-    network: str = "wan_slow",
-    seed: int = 0,
-) -> dict:
-    """Ablation: overlapping GIANT's gradient all-reduce with independent work.
-
-    GIANT's round-1 all-reduce can ride in the background while every worker
-    evaluates the line search's step-independent term ``f_i(w)`` — the one
-    piece of local work in the iteration that consumes neither the reduced
-    gradient nor the direction, so the overlap is realizable on hardware (the
-    CG solves stay strictly after the join; the schedule IR rejects plans
-    that read an in-flight transfer).  On a network-bound configuration
-    (slow WAN, event engine) the overlap variant's modelled epoch time must
-    be strictly lower; the iterates are bit-identical because only the
-    modelled schedule changes.  The report includes the declared round
-    schedules so the difference is visible as structure, not just as a
-    number.
-    """
-    from repro.harness.plotting import format_schedule
-
-    scale = _scale(scale)
-    epochs = _epoch_budget(scale, 4, 8, 15)
-    rows: List[dict] = []
-    traces: Dict[str, RunTrace] = {}
-    for overlap in (False, True):
-        cluster_config = _cluster_config(dataset, n_workers, scale, seed=seed)
-        cluster_config.network = network
-        cluster_config.engine = "event"
-        cluster, test = build_cluster(cluster_config)
-        label = "giant_overlap" if overlap else "giant"
-        trace = run_method(
-            SolverConfig(
-                "giant",
-                dict(lam=lam, max_epochs=epochs, cg_max_iter=10, cg_tol=1e-4,
-                     overlap_gradient=overlap, record_accuracy=False),
-            ),
-            cluster_config,
-            cluster=cluster,
-            test=test,
-        )
-        traces[label] = trace
-        rows.append(
-            {
-                "variant": label,
-                "overlap_gradient": overlap,
-                "avg_epoch_time_s": average_epoch_time(trace),
-                "comm_s_per_epoch": trace.final.comm_time / trace.n_epochs,
-                "final_objective": trace.final.objective,
-                "comm_rounds": trace.final.comm_rounds,
-            }
-        )
-    base, over = rows[0], rows[1]
-    saving = base["avg_epoch_time_s"] - over["avg_epoch_time_s"]
-    rows.append(
-        {
-            "variant": "modelled saving",
-            "overlap_gradient": "",
-            "avg_epoch_time_s": saving,
-            "comm_s_per_epoch": base["comm_s_per_epoch"] - over["comm_s_per_epoch"],
-            "final_objective": base["final_objective"] - over["final_objective"],
-            "comm_rounds": 0,
-        }
-    )
-    report = (
-        format_table(
-            rows,
-            title=(
-                f"Ablation — GIANT gradient-allreduce overlap on {network} "
-                f"({n_workers} workers, event engine)"
-            ),
-        )
-        + "\n\n"
-        + format_schedule(traces["giant"])
-        + "\n\n"
-        + format_schedule(traces["giant_overlap"])
-    )
-    return {"rows": rows, "traces": traces, "report": report}
 
 
 def ablation_async_admm(

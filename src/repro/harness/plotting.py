@@ -162,8 +162,7 @@ def plot_gantt(
     epoch: Optional[int] = None,
 ) -> str:
     """ASCII Gantt chart of per-worker timelines (busy ``#``, wait ``.``,
-    comm ``~``, crash downtime ``x``, background transfers ``-`` on a
-    separate lane).
+    comm ``~``, crash downtime ``x``, unreachable ``=``).
 
     ``timelines`` is a :class:`~repro.metrics.traces.RunTrace` (its recorded
     ``info["timelines"]`` are rendered), a sequence of
@@ -245,7 +244,7 @@ def plot_gantt(
     if span <= 0:
         return (title or "gantt") + "\n(no recorded activity)"
 
-    def render(segments, glyph_for) -> str:
+    def render(segments) -> str:
         # Majority activity per cell; later segments win exact ties so the
         # chart reflects what the worker moved on to.
         occupancy = [{} for _ in range(width)]
@@ -270,21 +269,19 @@ def plot_gantt(
             for candidate, overlap in bucket.items():
                 if overlap >= best:
                     kind, best = candidate, overlap
-            chars.append(glyph_for.get(kind, "?"))
+            chars.append(_GANTT_GLYPHS.get(kind, "?"))
         return "".join(chars)
 
     lines = [title] if title else []
     lines.append(
         f"gantt 0 .. {span:.3g}s   legend: # busy   . wait   ~ comm   "
-        f"x down   = unreachable   - overlap   X crash   ^ restart   "
+        f"x down   = unreachable   X crash   ^ restart   "
         f"+ restore   ( cut   ) heal"
     )
     row_of = {}
     for tl in timelines:
-        lines.append(f"w{tl.worker_id:<3d}|{render(tl.segments, _GANTT_GLYPHS)}|")
+        lines.append(f"w{tl.worker_id:<3d}|{render(tl.segments)}|")
         row_of[int(tl.worker_id)] = len(lines) - 1
-        if tl.background:
-            lines.append(f"    |{render(tl.background, {'comm': '-'})}| (background)")
     # Overlay crash/restart markers from recorded fault events.  Rows are
     # "wNNN|<cells>|": the cell area starts at column 5.
     for event in fault_events:
@@ -323,11 +320,6 @@ def format_schedule(trace: RunTrace) -> str:
         )
         + f", {declared.get('local_steps', 0)} local step(s)"
         + (
-            f", {declared['overlapped']} overlapped collective(s)"
-            if declared.get("overlapped")
-            else ""
-        )
-        + (
             f", on worker failure: {declared['on_failure']}"
             if declared.get("on_failure") not in (None, "raise")
             else ""
@@ -341,12 +333,7 @@ def format_schedule(trace: RunTrace) -> str:
                     f"{indent}local     {step.get('label', step.get('name', ''))}"
                 )
             elif kind == "collective":
-                flags = []
-                if step.get("joint_with_previous"):
-                    flags.append("joint")
-                if step.get("overlap"):
-                    flags.append("overlap")
-                suffix = f" [{', '.join(flags)}]" if flags else ""
+                suffix = " [joint]" if step.get("joint_with_previous") else ""
                 lines.append(f"{indent}comm      {step['op']}({step['name']}){suffix}")
             elif kind == "dynamic":
                 lines.append(

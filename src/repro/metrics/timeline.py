@@ -3,8 +3,7 @@
 The discrete-event engine (:mod:`repro.distributed.engine`) gives every
 simulated worker its own clock; this module holds the record of what each
 worker was doing and when.  A timeline is an append-only list of
-:class:`TimelineSegment` (busy compute, barrier/straggler wait, communication)
-plus an optional ``background`` lane for transfers that overlap compute.
+:class:`TimelineSegment` (busy compute, barrier/straggler wait, communication).
 
 These records are what the Gantt export
 (:func:`repro.harness.plotting.plot_gantt`) renders and what the
@@ -61,15 +60,12 @@ class WorkerTimeline:
 
     The engine advances ``t`` through :meth:`advance` (busy/comm work) and
     :meth:`wait_until` (barrier or idle waits); zero-length intervals are not
-    recorded.  ``background`` holds transfers posted with overlap — they do
-    not advance the worker's clock (the NIC moves the bytes while the worker
-    computes) but are kept for the Gantt export.
+    recorded.
     """
 
     worker_id: int
     t: float = 0.0
     segments: List[TimelineSegment] = field(default_factory=list)
-    background: List[TimelineSegment] = field(default_factory=list)
 
     def advance(self, seconds: float, kind: str = "busy", label: str = "") -> float:
         """Advance the local clock by ``seconds`` doing ``kind`` work."""
@@ -91,24 +87,12 @@ class WorkerTimeline:
             self.advance(time - self.t, "wait", label)
         return self.t
 
-    def post_background(self, start: float, seconds: float, label: str = "") -> float:
-        """Record an overlapped transfer of ``seconds`` starting at ``start``.
-
-        Returns the completion time; the worker's own clock is untouched.
-        """
-        if seconds < 0:
-            raise ValueError(f"background transfer cannot take {seconds!r} s")
-        end = start + seconds
-        self.background.append(TimelineSegment(start, end, "comm", label))
-        return end
-
     # -- aggregation -------------------------------------------------------
     def totals(self) -> Dict[str, float]:
-        """Seconds spent per segment kind (background comm under ``overlap``)."""
+        """Seconds spent per segment kind."""
         out = {kind: 0.0 for kind in SEGMENT_KINDS}
         for seg in self.segments:
             out[seg.kind] += seg.duration
-        out["overlap"] = sum(seg.duration for seg in self.background)
         return out
 
     @property
@@ -127,8 +111,6 @@ class WorkerTimeline:
         out.update({k: float(v) for k, v in self.totals().items()})
         if include_segments:
             out["segments"] = [seg.to_dict() for seg in self.segments]
-            if self.background:
-                out["background"] = [seg.to_dict() for seg in self.background]
         return out
 
 
@@ -210,7 +192,6 @@ def slice_epoch(
     for tl, start, end in zip(timelines, starts, ends):
         cut = WorkerTimeline(worker_id=tl.worker_id)
         cut.segments = clipped(tl.segments, start, end)
-        cut.background = clipped(tl.background, start, end)
         cut.t = end - t0
         sliced.append(cut)
     return sliced
@@ -259,13 +240,6 @@ def timelines_from_dicts(rows: Sequence[dict]) -> List[WorkerTimeline]:
             tl.segments.append(
                 TimelineSegment(
                     float(seg["start"]), float(seg["end"]), seg["kind"],
-                    seg.get("label", ""),
-                )
-            )
-        for seg in row.get("background", ()):
-            tl.background.append(
-                TimelineSegment(
-                    float(seg["start"]), float(seg["end"]), "comm",
                     seg.get("label", ""),
                 )
             )

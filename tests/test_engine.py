@@ -1,5 +1,5 @@
 """Tests for the discrete-event engine: timelines, barriers, the event queue,
-overlap, engine names, and communication-round invariants."""
+engine names, and communication-round invariants."""
 
 import numpy as np
 import pytest
@@ -61,14 +61,26 @@ class TestWorkerTimeline:
         tl = WorkerTimeline(3)
         tl.advance(1.0, "busy")
         tl.wait_until(1.5, "barrier")
-        tl.post_background(0.5, 2.0, "ibcast")
-        (back,) = timelines_from_dicts([tl.to_dict()])
+        tl.advance(0.25, "comm", "allreduce")
+        row = tl.to_dict()
+        assert row == {
+            "worker_id": 3,
+            "total": 1.75,
+            "busy": 1.0,
+            "wait": 0.5,
+            "comm": 0.25,
+            "down": 0.0,
+            "unreachable": 0.0,
+            "segments": [
+                {"start": 0.0, "end": 1.0, "kind": "busy", "label": ""},
+                {"start": 1.0, "end": 1.5, "kind": "wait", "label": "barrier"},
+                {"start": 1.5, "end": 1.75, "kind": "comm", "label": "allreduce"},
+            ],
+        }
+        (back,) = timelines_from_dicts([row])
         assert back.worker_id == 3
         assert back.t == tl.t
-        assert [s.to_dict() for s in back.segments] == [
-            s.to_dict() for s in tl.segments
-        ]
-        assert back.background[0].end == 2.5
+        assert back.to_dict() == row
 
     def test_summary_rows(self):
         tl = WorkerTimeline(0)
@@ -133,34 +145,6 @@ class TestEventEngine:
         # Going backwards is a no-op.
         engine.advance_global_to(5.0)
         assert engine.now == 10.0
-
-    def test_background_collective_overlaps_compute(self):
-        engine = EventEngine(2)
-        engine.run_round({0: 1.0, 1: 1.0})
-        completion = engine.background_collective(2.0)
-        assert completion == 3.0
-        assert engine.background_pending
-        # 1.5s of compute hides 1.5s of the transfer...
-        engine.run_round({0: 1.5, 1: 1.5})
-        engine.join_background()
-        # ...so only the 0.5s remainder is charged as communication.
-        assert engine.now == 3.0
-        assert engine.clock.category("communication") == 0.5
-        assert not engine.background_pending
-
-    def test_blocking_collective_joins_background_first(self):
-        engine = EventEngine(2)
-        engine.background_collective(2.0)
-        engine.collective(1.0)
-        assert engine.now == 3.0
-
-    def test_fully_hidden_background_costs_nothing(self):
-        engine = EventEngine(1)
-        engine.background_collective(1.0)
-        engine.run_round({0: 5.0})
-        engine.join_background()
-        assert engine.clock.category("communication") == 0.0
-        assert engine.now == 5.0
 
     def test_reset(self):
         engine = EventEngine(2)
@@ -261,21 +245,19 @@ class TestEngineEquivalence:
 
 
 class TestCommunicationRoundInvariants:
-    """The paper's systems claim, asserted under both engine names: Newton-ADMM
-    synchronizes once per iteration, GIANT three times."""
+    """The paper's systems claim: Newton-ADMM synchronizes once per
+    iteration, GIANT three times."""
 
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_newton_admm_one_round_per_iteration(self, mode, dataset):
+    def test_newton_admm_one_round_per_iteration(self, dataset):
         epochs = 7
-        cluster = SimulatedCluster(dataset, 4, engine=mode, random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         trace = NewtonADMM(lam=1e-3, max_epochs=epochs).fit(cluster)
         assert cluster.comm.log.n_rounds == epochs
         assert trace.final.comm_rounds == epochs
 
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_giant_three_rounds_per_iteration(self, mode, dataset):
+    def test_giant_three_rounds_per_iteration(self, dataset):
         epochs = 7
-        cluster = SimulatedCluster(dataset, 4, engine=mode, random_state=0)
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         trace = GIANT(lam=1e-3, max_epochs=epochs).fit(cluster)
         assert cluster.comm.log.n_rounds == 3 * epochs
         assert trace.final.comm_rounds == 3 * epochs
@@ -375,13 +357,6 @@ class TestGanttExport:
         # Re-render from the serialized form used in traces.
         rows = [tl.to_dict() for tl in engine.timelines]
         assert plot_gantt(rows, width=24).count("|") >= 4
-
-    def test_background_lane(self):
-        engine = EventEngine(1)
-        engine.compute(0, 1.0)
-        engine.background_collective(1.0)
-        art = plot_gantt(engine.timelines, width=20)
-        assert "(background)" in art and "-" in art
 
     def test_empty_timelines_rejected(self):
         with pytest.raises(ValueError):

@@ -28,8 +28,7 @@ from repro.metrics.classification import accuracy
 #: the tests that spawn worker processes (watchdog + /dev/shm audit)
 process_engine = pytest.mark.process_engine
 
-#: ``lockstep`` names the event engine; its cases pin that the alias does
-ENGINES = ("lockstep", "event", "process")
+ENGINES = ("event", "process")
 LAM = 1e-3
 
 #: agreement of a sum accumulated in float32 with the same sum reassociated

@@ -1,6 +1,6 @@
 """Tests for the fault-injection subsystem: the failure model and injector,
 deterministic schedules, bit-identical no-fault behavior, the three sync
-policies on both engines, quorum ride-through, degraded-membership plans,
+policies, quorum ride-through, degraded-membership plans,
 Gantt failure markers, the --faults CLI plumbing, and the shared RNG helper."""
 
 import math
@@ -180,10 +180,9 @@ class TestInjectionStreams:
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestInactiveModelIsInvisible:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_sync_run_bit_identical(self, mode, dataset):
+    def test_sync_run_bit_identical(self, dataset):
         def run(faults):
-            cluster = SimulatedCluster(dataset, 4, faults=faults, engine=mode,
+            cluster = SimulatedCluster(dataset, 4, faults=faults, engine="event",
                                        random_state=0)
             return NewtonADMM(lam=1e-3, max_epochs=5, record_accuracy=False).fit(cluster)
 
@@ -217,30 +216,28 @@ class TestInactiveModelIsInvisible:
 
 
 # ---------------------------------------------------------------------------
-# Sync policies, both engines
+# Sync policies
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestSyncPolicies:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_raise_policy_aborts_with_structured_error(self, mode, dataset, nofault_trace):
+    def test_raise_policy_aborts_with_structured_error(self, dataset, nofault_trace):
         crash = _crash_time(nofault_trace)
         cluster = SimulatedCluster(
             dataset, 4, faults=FailureModel(crash_at_time={1: crash}),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         with pytest.raises(WorkerLostError) as err:
             NewtonADMM(lam=1e-3, max_epochs=6, record_accuracy=False).fit(cluster)
         assert err.value.worker_id == 1
         assert err.value.time >= crash * 0.5
 
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_stall_policy_completes_identically_but_later(self, mode, dataset, nofault_trace):
+    def test_stall_policy_completes_identically_but_later(self, dataset, nofault_trace):
         crash = _crash_time(nofault_trace)
         downtime = 0.5 * nofault_trace.final.modelled_time
         cluster = SimulatedCluster(
             dataset, 4,
             faults=FailureModel(crash_at_time={1: crash}, restart_after=downtime),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         trace = NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
@@ -316,11 +313,10 @@ class TestSyncPolicies:
 # Degraded membership
 # ---------------------------------------------------------------------------
 class TestDegradePolicy:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_degraded_plan_runs_on_survivors_and_reweights(self, mode, dataset):
+    def test_degraded_plan_runs_on_survivors_and_reweights(self, dataset):
         cluster = SimulatedCluster(
             dataset, 4, faults=FailureModel(crash_at_time={3: 0.0}),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         plan = RoundPlan("degraded-mean", on_failure="degrade")
         plan.local("vals", lambda worker, ctx: float(worker.worker_id + 1))
@@ -333,6 +329,18 @@ class TestDegradePolicy:
         # Worker 3 (value 4.0) is down from t=0: mean over survivors 1, 2, 3.
         assert execution.result == pytest.approx(2.0)
         assert cluster.last_round_survivors == [0, 1, 2]
+
+    def test_degraded_plan_with_no_survivors_raises(self, dataset):
+        cluster = SimulatedCluster(
+            dataset, 4,
+            faults=FailureModel(crash_at_time={w: 0.0 for w in range(4)}),
+            random_state=0,
+        )
+        plan = RoundPlan("nobody-left", on_failure="degrade")
+        plan.local("vals", lambda worker, ctx: 1.0)
+        plan.reduce_scalar("total", lambda ctx: ctx["vals"])
+        with pytest.raises(WorkerLostError, match="no surviving workers"):
+            execute_plan(cluster, plan)
 
     def test_degraded_collective_membership_costs_less(self, dataset):
         def bytes_with(faults):
@@ -438,13 +446,12 @@ class TestDegradePolicy:
 
 
 # ---------------------------------------------------------------------------
-# Quorum ride-through (the acceptance criterion, both engines)
+# Quorum ride-through (the acceptance criterion)
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestQuorumRidesThrough:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
     def test_async_completes_and_reaches_target_while_sync_raises(
-        self, mode, dataset, nofault_trace
+        self, dataset, nofault_trace
     ):
         crash = _crash_time(nofault_trace)
         downtime = 0.5 * nofault_trace.final.modelled_time
@@ -457,7 +464,7 @@ class TestQuorumRidesThrough:
         with pytest.raises(WorkerLostError):
             NewtonADMM(lam=1e-3, max_epochs=6, record_accuracy=False).fit(
                 SimulatedCluster(dataset, 4, faults=fault_model(),
-                                 engine=mode, random_state=0)
+                                 engine="event", random_state=0)
             )
 
         # Quorum async on the same schedule rides through to the target.
@@ -466,7 +473,7 @@ class TestQuorumRidesThrough:
             record_accuracy=False,
         ).fit(
             SimulatedCluster(dataset, 4, faults=fault_model(),
-                             engine=mode, random_state=0)
+                             engine="event", random_state=0)
         )
         assert asyn.final.objective <= target
         assert math.isfinite(time_to_objective(asyn, target))

@@ -221,17 +221,16 @@ class TestSpecV2:
 
 
 # ---------------------------------------------------------------------------
-# Synchronous policies under a partition, both engines
+# Synchronous policies under a partition
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestPartitionSyncPolicies:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
     def test_raise_policy_aborts_with_partition_error(
-        self, mode, dataset, nofault_trace
+        self, dataset, nofault_trace
     ):
         cluster = SimulatedCluster(
             dataset, 4, faults=_partition_faults(nofault_trace),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         with pytest.raises(PartitionError) as err:
             NewtonADMM(lam=1e-3, max_epochs=6, record_accuracy=False).fit(cluster)
@@ -241,13 +240,12 @@ class TestPartitionSyncPolicies:
         # (the CLI's structured reporting) covers both.
         assert isinstance(err.value, WorkerLostError)
 
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
     def test_stall_policy_waits_out_the_window_bit_identically(
-        self, mode, dataset, nofault_trace
+        self, dataset, nofault_trace
     ):
         cluster = SimulatedCluster(
             dataset, 4, faults=_partition_faults(nofault_trace),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         trace = NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
@@ -289,13 +287,12 @@ class TestPartitionSyncPolicies:
                 lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
             ).fit(cluster)
 
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
     def test_degrade_policy_excludes_cut_worker_then_rejoins(
-        self, mode, dataset, nofault_trace
+        self, dataset, nofault_trace
     ):
         cluster = SimulatedCluster(
             dataset, 4, faults=_partition_faults(nofault_trace),
-            engine=mode, random_state=0,
+            engine="event", random_state=0,
         )
         trace = NewtonADMM(
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="degrade"
@@ -365,17 +362,16 @@ class TestPartitionSyncPolicies:
 
 
 # ---------------------------------------------------------------------------
-# Inactive v2 models are invisible (the acceptance criterion), both engines
+# Inactive v2 models are invisible (the acceptance criterion)
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestInactiveV2ModelsAreInvisible:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
     def test_sync_bit_identical_with_armed_partition_and_checkpoint(
-        self, mode, dataset
+        self, dataset
     ):
         def run(faults):
             cluster = SimulatedCluster(
-                dataset, 4, faults=faults, engine=mode, random_state=0
+                dataset, 4, faults=faults, engine="event", random_state=0
             )
             return NewtonADMM(
                 lam=1e-3, max_epochs=5, record_accuracy=False
@@ -642,8 +638,7 @@ class TestCorrelatedFailures:
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestCheckpointRecovery:
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_stall_charges_restore_plus_replay(self, mode, dataset, nofault_trace):
+    def test_stall_charges_restore_plus_replay(self, dataset, nofault_trace):
         total = nofault_trace.final.modelled_time
         crash, downtime = 0.35 * total, 0.3 * total
 
@@ -654,7 +649,7 @@ class TestCheckpointRecovery:
                     crash_at_time={1: crash}, restart_after=downtime,
                     checkpoint=checkpoint,
                 ),
-                engine=mode, random_state=0,
+                engine="event", random_state=0,
             )
             return NewtonADMM(
                 lam=1e-3, max_epochs=6, record_accuracy=False,

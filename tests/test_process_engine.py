@@ -22,6 +22,7 @@ import json
 import multiprocessing as mp
 import os
 import signal
+import time
 import traceback
 from pathlib import Path
 
@@ -47,6 +48,7 @@ from repro.distributed.process_engine import (
     process_engine_info,
 )
 from repro.harness.config import default_engine, set_default_engine
+from repro.harness.runner import SOLVER_REGISTRY
 from repro.objectives.softmax import SoftmaxCrossEntropy
 
 pytestmark = pytest.mark.process_engine
@@ -101,6 +103,16 @@ def _dies_on_record(shard, n_total):
     return _DiesOnRecord(shard.X, shard.y, shard.n_classes, scale=1.0 / n_total)
 
 
+class _MasterFailsSecondEpoch(NewtonADMM):
+    """Raises on rank 0 when planning epoch 2, while the spawned ranks are
+    already waiting in that epoch's first exchange."""
+
+    def _plan_epoch(self, cluster, epoch):
+        if epoch == 2 and not in_worker_process():
+            raise TypeError("planted rank-0 failure")
+        return super()._plan_epoch(cluster, epoch)
+
+
 def _fit(data, name, engine, n_workers=N_WORKERS, **solver_kwargs):
     cluster = SimulatedCluster(
         data, n_workers, loss="softmax", engine=engine, random_state=0
@@ -119,6 +131,16 @@ def _fit(data, name, engine, n_workers=N_WORKERS, **solver_kwargs):
 # Equivalence: real processes change no float
 # ---------------------------------------------------------------------------
 class TestEngineEquivalence:
+    def test_matrix_covers_every_plan_driven_solver(self):
+        """A solver that runs on the process engine must be in the matrix, so
+        its collectives are checked to read only replicated context."""
+        plan_driven = {
+            name
+            for name, cls in SOLVER_REGISTRY.items()
+            if cls.supports_process_engine
+        }
+        assert set(SOLVER_FACTORIES) == plan_driven
+
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
     def test_process_matches_simulated_engines(self, name, dataset, binary_dataset):
         data = _dataset_for(name, dataset, binary_dataset)
@@ -249,6 +271,27 @@ class TestChaos:
             # Lost after the first epoch's rounds, at its record.
             assert error.time > 0
             assert cluster.process_runtime.worker_pids() == {}
+        finally:
+            cluster.close()
+
+    def test_rank0_error_reaches_the_caller_without_the_watchdog(self, dataset):
+        cluster = SimulatedCluster(
+            dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
+        )
+        try:
+            cluster.process_runtime.ensure_started()
+            solver = _MasterFailsSecondEpoch(
+                lam=1e-3, max_epochs=3, record_accuracy=False
+            )
+            start = time.monotonic()
+            with pytest.raises(TypeError, match="planted rank-0 failure"):
+                solver.fit(cluster)
+            # The children's own watchdog (REPRO_PROCESS_TIMEOUT, 120 s by
+            # default) must not be what ends them.
+            assert time.monotonic() - start < 10.0
+            assert not [
+                p for p in mp.active_children() if p.name.startswith("repro-worker-")
+            ]
         finally:
             cluster.close()
 

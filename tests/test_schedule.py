@@ -1,6 +1,6 @@
 """Tests for the round-schedule IR: plan structure, declared-round checking,
-golden-trace equivalence of every ported solver on both engines, the GIANT
-overlap variant, per-epoch Gantt slicing, and hyper-parameter provenance."""
+golden-trace equivalence of every ported solver, per-epoch Gantt slicing, and
+hyper-parameter provenance."""
 
 import json
 from pathlib import Path
@@ -17,7 +17,6 @@ from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.network import wan_slow
 from repro.distributed.schedule import (
     Collective,
     RoundPlan,
@@ -100,13 +99,24 @@ class TestRoundPlanStructure:
     def test_describe_is_serializable(self):
         plan = RoundPlan("demo")
         plan.local("a", lambda w, ctx: 0.0, label="work")
-        plan.allreduce("s", lambda ctx: ctx["a"], overlap=True)
+        plan.allreduce("s", lambda ctx: ctx["a"])
+        plan.reduce_scalar("r", lambda ctx: ctx["a"], joint_with_previous=True)
         description = plan.describe()
-        json.dumps(description)  # must round-trip to JSON for traces
-        assert description["plan"] == "demo"
-        assert description["rounds"] == 1
-        assert description["overlapped"] == 1
-        assert [s["step"] for s in description["steps"]] == ["local", "collective"]
+        assert json.loads(json.dumps(description)) == {
+            "plan": "demo",
+            "rounds": 1,
+            "collectives": 2,
+            "local_steps": 1,
+            "dynamic": False,
+            "on_failure": "raise",
+            "steps": [
+                {"step": "local", "name": "a", "label": "work"},
+                {"step": "collective", "name": "s", "op": "allreduce",
+                 "joint_with_previous": False},
+                {"step": "collective", "name": "r", "op": "reduce_scalar",
+                 "joint_with_previous": True},
+            ],
+        }
 
     def test_repeat_multiplies_declared_counts_with_constant_description(self):
         def body(b):
@@ -147,10 +157,6 @@ class TestRoundPlanStructure:
         with pytest.raises(ValueError):
             Collective("x", "alltoallv", lambda ctx: [])
 
-    def test_reduce_scalar_cannot_overlap(self):
-        with pytest.raises(ValueError):
-            Collective("x", "reduce_scalar", lambda ctx: [], overlap=True)
-
 
 class TestDeclaredRoundChecking:
     def test_hidden_communication_raises_schedule_error(self, dataset):
@@ -176,49 +182,6 @@ class TestDeclaredRoundChecking:
         execution = execute_plan(cluster, plan, check=False)
         assert execution.rounds == 2
 
-    def test_reading_in_flight_overlap_result_rejected(self, dataset):
-        # Overlap models bytes still on the wire: a plan that consumes the
-        # overlapped collective's value before a Join describes a schedule no
-        # real cluster can run, and the executor rejects it.
-        cluster = SimulatedCluster(dataset, 4, random_state=0)
-        plan = RoundPlan("premature-read")
-        plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
-        plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
-        plan.master(lambda ctx: ctx["s"] * 2.0)  # reads before the join
-        with pytest.raises(ScheduleError, match="overlapped"):
-            execute_plan(cluster, plan)
-
-    def test_get_is_not_a_guard_bypass(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, random_state=0)
-        plan = RoundPlan("get-bypass")
-        plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
-        plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
-        plan.master(lambda ctx: ctx.get("s"))
-        with pytest.raises(ScheduleError, match="overlapped"):
-            execute_plan(cluster, plan)
-
-    def test_plan_must_end_joined(self, dataset):
-        # An unjoined background transfer would leak into the next epoch's
-        # accounting; the executor requires the plan to end joined.
-        cluster = SimulatedCluster(dataset, 4, random_state=0)
-        plan = RoundPlan("leaky")
-        plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
-        plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
-        with pytest.raises(ScheduleError, match="in flight"):
-            execute_plan(cluster, plan)
-
-    def test_joined_overlap_result_readable(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, random_state=0)
-        plan = RoundPlan("joined-read")
-        plan.local("g", lambda w, ctx: np.ones(cluster.dim))
-        plan.allreduce("s", lambda ctx: ctx["g"], overlap=True)
-        plan.local("hide", lambda w, ctx: float(w.worker_id))  # independent work
-        plan.join()
-        plan.master(lambda ctx: ctx["s"], name="out")
-        plan.returns("out")
-        execution = execute_plan(cluster, plan)
-        assert np.array_equal(execution.result, 4.0 * np.ones(cluster.dim))
-
     def test_execution_summary(self, dataset):
         cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("one-round")
@@ -229,7 +192,23 @@ class TestDeclaredRoundChecking:
         assert execution.rounds == 1
         assert execution.collectives == 1
         assert execution.bytes_transferred > 0
+        assert execution.summary() == {
+            "rounds": 1,
+            "collectives": 1,
+            "bytes": execution.bytes_transferred,
+        }
         assert np.array_equal(execution.result, np.zeros(cluster.dim))
+
+    def test_reading_an_unbound_key_is_a_key_error(self, dataset):
+        # The context is a plain dict: a step that reads a name no earlier
+        # step bound fails at the read, not with a silent default.
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
+        plan = RoundPlan("read-before-write")
+        plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
+        plan.master(lambda ctx: ctx["s"] * 2.0)
+        plan.allreduce("s", lambda ctx: ctx["g"])
+        with pytest.raises(KeyError, match="'s'"):
+            execute_plan(cluster, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -238,16 +217,12 @@ class TestDeclaredRoundChecking:
 @pytest.mark.slow
 class TestGoldenEquivalence:
     """Every ported solver replays the pre-refactor imperative path exactly:
-    bit-identical iterates, identical modelled times and communication totals,
-    under the event engine's name and its ``lockstep`` alias."""
+    bit-identical iterates, identical modelled times and communication totals."""
 
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
-    @pytest.mark.parametrize("mode", ["lockstep", "event"])
-    def test_matches_pre_refactor_golden(
-        self, name, mode, dataset, binary_dataset, golden
-    ):
+    def test_matches_pre_refactor_golden(self, name, dataset, binary_dataset, golden):
         data = _dataset_for(name, dataset, binary_dataset)
-        cluster = SimulatedCluster(data, 4, engine=mode, random_state=0)
+        cluster = SimulatedCluster(data, 4, engine="event", random_state=0)
         trace = SOLVER_FACTORIES[name]().fit(cluster)
         expected = golden[name]
         assert trace.final_w.tolist() == expected["final_w"]
@@ -301,34 +276,6 @@ class TestGoldenEquivalence:
         assert "allreduce(payload_sum)" in art
         assert "[joint]" in art
         assert "min 1 max 1" in art
-
-
-# ---------------------------------------------------------------------------
-# GIANT overlap variant
-# ---------------------------------------------------------------------------
-class TestGiantOverlap:
-    def test_iterates_identical_time_strictly_lower_on_event(self, dataset):
-        traces = {}
-        for overlap in (False, True):
-            cluster = SimulatedCluster(dataset, 4, network=wan_slow(), random_state=0)
-            traces[overlap] = GIANT(
-                lam=1e-3, max_epochs=3, overlap_gradient=overlap,
-                record_accuracy=False,
-            ).fit(cluster)
-        assert np.array_equal(traces[False].final_w, traces[True].final_w)
-        assert traces[True].final.modelled_time < traces[False].final.modelled_time
-        # Still three declared rounds — overlap changes *when* the transfer
-        # moves, not the round structure.
-        declared = traces[True].info["schedule"]["declared"]
-        assert declared["rounds"] == 3
-        assert declared["overlapped"] == 1
-
-    def test_background_lane_recorded(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, network=wan_slow(), random_state=0)
-        trace = GIANT(
-            lam=1e-3, max_epochs=2, overlap_gradient=True, record_accuracy=False
-        ).fit(cluster)
-        assert any(tl.get("background") for tl in trace.info["timelines"])
 
 
 # ---------------------------------------------------------------------------
