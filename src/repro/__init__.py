@@ -52,7 +52,6 @@ from repro.distributed.engine import EventEngine
 from repro.distributed.collectives import TunedNetworkModel, tuned_network
 from repro.distributed.device import DeviceModel, tesla_p100
 from repro.distributed.faults import (
-    CheckpointModel,
     FailureModel,
     PartitionError,
     PartitionModel,
@@ -93,7 +92,6 @@ __all__ = [
     "FailureModel",
     "PartitionModel",
     "PartitionError",
-    "CheckpointModel",
     "WorkerLostError",
     "EventEngine",
     "SimulatedCluster",

@@ -188,7 +188,6 @@ class AsyncNewtonADMM(NewtonADMM):
         fs = cluster.fault_state
         start = engine.time_of(worker.worker_id)
         if fs is not None:
-            fs.begin_cycle(worker.worker_id, start)
             restart = crashed_at_start(fs, worker.worker_id, start)
             if restart is not None:
                 self._dead[worker.worker_id] = restart

@@ -148,7 +148,6 @@ class AsynchronousSGD(DistributedSolver):
         wid = worker.worker_id
         start = engine.time_of(wid)
         if fs is not None:
-            fs.begin_cycle(wid, start)
             restart = crashed_at_start(fs, wid, start)
             if restart is not None:
                 self._dead[wid] = restart

@@ -31,7 +31,6 @@ from repro.distributed.collectives import (
 )
 from repro.distributed.stragglers import StragglerModel
 from repro.distributed.faults import (
-    CheckpointModel,
     FailureModel,
     FaultInjector,
     PartitionError,
@@ -74,7 +73,6 @@ __all__ = [
     "FaultInjector",
     "PartitionModel",
     "PartitionError",
-    "CheckpointModel",
     "WorkerLostError",
     "Event",
     "EventEngine",

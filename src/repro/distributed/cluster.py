@@ -136,13 +136,12 @@ class SimulatedCluster:
         every synchronization round.
     faults:
         Optional :class:`~repro.distributed.faults.FailureModel` injecting
-        worker crashes (and restarts), correlated group failures, network
-        partitions and checkpointed-recovery costs into both execution
-        paths.  How a synchronous round reacts to a lost or unreachable
-        worker is the executing plan's ``on_failure`` policy
-        (``"raise"``/``"stall"``/``"degrade"``); asynchronous solvers always
-        ride through with the survivors/reachable workers.  A model whose
-        specs never fire leaves runs bit-identical.
+        worker crashes at set modelled times (and restarts) and network
+        partitions into both execution paths.  How a synchronous round
+        reacts to a lost or unreachable worker is the executing plan's
+        ``on_failure`` policy (``"raise"``/``"stall"``); asynchronous solvers
+        always ride through with the survivors/reachable workers.  A model
+        whose specs never fire leaves runs bit-identical.
     backend:
         Array backend name or instance every worker's objective and state
         vectors live on (``None`` -> the session default, normally NumPy).
@@ -253,8 +252,6 @@ class SimulatedCluster:
         self.fault_state = faults.start(self.n_workers) if faults is not None else None
         # Per-plan fault policy; execute_plan swaps it via fault_policy().
         self._fault_policy = "raise"
-        #: worker ids whose results survived the most recent degraded round
-        self.last_round_survivors: List[int] = list(range(self.n_workers))
         self.executor = executor
         self.max_threads = max_threads
         # Provenance: record how the rows were partitioned ("explicit" when
@@ -437,10 +434,9 @@ class SimulatedCluster:
                 )
                 times = [t * f for t, f in zip(times, factors)]
             if self.fault_state is not None:
-                kept = self._apply_round_faults(targets, times)
-                return [results[i] for i in kept]
-            self._advance_round_clock(targets, times)
-            self.last_round_survivors = [w.worker_id for w in targets]
+                self._apply_round_faults(targets, times)
+            else:
+                self._advance_round_clock(targets, times)
         return results
 
     def _advance_round_clock(self, targets: Sequence[Worker], times: Sequence[float]) -> None:
@@ -456,8 +452,7 @@ class SimulatedCluster:
 
         ``"raise"`` (default) aborts with :class:`WorkerLostError` when a
         needed worker is down, ``"stall"`` idles the cluster until the worker
-        restarts, ``"degrade"`` proceeds with the survivors (their results
-        only; see ``last_round_survivors``).
+        restarts.
         """
         if policy not in FAULT_POLICIES:
             raise ValueError(
@@ -471,32 +466,18 @@ class SimulatedCluster:
             self._fault_policy = previous
 
     def stall_for_restart(self, down_ids: Sequence[int], *, label: str = "stall") -> float:
-        """Idle the whole cluster until the earliest recovery among ``down_ids``.
+        """Idle the whole cluster until the earliest restart among ``down_ids``.
 
         Raises :class:`WorkerLostError` when none of them ever restarts (the
-        ``"stall"`` policy cannot make progress).  With a
-        :class:`~repro.distributed.faults.CheckpointModel` attached the wait
-        extends past the raw restart by the worker's restore + replay charge.
-        Modelled time is charged to the ``"stall"`` clock category.
+        ``"stall"`` policy cannot make progress).  Modelled time is charged
+        to the ``"stall"`` clock category.
         """
         fs = self.fault_state
         now = self.clock.time
-        restarts: Dict[int, float] = {}
-        crashes: Dict[int, float] = {}
-        ready: Dict[int, float] = {}
-        for w in down_ids:
-            wid = int(w)
-            r = fs.restart_time(wid, now)
-            restarts[wid] = r
-            crashes[wid] = fs.crash_time_of(wid, now)
-            ready[wid] = (
-                r + fs.recovery_seconds(wid, crashes[wid])
-                if math.isfinite(r)
-                else r
-            )
-        finite = [r for r in ready.values() if math.isfinite(r)]
+        restarts = {int(w): fs.restart_time(int(w), now) for w in down_ids}
+        finite = [r for r in restarts.values() if math.isfinite(r)]
         if not finite:
-            wid = min(ready)
+            wid = min(restarts)
             raise WorkerLostError(
                 wid,
                 now,
@@ -507,16 +488,13 @@ class SimulatedCluster:
         for wid in range(self.n_workers):
             # Crashed workers' timelines stay frozen; their downtime is
             # drawn when they rejoin (catch_up_timeline).
-            if wid not in ready and not fs.is_down(wid, now):
+            if wid not in restarts and not fs.is_down(wid, now):
                 self.engine.wait_until(wid, target, label)
         if target > now:
             self.clock.advance(target - now, category="stall")
-        for wid, rdy in ready.items():
-            if rdy <= target:
-                fs.note_restart(wid, restarts[wid])
-                fs.note_restore(
-                    wid, crashes[wid], rdy, rdy - restarts[wid]
-                )
+        for wid, r in restarts.items():
+            if r <= target:
+                fs.note_restart(wid, r)
                 # Draw the downtime before anything barriers the frozen
                 # timeline forward (which would render it as a wait).
                 fs.catch_up_timeline(self.engine, wid, target)
@@ -567,28 +545,22 @@ class SimulatedCluster:
 
     def _apply_round_faults(
         self, targets: Sequence[Worker], times: Sequence[float]
-    ) -> List[int]:
+    ) -> None:
         """Charge one synchronous round under the active fault policy.
 
-        Returns the indices (into ``targets``) of the workers whose results
-        survive the round; also sets ``last_round_survivors``.  A round in
-        which no crash fires takes exactly the fault-free path, keeping
-        no-fault runs bit-identical.
+        A round in which no crash fires takes exactly the fault-free path,
+        keeping no-fault runs bit-identical.
         """
         fs = self.fault_state
         policy = self._fault_policy
         ids = [w.worker_id for w in targets]
         label = "compute"
-        fs.begin_round(ids, self.clock.time)
+        fs.begin_round()
 
         # ---- workers already down at the round's synchronization point ------
-        excluded: List[int] = []
         while True:
             now = self.clock.time
-            down = [
-                wid for wid in ids
-                if wid not in excluded and fs.is_down(wid, now)
-            ]
+            down = [wid for wid in ids if fs.is_down(wid, now)]
             if not down:
                 break
             for wid in down:
@@ -598,36 +570,22 @@ class SimulatedCluster:
                     down[0], now, round=fs.round,
                     reason="down at synchronization point (policy 'raise')",
                 )
-            if policy == "degrade":
-                excluded.extend(down)
-                break
             self.stall_for_restart(down, label=label + "-stall")
         now = self.clock.time
-
-        keep = [i for i, wid in enumerate(ids) if wid not in excluded]
-        if not keep:
-            raise WorkerLostError(
-                ids[0] if ids else 0, now, round=fs.round,
-                reason="no surviving workers in the round",
-            )
-        # Restarted participants rejoin: record restarts that passed silently
-        # (degraded rounds) and draw their downtime onto the timeline.
-        for i in keep:
-            fs.rejoin_if_restarted(ids[i], now)
-        for i in keep:
-            fs.catch_up_timeline(self.engine, ids[i], now)
+        # Restarted participants rejoin: draw their downtime onto the timeline.
+        for wid in ids:
+            fs.catch_up_timeline(self.engine, wid, now)
 
         # ---- mid-round crashes ----------------------------------------------
         crashes: Dict[int, float] = {}
-        for i in keep:
-            c = fs.first_crash_in(ids[i], now, now + times[i])
+        for wid, t in zip(ids, times):
+            c = fs.first_crash_in(wid, now, now + t)
             if c is not None:
-                crashes[ids[i]] = c
-        if not crashes and not excluded:
+                crashes[wid] = c
+        if not crashes:
             self._advance_round_clock(targets, times)
-            self.last_round_survivors = list(ids)
-            return list(range(len(ids)))
-        if crashes and policy == "raise":
+            return
+        if policy == "raise":
             wid = min(crashes, key=lambda w: (crashes[w], w))
             fs.note_crash(wid, crashes[wid])
             raise WorkerLostError(
@@ -635,90 +593,42 @@ class SimulatedCluster:
                 reason="crashed mid-round (policy 'raise')",
             )
 
-        # Effective completion offsets: survivors finish on time; under
-        # "stall" a crashed worker restores from its last checkpoint (free
-        # without a CheckpointModel) and redoes its full compute after
-        # restarting, under "degrade" its contribution is simply dropped.
+        # "stall": survivors finish on time; a crashed worker redoes its full
+        # compute after restarting.
         effective: Dict[int, float] = {}
-        redo: Dict[int, tuple] = {}
-        survivor_idx: List[int] = []
-        for i in keep:
-            wid = ids[i]
+        restarts: Dict[int, float] = {}
+        for wid, t in zip(ids, times):
             if wid in crashes:
                 c = crashes[wid]
                 fs.note_crash(wid, c)
-                if policy == "degrade":
-                    continue
                 r = fs.restart_time(wid, c)
                 if not math.isfinite(r):
                     raise WorkerLostError(
                         wid, c, round=fs.round,
                         reason="crashed with no scheduled restart; 'stall' cannot complete",
                     )
-                recovery = fs.recovery_seconds(wid, c)
                 fs.note_restart(wid, r)
-                fs.note_restore(wid, c, r + recovery, recovery)
-                effective[wid] = (r - now) + recovery + times[i]
-                redo[wid] = (c, r, recovery)
+                effective[wid] = (r - now) + t
+                restarts[wid] = r
             else:
-                effective[wid] = times[i]
-            survivor_idx.append(i)
-        if not survivor_idx:
-            raise WorkerLostError(
-                ids[keep[0]], now, round=fs.round,
-                reason="no surviving workers in the round",
-            )
+                effective[wid] = t
 
-        total = max(effective[ids[i]] for i in survivor_idx)
-        compute_part = min(total, max(times[i] for i in keep))
+        total = max(effective.values())
+        compute_part = min(total, max(times))
         stall_part = total - compute_part
 
-        for i in keep:
-            wid = ids[i]
-            if wid in redo:
-                c, r, recovery = redo[wid]
-                self.engine.compute(wid, c - now, label)
-                self.engine.mark_down(wid, r)
-                if recovery > 0:
-                    self.engine.compute(wid, recovery, "restore")
-                self.engine.compute(wid, times[i], label + "-redo")
-            elif wid in crashes:  # degrade: partial work, then frozen
+        for wid, t in zip(ids, times):
+            if wid in crashes:
                 self.engine.compute(wid, crashes[wid] - now, label)
+                self.engine.mark_down(wid, restarts[wid])
+                self.engine.compute(wid, t, label + "-redo")
             else:
-                self.engine.compute(wid, times[i], label)
-        self.engine.barrier([ids[i] for i in survivor_idx], label=label)
+                self.engine.compute(wid, t, label)
+        self.engine.barrier(ids, label=label)
         if compute_part > 0:
             self.clock.advance(compute_part, category="compute")
         if stall_part > 0:
             self.clock.advance(stall_part, category="stall")
-        self.last_round_survivors = [ids[i] for i in survivor_idx]
-        return survivor_idx
-
-    def alive_worker_ids(self) -> List[int]:
-        """Worker ids not currently inside a crash interval (all, without faults)."""
-        if self.fault_state is None:
-            return list(range(self.n_workers))
-        now = self.clock.time
-        return [
-            wid for wid in range(self.n_workers)
-            if not self.fault_state.is_down(wid, now)
-        ]
-
-    def reachable_worker_ids(self) -> List[int]:
-        """Worker ids neither crashed nor behind a network partition.
-
-        This is the membership a degraded round can actually use: a cut
-        worker is alive and computing, but nothing it produces can reach the
-        master until the partition heals.
-        """
-        if self.fault_state is None:
-            return list(range(self.n_workers))
-        now = self.clock.time
-        fs = self.fault_state
-        return [
-            wid for wid in range(self.n_workers)
-            if not fs.is_down(wid, now) and not fs.is_cut(wid, now)
-        ]
 
     def straggler_factor(self, worker_id: int) -> float:
         """One cycle's slowdown factor for ``worker_id`` (1.0 without a model).
@@ -782,7 +692,6 @@ class SimulatedCluster:
             self.straggler.reset()
         if self.fault_state is not None:
             self.fault_state.reset()
-        self.last_round_survivors = list(range(self.n_workers))
         for w in self.workers:
             if w.objective is not None:
                 w.objective.reset_counters()

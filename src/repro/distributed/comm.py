@@ -16,7 +16,7 @@ this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -77,12 +77,6 @@ class Communicator:
     pair executed back-to-back counts as one round (use
     ``joint_with_previous=True`` on the second collective), matching the
     paper's "one round of communication per iteration" accounting.
-
-    Every collective accepts ``participants`` — a subset of worker ids taking
-    part in a *degraded* round after worker failures (see
-    :mod:`repro.distributed.faults`).  Buffers must then be one per
-    participant; the cost model and the engine barrier cover only the
-    participants, and crashed workers' frozen timelines are untouched.
     """
 
     def __init__(
@@ -101,25 +95,22 @@ class Communicator:
         self.clock = engine.clock
         #: optional :class:`~repro.distributed.faults.FaultInjector`; when its
         #: model declares network partitions, every collective asserts that
-        #: all participants are reachable at the collective instant and raises
-        #: a structured PartitionError otherwise.  The schedule executor's
-        #: fault guard normally stalls or degrades the membership *before*
-        #: the collective runs, so this is the backstop that keeps imperative
-        #: callers from silently communicating across a cut link.
+        #: all workers are reachable at the collective instant and raises a
+        #: structured PartitionError otherwise.  The schedule executor's
+        #: fault guard normally stalls (or raises) *before* the collective
+        #: runs, so this is the backstop that keeps imperative callers from
+        #: silently communicating across a cut link.
         self.fault_state = fault_state
         self.log = CommunicationLog()
 
     # -- internals -------------------------------------------------------
-    def _check_reachable(self, participants: Optional[Sequence[int]]) -> None:
-        """Raise PartitionError when a participant sits behind an open cut."""
+    def _check_reachable(self) -> None:
+        """Raise PartitionError when a worker sits behind an open cut."""
         fs = self.fault_state
         if fs is None or not fs.has_partitions:
             return
         now = self.clock.time
-        members = (
-            range(self.n_workers) if participants is None else participants
-        )
-        for wid in members:
+        for wid in range(self.n_workers):
             if fs.is_cut(wid, now):
                 fs.note_partition(wid, fs.cut_start(wid, now))
                 raise PartitionError(
@@ -137,14 +128,10 @@ class Communicator:
         seconds: float,
         *,
         joint_with_previous: bool,
-        participants: Optional[Sequence[int]] = None,
     ) -> None:
-        self._check_reachable(participants)
+        self._check_reachable()
         self.engine.collective(
-            seconds,
-            category="communication",
-            label=operation,
-            worker_ids=participants,
+            seconds, category="communication", label=operation
         )
         self.log.record(
             operation, nbytes, seconds, new_round=not joint_with_previous
@@ -163,31 +150,20 @@ class Communicator:
         # semantics).
         return [ensure_float_array(b) for b in buffers]
 
-    def _membership(self, participants: Optional[Sequence[int]]) -> tuple:
-        """Resolve a degraded membership: (participant ids or None, count)."""
-        if participants is None:
-            return None, self.n_workers
-        ids = [int(i) for i in participants]
-        if not ids:
-            raise ValueError("a collective needs at least one participant")
-        return ids, len(ids)
-
     # -- collectives -------------------------------------------------------
     def gather(
         self,
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
-        """Gather one buffer per (participating) worker at the master."""
-        ids, n = self._membership(participants)
+        """Gather one buffer per worker at the master."""
+        n = self.n_workers
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.gather(n, per_worker)
         self._account("gather", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         return [_copy(b) for b in buffers]
 
     def scatter(
@@ -195,16 +171,14 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
-        """Send a distinct buffer from the master to each (participating) worker."""
-        ids, n = self._membership(participants)
+        """Send a distinct buffer from the master to each worker."""
+        n = self.n_workers
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.scatter(n, per_worker)
         self._account("scatter", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         return [_copy(b) for b in buffers]
 
     def broadcast(
@@ -212,15 +186,13 @@ class Communicator:
         buffer: np.ndarray,
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
-        """Replicate a master buffer on every (participating) worker."""
-        ids, n = self._membership(participants)
+        """Replicate a master buffer on every worker."""
+        n = self.n_workers
         buffer = ensure_float_array(buffer)
         seconds = self.network.broadcast(n, _nbytes(buffer))
         self._account("broadcast", _nbytes(buffer) * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         return [_copy(buffer) for _ in range(n)]
 
     def allreduce(
@@ -228,10 +200,9 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """Element-wise sum of one buffer per worker, result visible everywhere."""
-        ids, n = self._membership(participants)
+        n = self.n_workers
         buffers = self._check_buffers(buffers, n)
         shapes = {b.shape for b in buffers}
         if len(shapes) != 1:
@@ -246,8 +217,7 @@ class Communicator:
         nbytes = _nbytes(buffers[0])
         seconds = self.network.allreduce(n, nbytes)
         self._account("allreduce", nbytes * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         total = _copy(buffers[0])
         for b in buffers[1:]:
             total += b
@@ -258,16 +228,14 @@ class Communicator:
         buffers: Sequence[np.ndarray],
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> List[np.ndarray]:
-        """Every (participating) worker receives every participant's buffer."""
-        ids, n = self._membership(participants)
+        """Every worker receives every worker's buffer."""
+        n = self.n_workers
         buffers = self._check_buffers(buffers, n)
         per_worker = max(_nbytes(b) for b in buffers)
         seconds = self.network.allgather(n, per_worker)
         self._account("allgather", per_worker * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         return [_copy(b) for b in buffers]
 
     def reduce_scalar(
@@ -275,18 +243,16 @@ class Communicator:
         values: Sequence[float],
         *,
         joint_with_previous: bool = False,
-        participants: Optional[Sequence[int]] = None,
     ) -> float:
-        """Sum one scalar per (participating) worker at the master."""
-        ids, n = self._membership(participants)
+        """Sum one scalar per worker at the master."""
+        n = self.n_workers
         if len(values) != n:
             raise ValueError(
                 f"expected {n} scalars, got {len(values)}"
             )
         seconds = self.network.reduce(n, 8.0)
         self._account("reduce_scalar", 8.0 * n, seconds,
-                      joint_with_previous=joint_with_previous,
-                      participants=ids)
+                      joint_with_previous=joint_with_previous)
         return float(np.sum(np.asarray(values, dtype=np.float64)))
 
     # -- reporting -------------------------------------------------------

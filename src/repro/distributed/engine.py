@@ -219,22 +219,11 @@ class EventEngine:
         *,
         category: str = "communication",
         label: str = "collective",
-        worker_ids: Optional[Iterable[int]] = None,
     ) -> float:
-        """Blocking collective: barrier the participants, charge each ``seconds``.
-
-        ``worker_ids`` defaults to every worker; a subset models a collective
-        over the surviving members of a degraded round (crashed workers'
-        timelines stay frozen).
-        """
-        ids = (
-            list(range(self.n_workers))
-            if worker_ids is None
-            else [self._check_worker(i) for i in worker_ids]
-        )
-        self.barrier(ids, label=label)
-        for i in ids:
-            self.timelines[i].advance(seconds, "comm", label)
+        """Blocking collective: barrier every worker, charge each ``seconds``."""
+        self.barrier(label=label)
+        for tl in self.timelines:
+            tl.advance(seconds, "comm", label)
         self.clock.advance(seconds, category=category)
         return self.now
 

@@ -1,46 +1,33 @@
-"""Fault injection: worker crashes, restarts, network partitions, correlated
-failures and checkpointed recovery as first-class engine events.
+"""Fault injection: worker crashes, restarts and network partitions as
+first-class engine events.
 
 The straggler model (:mod:`repro.distributed.stragglers`) can only slow a
 worker down; this module can *lose* one.  A :class:`FailureModel` attached to
-a :class:`~repro.distributed.cluster.SimulatedCluster` describes when workers
-crash — deterministically (``crash_at_time``/``crash_at_round``) or
-stochastically (seeded exponential ``mtbf``) — and whether they come back
-(``restart_after``).  Fault model v2 adds three orthogonal extensions:
-
-* **network partitions** (:class:`PartitionModel`) — lose a *link*, not a
-  node: the listed workers are unreachable from the rest of the cluster for a
-  time window.  A partitioned worker keeps *computing* (its timeline records
-  ``"unreachable"`` segments instead of freezing) but nothing it sends or
-  receives crosses the cut until the partition heals; collectives involving
-  it stall, degrade to the reachable membership, or raise a structured
-  :class:`PartitionError` according to the plan's ``on_failure`` policy;
-* **correlated failures** (``groups=[[0, 1], [2, 3]]`` + ``correlation=p``) —
-  rack/host blast radius: every seeded crash draws co-crashes with
-  probability ``p`` among the crashing worker's group peers, so a single
-  failure can take a whole failure domain below the survivable threshold;
-* **checkpoint cost models** (:class:`CheckpointModel`) — restarts are not
-  free: a restarted worker pays ``restore_cost`` plus the replay of all work
-  since its last durable checkpoint before it can rejoin, which the
-  ``"stall"`` policy charges as modelled time (iterates stay bit-identical).
+a :class:`~repro.distributed.cluster.SimulatedCluster` describes which
+workers crash at which modelled time (``crash_at_time``), whether they come
+back (``restart_after``), and which links are cut for a time window
+(:class:`PartitionModel`): a partitioned worker keeps *computing* (its
+timeline records ``"unreachable"`` segments instead of freezing) but nothing
+it sends or receives crosses the cut until the partition heals.
 
 At fit time the model is instantiated into a :class:`FaultInjector`, the
 runtime state machine both execution paths consult:
 
 * **synchronous plans** — the cluster checks the injector at every
   synchronization point.  A crashed worker's timeline freezes and its
-  in-flight round contribution is dropped; what happens next is the plan's
+  in-flight round contribution is lost; what happens next is the plan's
   declared :attr:`~repro.distributed.schedule.RoundPlan.on_failure` policy:
-  ``"raise"`` aborts with a structured :class:`WorkerLostError`, ``"stall"``
-  idles the cluster until the worker restarts (and re-runs its lost round),
-  ``"degrade"`` proceeds with the survivors;
+  ``"raise"`` aborts with a structured :class:`WorkerLostError` (or
+  :class:`PartitionError` for a cut link), ``"stall"`` idles the cluster
+  until the worker restarts (and re-runs its lost round) or the cut heals;
 * **asynchronous solvers** — quorum Newton-ADMM and async SGD drop the
   crashed worker's in-flight push events, reweight their aggregation over the
-  survivors, and fold restarted workers back in when they return.
+  survivors, hold a cut worker's messages until the heal, and fold restarted
+  workers back in when they return.
 
-Every crash/restart/partition/heal/co-crash/restore that takes effect is
-recorded as an event (exported to ``RunTrace.info["faults"]`` and rendered by
-:func:`~repro.harness.plotting.plot_gantt` as ``X``/``^``/``(``/``)``/``+``
+Every crash/restart/partition/heal that takes effect is recorded as an event
+(exported to ``RunTrace.info["faults"]`` and rendered by
+:func:`~repro.harness.plotting.plot_gantt` as ``X``/``^``/``(``/``)``
 markers); a model whose specs never trigger leaves modelled times and
 iterates bit-identical to a run without one.
 
@@ -60,10 +47,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.distributed.injection import injection_worker_rngs
-
 #: fault-handling policies a synchronous plan may declare (see ``RoundPlan``)
-FAULT_POLICIES = ("raise", "stall", "degrade")
+FAULT_POLICIES = ("raise", "stall")
 
 _INF = float("inf")
 
@@ -212,195 +197,60 @@ class PartitionModel:
 
 
 @dataclass(frozen=True)
-class CheckpointModel:
-    """How expensive losing a worker's in-memory state really is.
-
-    Without this model a restarted worker resumes from its last in-memory
-    state for free.  With it, checkpoints become durable every ``interval``
-    modelled seconds (a checkpoint written at ``k * interval`` is usable once
-    its ``write_cost`` has elapsed), and recovery after a crash at time ``c``
-    charges ``restore_cost`` plus the replay of everything since the last
-    durable checkpoint.  Nothing is charged while no crash fires, so an
-    attached-but-idle model leaves runs bit-identical.
-
-    Examples
-    --------
-    >>> ckpt = CheckpointModel(interval=10.0, write_cost=1.0, restore_cost=2.0)
-    >>> ckpt.last_durable(25.0)   # the t=20 checkpoint finished writing at 21
-    20.0
-    >>> ckpt.recovery_seconds(25.0)   # restore (2) + replay since t=20 (5)
-    7.0
-    >>> ckpt.last_durable(20.5)   # t=20 checkpoint not durable yet at 20.5
-    10.0
-    """
-
-    interval: float
-    write_cost: float = 0.0
-    restore_cost: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.interval <= 0:
-            raise ValueError(f"interval must be positive, got {self.interval}")
-        if self.write_cost < 0:
-            raise ValueError(f"write_cost must be >= 0, got {self.write_cost}")
-        if self.restore_cost < 0:
-            raise ValueError(
-                f"restore_cost must be >= 0, got {self.restore_cost}"
-            )
-        object.__setattr__(self, "interval", float(self.interval))
-        object.__setattr__(self, "write_cost", float(self.write_cost))
-        object.__setattr__(self, "restore_cost", float(self.restore_cost))
-
-    def last_durable(self, t: float) -> float:
-        """Latest checkpoint boundary durable by time ``t`` (0 = initial state)."""
-        if t <= 0 or not math.isfinite(t):
-            return 0.0
-        # Largest k with k*interval + write_cost <= t (the write must have
-        # completed by the crash), never past the most recent boundary.
-        k = int(math.floor((t - self.write_cost) / self.interval))
-        k = min(k, int(math.floor(t / self.interval)))
-        return max(k, 0) * self.interval
-
-    def recovery_seconds(self, crash_time: float) -> float:
-        """Restore + replay charged before a worker crashed at ``crash_time``
-        can do useful work again."""
-        crash_time = max(float(crash_time), 0.0)
-        return self.restore_cost + (crash_time - self.last_durable(crash_time))
-
-    def describe(self) -> dict:
-        return {
-            "interval": self.interval,
-            "write_cost": self.write_cost,
-            "restore_cost": self.restore_cost,
-        }
-
-
-@dataclass(frozen=True)
 class FailureModel:
-    """When workers crash, and whether they restart.
+    """When workers crash, whether they restart, and which links are cut.
 
     Attributes
     ----------
     crash_at_time:
         ``worker_id -> modelled time`` of a deterministic crash.
-    crash_at_round:
-        ``worker_id -> 1-based synchronization round`` at whose start the
-        worker crashes (rounds are counted per
-        :meth:`~repro.distributed.cluster.SimulatedCluster.map_workers` round
-        on the synchronous path, and per local cycle for asynchronous
-        solvers).
-    mtbf:
-        Mean time between failures of a seeded exponential crash process, per
-        worker (``None`` disables it).  Each worker samples from its own
-        independent stream (see :mod:`repro.distributed.injection`), so the
-        schedule is deterministic under a fixed ``random_state`` regardless
-        of query order.
     restart_after:
         Seconds after a crash at which the worker comes back (``None`` =
         crashed workers never return).
-    groups:
-        Failure domains (rack/host topology) for correlated failures: each
-        group is a set of worker ids that share a blast radius.  Whenever a
-        seeded crash fires for a group member, every *other* member of that
-        group co-crashes at the same instant with probability
-        ``correlation`` (drawn from dedicated per-worker streams, so the
-        schedule stays deterministic and query-order independent).
-    correlation:
-        Co-crash probability within a failure group, in ``[0, 1]``.
     partitions:
         Optional :class:`PartitionModel` cutting links for time windows (a
         plain sequence of ``(workers, start, end)`` cuts is also accepted
         and wrapped).  Partitioned workers keep computing but cannot
         communicate until the window heals.
-    checkpoint:
-        Optional :class:`CheckpointModel` making restarts pay restore +
-        replay-from-last-checkpoint instead of resuming for free.
-    random_state:
-        Seed of the MTBF and co-crash streams.  The streams are salted, so a
-        :class:`~repro.distributed.stragglers.StragglerModel` sharing the
-        same seed draws an independent sequence and the two schedules compose
-        reproducibly.
 
     Examples
     --------
-    >>> FailureModel(mtbf=10.0, restart_after=2.0, random_state=7).active
+    >>> FailureModel(crash_at_time={1: 5.0}, restart_after=2.0).active
     True
     >>> FailureModel().active        # no specs: attaching it changes nothing
     False
     """
 
     crash_at_time: Mapping[int, float] = field(default_factory=dict)
-    crash_at_round: Mapping[int, int] = field(default_factory=dict)
-    mtbf: Optional[float] = None
     restart_after: Optional[float] = None
-    groups: Sequence[Sequence[int]] = ()
-    correlation: float = 0.0
     partitions: Optional[PartitionModel] = None
-    checkpoint: Optional[CheckpointModel] = None
-    random_state: Optional[int] = 0
 
     def __post_init__(self) -> None:
         crash_at_time = {
             int(k): float(v) for k, v in dict(self.crash_at_time).items()
-        }
-        crash_at_round = {
-            int(k): int(v) for k, v in dict(self.crash_at_round).items()
         }
         for wid, t in crash_at_time.items():
             if wid < 0:
                 raise ValueError(f"worker id must be >= 0, got {wid}")
             if t < 0:
                 raise ValueError(f"crash time must be >= 0, got {t}")
-        for wid, r in crash_at_round.items():
-            if wid < 0:
-                raise ValueError(f"worker id must be >= 0, got {wid}")
-            if r < 1:
-                raise ValueError(f"crash round must be >= 1, got {r}")
-        if self.mtbf is not None and self.mtbf <= 0:
-            raise ValueError(f"mtbf must be positive, got {self.mtbf}")
         if self.restart_after is not None and self.restart_after <= 0:
             raise ValueError(
                 f"restart_after must be positive, got {self.restart_after}"
             )
-        groups = []
-        for group in self.groups:
-            ids = tuple(sorted({int(w) for w in group}))
-            if len(ids) < 2:
-                raise ValueError(
-                    f"a failure group needs at least 2 workers, got {group!r}"
-                )
-            if any(w < 0 for w in ids):
-                raise ValueError(f"worker ids must be >= 0, got {ids}")
-            groups.append(ids)
-        if not 0.0 <= float(self.correlation) <= 1.0:
-            raise ValueError(
-                f"correlation must lie in [0, 1], got {self.correlation}"
-            )
         partitions = self.partitions
         if partitions is not None and not isinstance(partitions, PartitionModel):
             partitions = PartitionModel(cuts=partitions)
-        if self.checkpoint is not None and not isinstance(
-            self.checkpoint, CheckpointModel
-        ):
-            raise TypeError(
-                f"checkpoint must be a CheckpointModel, got {self.checkpoint!r}"
-            )
         # frozen dataclass: bypass the guard to store normalized copies
         object.__setattr__(self, "crash_at_time", crash_at_time)
-        object.__setattr__(self, "crash_at_round", crash_at_round)
-        object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "correlation", float(self.correlation))
         object.__setattr__(self, "partitions", partitions)
 
     @property
     def active(self) -> bool:
         """True when any crash or partition spec is set (an inactive model is
-        a no-op; ``groups``/``correlation``/``checkpoint`` only shape events
-        that other specs trigger)."""
+        a no-op)."""
         return bool(
             self.crash_at_time
-            or self.crash_at_round
-            or self.mtbf
             or (self.partitions is not None and self.partitions.active)
         )
 
@@ -412,18 +262,10 @@ class FailureModel:
         """JSON-serializable description (recorded in run provenance)."""
         return {
             "crash_at_time": {str(k): v for k, v in self.crash_at_time.items()},
-            "crash_at_round": {str(k): v for k, v in self.crash_at_round.items()},
-            "mtbf": self.mtbf,
             "restart_after": self.restart_after,
-            "groups": [list(g) for g in self.groups],
-            "correlation": self.correlation,
             "partitions": (
                 self.partitions.describe() if self.partitions is not None else None
             ),
-            "checkpoint": (
-                self.checkpoint.describe() if self.checkpoint is not None else None
-            ),
-            "random_state": self.random_state,
         }
 
     @classmethod
@@ -433,26 +275,20 @@ class FailureModel:
         Comma-separated tokens:
 
         * ``W@T`` (or ``wW@T``) — worker ``W`` crashes at modelled time ``T``;
-        * ``W@rK`` — worker ``W`` crashes at the start of sync round ``K``;
-        * ``mtbf=S`` — seeded exponential crashes with mean ``S`` seconds;
         * ``restart=S`` — crashed workers return after ``S`` seconds;
         * ``part=W[+W2...]@S-E`` — the listed workers are partitioned from
           the rest of the cluster during ``[S, E)`` (``E`` may be ``inf``);
-          repeatable;
-        * ``group=W+W2[+...]`` — a correlated failure group; repeatable;
-        * ``corr=P`` — co-crash probability within a group (default 0);
-        * ``ckpt=I[/W[/R]]`` — checkpoint every ``I`` seconds with write cost
-          ``W`` and restore cost ``R`` (both default 0);
-        * ``seed=N`` — seed of the MTBF and co-crash streams.
+          repeatable.
 
-        A worker may carry at most one crash schedule: duplicate ``W@...``
-        tokens (and duplicate scalar keys) raise a :class:`ValueError` naming
-        the offending token instead of silently letting the last one win.
+        A worker may carry at most one crash time: duplicate ``W@...``
+        tokens (and a duplicate ``restart=``) raise a :class:`ValueError`
+        naming the offending token instead of silently letting the last one
+        win.
 
         Examples
         --------
-        >>> FailureModel.from_spec("0@2.5,w1@r3,restart=1.0").crash_at_round
-        {1: 3}
+        >>> FailureModel.from_spec("0@2.5,w1@4,restart=1.0").crash_at_time
+        {0: 2.5, 1: 4.0}
         >>> FailureModel.from_spec("part=0@2.0-5.0").partitions.cuts
         (((0,), 2.0, 5.0),)
         """
@@ -485,15 +321,8 @@ class FailureModel:
             ]
 
         crash_at_time: Dict[int, float] = {}
-        crash_at_round: Dict[int, int] = {}
-        mtbf: Optional[float] = None
         restart_after: Optional[float] = None
-        groups: List[List[int]] = []
-        correlation = 0.0
         cuts: List[Tuple[Tuple[int, ...], float, float]] = []
-        checkpoint: Optional[CheckpointModel] = None
-        random_state: Optional[int] = 0
-        seen_keys: set = set()
         for token in str(spec).split(","):
             token = token.strip()
             if not token:
@@ -502,30 +331,13 @@ class FailureModel:
                 key, _, value = token.partition("=")
                 key = key.strip().lower()
                 value = value.strip()
-                if key in ("mtbf", "restart", "seed", "corr", "ckpt"):
-                    if key in seen_keys:
+                if key == "restart":
+                    if restart_after is not None:
                         raise ValueError(
                             f"duplicate fault-spec key {key!r} "
                             f"(token {token!r} in {spec!r})"
                         )
-                    seen_keys.add(key)
-                if key == "mtbf":
-                    mtbf = parse_float(value, token, "mtbf=")
-                elif key == "restart":
                     restart_after = parse_float(value, token, "restart=")
-                elif key == "seed":
-                    random_state = parse_int(value, token, "seed=")
-                elif key == "corr":
-                    correlation = parse_float(value, token, "corr=")
-                    if not 0.0 <= correlation <= 1.0:
-                        raise bad(token, "corr= to lie in [0, 1]")
-                elif key == "group":
-                    ids = parse_ids(value, token)
-                    if len(set(ids)) < 2:
-                        raise bad(
-                            token, "at least two distinct worker ids"
-                        )
-                    groups.append(ids)
                 elif key == "part":
                     ids_part, sep, window = value.partition("@")
                     if not sep:
@@ -557,61 +369,36 @@ class FailureModel:
                     cuts.append(
                         (tuple(parse_ids(ids_part, token)), *bounds)
                     )
-                elif key == "ckpt":
-                    parts = [p.strip() for p in value.split("/")]
-                    if not 1 <= len(parts) <= 3:
-                        raise bad(token, "ckpt=INTERVAL[/WRITE[/RESTORE]]")
-                    numbers = [
-                        parse_float(p, token, "a checkpoint cost")
-                        for p in parts
-                    ]
-                    try:
-                        checkpoint = CheckpointModel(*numbers)
-                    except ValueError as exc:
-                        raise bad(token, f"a valid checkpoint model ({exc})")
                 else:
                     raise ValueError(
                         f"unknown fault-spec key {key!r} in token {token!r} "
-                        f"of {spec!r}; expected mtbf=, restart=, seed=, "
-                        "corr=, group=, part= or ckpt="
+                        f"of {spec!r}; expected restart= or part="
                     )
             elif "@" in token:
                 wid_part, _, at = token.partition("@")
                 wid_part = wid_part.strip().lstrip("wW")  # noqa: B005
                 if not wid_part:
-                    raise bad(token, "W@TIME or W@rROUND")
+                    raise bad(token, "W@TIME")
                 wid = parse_int(wid_part, token, "a worker id")
-                if wid in crash_at_time or wid in crash_at_round:
+                if wid in crash_at_time:
                     raise ValueError(
                         f"duplicate crash schedule for worker {wid} "
                         f"(token {token!r} in {spec!r}); "
-                        "one crash spec per worker"
+                        "one crash time per worker"
                     )
-                at = at.strip()
-                if at.lower().startswith("r"):
-                    crash_at_round[wid] = parse_int(
-                        at[1:], token, "the round number"
-                    )
-                else:
-                    crash_at_time[wid] = parse_float(at, token, "the crash time")
+                crash_at_time[wid] = parse_float(
+                    at.strip(), token, "the crash time"
+                )
             else:
                 raise ValueError(
                     f"cannot parse fault-spec token {token!r} in {spec!r}; "
-                    "expected W@TIME, W@rROUND, mtbf=, restart=, seed=, "
-                    "corr=, group=, part= or ckpt="
+                    "expected W@TIME, restart= or part="
                 )
         return cls(
             crash_at_time=crash_at_time,
-            crash_at_round=crash_at_round,
-            mtbf=mtbf,
             restart_after=restart_after,
-            groups=groups,
-            correlation=correlation,
             partitions=PartitionModel(cuts=cuts) if cuts else None,
-            checkpoint=checkpoint,
-            random_state=random_state,
         )
-
 
 class FaultInjector:
     """Runtime crash/restart state for one cluster run.
@@ -619,8 +406,8 @@ class FaultInjector:
     Owned by the :class:`~repro.distributed.cluster.SimulatedCluster`
     (``cluster.fault_state``) and reset by ``reset_accounting``, so two runs
     on the same cluster see the same fault schedule.  All queries are pure
-    reads of the (lazily materialized, per-worker) schedule; the ``note_*``
-    methods record events as the simulation acts on them.
+    reads of the schedule; the ``note_*`` methods record events as the
+    simulation acts on them.
 
     Examples
     --------
@@ -639,154 +426,50 @@ class FaultInjector:
         self.reset()
 
     def reset(self) -> None:
-        """Restart the schedule (same seed => same crashes next run)."""
-        n = self.n_workers
+        """Restart the schedule (same model => same crashes next run)."""
         restart = self.model.restart_after
         #: events actually delivered to the simulation, in the order acted on
         self.events: List[Dict[str, float]] = []
-        #: synchronization rounds seen so far (drives ``crash_at_round``)
+        #: synchronization rounds seen so far (reported by events and errors)
         self.round = 0
-        # deterministic intervals: crash_at_time, plus crash_at_round entries
-        # appended when their round begins (their clock time is only known
-        # then); MTBF intervals live separately and grow lazily per worker.
-        self._fixed: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
-        self._mtbf: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
-        # co-crash intervals drawn by group peers' crashes, kept separate so
-        # their events can be tagged as correlated.
-        self._correlated: List[List[Tuple[float, float]]] = [[] for _ in range(n)]
-        self._co_sources: Dict[Tuple[int, float], int] = {}
-        self._round_armed: set = set()
+        # each worker's crash interval [crash, restart), if it has one
+        self._crash: Dict[int, Tuple[float, float]] = {
+            wid: (t, t + restart if restart else _INF)
+            for wid, t in self.model.crash_at_time.items()
+            if wid < self.n_workers
+        }
         # workers currently down, with their crash time; cleared on restart.
         self._down_since: Dict[int, float] = {}
         # workers currently behind an acted-on partition, with the window start.
         self._cut_since: Dict[int, float] = {}
-        # (worker, crash_time) recovery charges already recorded as events.
-        self._restored: set = set()
         # crash/restart pairs not yet drawn onto a timeline (event engine).
         self._timeline_debt: Dict[int, List[float]] = {}
-        for wid, t in self.model.crash_at_time.items():
-            if wid < n:
-                self._fixed[wid].append((t, t + restart if restart else _INF))
-        self._mtbf_rngs = (
-            injection_worker_rngs(self.model.random_state, n, stream="failures")
-            if self.model.mtbf
-            else None
-        )
-        self._group_peers: Dict[int, List[int]] = {}
-        correlated = self.model.groups and self.model.correlation > 0.0
-        for group in self.model.groups:
-            for wid in group:
-                if wid < n:
-                    self._group_peers.setdefault(wid, [])
-        self._corr_rngs = (
-            injection_worker_rngs(self.model.random_state, n, stream="correlated")
-            if correlated
-            else None
-        )
-        if correlated:
-            for group in self.model.groups:
-                members = [w for w in group if w < n]
-                for wid in members:
-                    self._group_peers[wid] = sorted(
-                        set(self._group_peers[wid])
-                        | {m for m in members if m != wid}
-                    )
-            # Deterministic crashes are known now: draw their co-crashes
-            # immediately (worker order fixes the draw sequence).
-            for wid in sorted(self.model.crash_at_time):
-                if wid < n:
-                    self._arm_co_crashes(wid, self.model.crash_at_time[wid])
-        # per-worker cycle counters used by async solvers' crash_at_round
-        self._cycles = [0] * n
-
-    # -- schedule materialization -----------------------------------------
-    def _arm_co_crashes(self, primary: int, crash_time: float) -> None:
-        """Draw correlated co-crashes among ``primary``'s group peers.
-
-        Consumes only ``primary``'s dedicated stream (one draw per peer, in
-        sorted order), so the schedule is deterministic however the
-        simulation interleaves its queries.
-        """
-        if self._corr_rngs is None:
-            return
-        restart = self.model.restart_after
-        for peer in self._group_peers.get(primary, ()):
-            if float(self._corr_rngs[primary].random()) < self.model.correlation:
-                self._correlated[peer].append(
-                    (crash_time, crash_time + restart if restart else _INF)
-                )
-                self._co_sources.setdefault((peer, crash_time), primary)
-
-    def _ensure_mtbf(self, worker_id: int, until: float) -> None:
-        if self._mtbf_rngs is None or not math.isfinite(until):
-            return
-        intervals = self._mtbf[worker_id]
-        restart = self.model.restart_after
-        while not intervals or (
-            math.isfinite(intervals[-1][1]) and intervals[-1][1] <= until
-        ):
-            base = intervals[-1][1] if intervals else 0.0
-            gap = float(self._mtbf_rngs[worker_id].exponential(self.model.mtbf))
-            crash = base + gap
-            intervals.append((crash, crash + restart if restart else _INF))
-            self._arm_co_crashes(worker_id, crash)
-
-    def _intervals(self, worker_id: int, until: float):
-        self._ensure_mtbf(worker_id, until)
-        # A group peer's lazily-sampled crash may co-crash this worker:
-        # materialize the peers' schedules over the same horizon first.
-        for peer in self._group_peers.get(worker_id, ()):
-            self._ensure_mtbf(peer, until)
-        yield from self._fixed[worker_id]
-        yield from self._mtbf[worker_id]
-        yield from self._correlated[worker_id]
 
     # -- queries ------------------------------------------------------------
     def is_down(self, worker_id: int, t: float) -> bool:
-        """Is the worker inside a crash interval at modelled time ``t``?"""
-        return any(c <= t < r for c, r in self._intervals(worker_id, t))
+        """Is the worker inside its crash interval at modelled time ``t``?"""
+        c, r = self._crash.get(int(worker_id), (_INF, _INF))
+        return c <= t < r
 
     def crash_time_of(self, worker_id: int, t: float) -> float:
         """Start of the crash interval containing ``t`` (requires ``is_down``)."""
-        times = [c for c, r in self._intervals(worker_id, t) if c <= t < r]
-        if not times:
+        if not self.is_down(worker_id, t):
             raise ValueError(f"worker {worker_id} is not down at t={t}")
-        return min(times)
+        return self._crash[int(worker_id)][0]
 
     def first_crash_in(
         self, worker_id: int, start: float, end: float
     ) -> Optional[float]:
-        """Earliest crash in ``[start, end)``, or ``None``."""
-        times = [
-            c for c, _ in self._intervals(worker_id, end) if start <= c < end
-        ]
-        return min(times) if times else None
+        """The worker's crash if it falls in ``[start, end)``, else ``None``."""
+        c, _ = self._crash.get(int(worker_id), (_INF, _INF))
+        return c if start <= c < end else None
 
     def restart_time(self, worker_id: int, t: float) -> float:
-        """When a worker down at ``t`` is back up (``inf`` = never).
-
-        Chained/overlapping crash intervals are followed to the first instant
-        at which no interval covers the worker.
-        """
-        r = float(t)
-        changed = True
-        while changed:
-            changed = False
-            for c, rr in self._intervals(worker_id, r if math.isfinite(r) else t):
-                if c <= r < rr:
-                    r = rr
-                    changed = True
-                    if not math.isfinite(r):
-                        return r
-        return r if r > t else _INF
-
-    @property
-    def any_down(self) -> bool:
-        return bool(self._down_since)
-
-    def down_workers(self) -> List[int]:
-        """Workers whose crash the simulation has acted on and not yet revived."""
-        return sorted(self._down_since)
+        """When a worker down at ``t`` is back up (``inf`` = never, and for
+        a worker that is not down at ``t``)."""
+        if not self.is_down(worker_id, t):
+            return _INF
+        return self._crash[int(worker_id)][1]
 
     # -- partitions ----------------------------------------------------------
     @property
@@ -810,83 +493,23 @@ class FaultInjector:
         p = self.model.partitions
         return p.heal_time(int(worker_id), t) if p is not None else float(t)
 
-    def cut_workers(self, worker_ids: Sequence[int], t: float) -> List[int]:
-        """The subset of ``worker_ids`` unreachable at time ``t``."""
-        if not self.has_partitions:
-            return []
-        return [int(w) for w in worker_ids if self.is_cut(w, t)]
-
-    # -- checkpoints ---------------------------------------------------------
-    def recovery_seconds(self, worker_id: int, crash_time: float) -> float:
-        """Restore + replay a worker crashed at ``crash_time`` must pay after
-        its restart before doing useful work (0 without a checkpoint model)."""
-        ckpt = self.model.checkpoint
-        if ckpt is None:
-            return 0.0
-        return ckpt.recovery_seconds(crash_time)
-
-    # -- round / cycle lifecycle -------------------------------------------
-    def begin_round(self, worker_ids: Sequence[int], now: float) -> int:
-        """Count one synchronization round and arm ``crash_at_round`` specs.
-
-        A worker whose declared round begins now gets a crash interval
-        starting at the round's synchronization time.  Arming triggers at the
-        worker's first participating round *at or after* the configured one,
-        so a spec is not silently dropped when the worker happened to sit out
-        (subset round, degraded membership) the exact round number.
-        """
+    # -- round lifecycle ------------------------------------------------------
+    def begin_round(self) -> None:
+        """Count one synchronization round (events and errors report it)."""
         self.round += 1
-        restart = self.model.restart_after
-        for wid in worker_ids:
-            wid = int(wid)
-            if wid in self._round_armed or wid >= self.n_workers:
-                continue
-            target = self.model.crash_at_round.get(wid)
-            if target is not None and self.round >= target:
-                self._round_armed.add(wid)
-                self._fixed[wid].append(
-                    (now, now + restart if restart else _INF)
-                )
-                self._arm_co_crashes(wid, now)
-        return self.round
-
-    def begin_cycle(self, worker_id: int, now: float) -> None:
-        """Asynchronous analogue of :meth:`begin_round`: count one local
-        cycle of ``worker_id`` and arm its ``crash_at_round`` spec (round
-        ``k`` = the worker's k-th cycle)."""
-        wid = int(worker_id)
-        self._cycles[wid] += 1
-        if wid in self._round_armed:
-            return
-        target = self.model.crash_at_round.get(wid)
-        if target is not None and self._cycles[wid] >= target:
-            self._round_armed.add(wid)
-            restart = self.model.restart_after
-            self._fixed[wid].append((now, now + restart if restart else _INF))
-            self._arm_co_crashes(wid, now)
 
     # -- event recording ------------------------------------------------------
     def note_crash(self, worker_id: int, time: float) -> None:
-        """Record that the simulation acted on a crash (idempotent while down).
-
-        Crashes drawn by a group peer's failure are recorded as ``co-crash``
-        events carrying the peer that dragged them down.
-        """
+        """Record that the simulation acted on a crash (idempotent while down)."""
         wid = int(worker_id)
         if wid in self._down_since:
             return
         self._down_since[wid] = float(time)
         self._timeline_debt[wid] = [float(time)]
-        primary = self._co_sources.get((wid, float(time)))
-        event = {
-            "kind": "crash" if primary is None else "co-crash",
-            "worker_id": wid,
-            "time": float(time),
-            "round": self.round,
-        }
-        if primary is not None:
-            event["with"] = int(primary)
-        self.events.append(event)
+        self.events.append(
+            {"kind": "crash", "worker_id": wid, "time": float(time),
+             "round": self.round}
+        )
 
     def note_partition(self, worker_id: int, start: float) -> None:
         """Record that the simulation acted on a cut (idempotent per window)."""
@@ -910,36 +533,6 @@ class FaultInjector:
              "round": self.round}
         )
 
-    def note_restore(
-        self, worker_id: int, crash_time: float, ready: float, seconds: float
-    ) -> None:
-        """Record a checkpoint recovery charge (idempotent per crash)."""
-        wid = int(worker_id)
-        key = (wid, float(crash_time))
-        if seconds <= 0 or key in self._restored:
-            return
-        self._restored.add(key)
-        self.events.append(
-            {"kind": "restore", "worker_id": wid, "time": float(ready),
-             "seconds": float(seconds), "round": self.round}
-        )
-
-    def rejoin_if_restarted(self, worker_id: int, now: float) -> bool:
-        """Record the restart of a worker whose downtime has already passed.
-
-        Degraded rounds simply drop a crashed worker; when it comes back it
-        rejoins silently at the next synchronization point — this notes the
-        restart event at its scheduled time so provenance and Gantt markers
-        stay complete.
-        """
-        wid = int(worker_id)
-        if wid in self._down_since and not self.is_down(wid, now):
-            self.note_restart(
-                wid, self.restart_time(wid, self._down_since[wid])
-            )
-            return True
-        return False
-
     def note_restart(self, worker_id: int, time: float) -> None:
         """Record that a down worker came back (idempotent while up)."""
         wid = int(worker_id)
@@ -957,10 +550,9 @@ class FaultInjector:
         """Draw a restarted worker's downtime onto its timeline and rejoin it.
 
         The worker's clock froze at the crash; this advances it with a
-        ``down`` segment to the recorded restart, a ``busy`` ``restore``
-        segment when a :class:`CheckpointModel` charges recovery, then a
-        ``wait`` to ``now`` (it restarted mid-someone-else's round and waits
-        for the next synchronization point).
+        ``down`` segment to the recorded restart, then a ``wait`` to ``now``
+        (it restarted mid-someone-else's round and waits for the next
+        synchronization point).
         """
         wid = int(worker_id)
         debt = self._timeline_debt.pop(wid, None)
@@ -968,24 +560,21 @@ class FaultInjector:
             if debt:  # crash recorded but no restart yet: keep the debt
                 self._timeline_debt[wid] = debt
             return
-        crash, restart = debt[0], debt[1]
+        restart = debt[1]
         tl = engine.timeline(wid)
         if restart > tl.t:
             tl.advance(restart - tl.t, "down", "down")
-        recovery = self.recovery_seconds(wid, crash)
-        if recovery > 0:
-            tl.advance(recovery, "busy", "restore")
-            self.note_restore(wid, crash, restart + recovery, recovery)
         tl.wait_until(now, "restart")
 
     def rejoin_healed(self, now: float, engine) -> List[int]:
         """Rejoin every worker whose partition window has closed by ``now``.
 
-        Degraded rounds simply drop a cut worker; when the partition heals it
-        rejoins silently at the next synchronization point — this records the
-        heal event and draws the ``unreachable`` window onto the worker's
-        ``engine`` timeline, so provenance and Gantt markers stay complete.
-        Returns the rejoined worker ids.
+        A window can close while nothing waits on it (it heals while the
+        worker is down and a stall waits for the restart instead); this
+        records such a heal at the next synchronization point and draws the
+        ``unreachable`` window onto the worker's ``engine`` timeline, so
+        provenance and Gantt markers stay complete.  Returns the rejoined
+        worker ids.
         """
         healed: List[int] = []
         for wid in sorted(self._cut_since):

@@ -88,8 +88,7 @@ Failure semantics (the chaos harness)
     same structured :class:`~repro.distributed.faults.WorkerLostError` the
     modelled fault injector raises, with the executing plan's ``on_failure``
     policy in the reason: a real process cannot be restarted mid-collective,
-    so ``"stall"`` and ``"degrade"`` report *why* they cannot apply rather
-    than hanging.  Modelled :class:`~repro.distributed.faults.FailureModel`
+    so ``"stall"`` reports *why* it cannot apply rather than hanging.  Modelled :class:`~repro.distributed.faults.FailureModel`
     injection and straggler models stay with the event engine.
 
 A ``torch.distributed`` (gloo) transport is probed by
@@ -608,7 +607,6 @@ class ProcessRole:
                 {w.worker_id: t for w, (_, t, _) in zip(targets, entries)},
                 category="compute",
             )
-            cluster.last_round_survivors = [w.worker_id for w in targets]
         return [result for result, _, _ in entries]
 
 
@@ -784,9 +782,8 @@ class ProcessRuntime:
 
         The active plan's ``on_failure`` policy shapes the message: unlike
         the modelled fault injector, a killed OS process cannot be restarted
-        or voted out of the membership mid-collective, so every policy ends
-        the run — but each reports *its own* reason, which is what the chaos
-        tests pin down.
+        mid-collective, so every policy ends the run — but each reports *its
+        own* reason, which is what the chaos tests pin down.
         """
         policy = getattr(self.cluster, "_fault_policy", "raise")
         proc = self._procs.get(rank)
@@ -800,12 +797,6 @@ class ProcessRuntime:
             reason = (
                 f"{died}; a real OS process cannot restart — "
                 "policy 'stall' cannot complete"
-            )
-        elif policy == "degrade":
-            reason = (
-                f"{died}; the process engine does not support degraded "
-                "membership (policy 'degrade') — simulate crashes on "
-                "engine='event' with a FailureModel instead"
             )
         else:
             reason = f"{died} at a synchronization point (policy 'raise')"

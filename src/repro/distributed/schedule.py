@@ -92,27 +92,17 @@ class LocalStep:
 
 @dataclass
 class Collective:
-    """One communicator collective; ``payload(ctx)`` builds the buffers.
-
-    ``on_failure`` optionally overrides the plan's fault policy for this one
-    synchronization point (e.g. a plan that stalls its compute rounds but
-    degrades a final diagnostic gather); ``None`` inherits the plan's policy.
-    """
+    """One communicator collective; ``payload(ctx)`` builds the buffers."""
 
     name: str
     op: str
     payload: Callable[[dict], Any]
     joint_with_previous: bool = False
-    on_failure: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.op not in COLLECTIVE_OPS:
             raise ValueError(
                 f"unknown collective op {self.op!r}; expected one of {COLLECTIVE_OPS}"
-            )
-        if self.on_failure is not None and self.on_failure not in FAULT_POLICIES:
-            raise ValueError(
-                f"on_failure must be one of {FAULT_POLICIES}, got {self.on_failure!r}"
             )
 
     @property
@@ -120,15 +110,12 @@ class Collective:
         return not self.joint_with_previous
 
     def describe(self) -> dict:
-        out = {
+        return {
             "step": "collective",
             "name": self.name,
             "op": self.op,
             "joint_with_previous": self.joint_with_previous,
         }
-        if self.on_failure is not None:
-            out["on_failure"] = self.on_failure
-        return out
 
 
 @dataclass
@@ -231,9 +218,7 @@ class RoundPlan:
     :class:`~repro.distributed.faults.FailureModel` takes a worker down at
     one of its synchronization points: ``"raise"`` (default) aborts with a
     structured :class:`~repro.distributed.faults.WorkerLostError`, ``"stall"``
-    idles the cluster until the worker restarts (re-running the lost round),
-    ``"degrade"`` proceeds with the surviving workers — their ids are bound
-    to ``ctx["alive_workers"]`` so payload/master steps can reweight.
+    idles the cluster until the worker restarts (re-running the lost round).
 
     Examples
     --------
@@ -414,26 +399,16 @@ class PlanExecution:
         }
 
 
-def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
+def _guard_collective(cluster, policy: str) -> None:
     """Apply the fault policy at a collective's synchronization point.
 
-    Returns ``(participants, base)``: the participant ids to hand the
-    communicator (``None`` = full membership, the fault-free fast path) and
-    the membership the payload's buffers were built for (the survivors of the
-    most recent local round when one ran, every worker otherwise) — the
-    executor uses ``base`` to slice per-worker buffers down to the
-    participants.  ``"raise"`` aborts if any worker is down (or any member is
-    behind a network partition: :class:`PartitionError`), ``"stall"`` idles
-    the cluster until every down worker restarts and every cut link heals,
-    ``"degrade"`` proceeds over the members still alive *and reachable* at
-    the collective instant (a worker that crashed after computing but before
-    the barrier is dropped: its contribution is in flight when it dies; a
-    partitioned worker keeps computing but its buffer cannot cross the cut).
+    ``"raise"`` aborts if any worker is down (or behind a network partition:
+    :class:`PartitionError`); ``"stall"`` idles the cluster until every down
+    worker restarts and every cut link heals.
     """
     fs = getattr(cluster, "fault_state", None)
-    base = members if members is not None else list(range(cluster.n_workers))
     if fs is None:
-        return None, base
+        return
     now = cluster.clock.time
     # Cut workers whose window closed since the last synchronization point
     # rejoin here: the heal event is recorded and their unreachable window
@@ -444,10 +419,6 @@ def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
     ]
     for wid in down:
         fs.note_crash(wid, fs.crash_time_of(wid, now))
-    # Like ``down``, the cut set spans *all* workers, not just the current
-    # membership: the Communicator backstop scans the full cluster when it
-    # receives participants=None, so a cut worker outside ``base`` must be
-    # stalled for (or raised on) here rather than aborting there.
     cut = [
         wid for wid in range(cluster.n_workers)
         if wid not in down and fs.is_cut(wid, now)
@@ -464,104 +435,39 @@ def _guard_collective(cluster, policy: str, members: Optional[List[int]]):
             wid, now, heals_at=fs.heal_time(wid, now), round=fs.round,
             reason="unreachable at collective (policy 'raise')",
         )
-    if (down or cut) and policy == "stall":
-        while down or cut:
-            if down:
-                cluster.stall_for_restart(down, label="collective-stall")
-            else:
-                cluster.stall_for_heal(cut, label="collective-stall")
-            now = cluster.clock.time
-            down = [
-                wid for wid in range(cluster.n_workers)
-                if fs.is_down(wid, now)
-            ]
-            cut = [
-                wid for wid in range(cluster.n_workers)
-                if wid not in down and fs.is_cut(wid, now)
-            ]
-        # After the stall everyone needed is back, but the payload buffers
-        # were built for ``base`` — a membership an earlier degraded local
-        # round may have shrunk — so the collective must run over it.
-        if len(base) == cluster.n_workers:
-            return None, base
-        return list(base), base
-    if policy != "degrade":
-        return None, base
-    for wid in cut:
-        fs.note_partition(wid, fs.cut_start(wid, now))
-    alive = [wid for wid in base if wid not in down and wid not in cut]
-    if not alive:
-        lost = down[0] if down else (cut[0] if cut else base[0])
-        raise WorkerLostError(
-            lost, now, round=fs.round,
-            reason="no surviving workers",
-        )
-    if len(alive) == cluster.n_workers:
-        return None, base
-    return alive, base
+    while down or cut:
+        if down:
+            cluster.stall_for_restart(down, label="collective-stall")
+        else:
+            cluster.stall_for_heal(cut, label="collective-stall")
+        now = cluster.clock.time
+        down = [
+            wid for wid in range(cluster.n_workers)
+            if fs.is_down(wid, now)
+        ]
+        cut = [
+            wid for wid in range(cluster.n_workers)
+            if wid not in down and fs.is_cut(wid, now)
+        ]
 
 
-def _execute_steps(
-    cluster,
-    steps: Sequence[Step],
-    ctx: dict,
-    *,
-    policy: str = "raise",
-    state: Optional[Dict[str, Any]] = None,
-) -> None:
+def _execute_steps(cluster, steps: Sequence[Step], ctx: dict, *, policy: str) -> None:
     """Run ``steps`` in order, binding each step's result into ``ctx``."""
     comm = cluster.comm
-    degraded = (
-        policy == "degrade" and getattr(cluster, "fault_state", None) is not None
-    )
-    if state is None:
-        # ``members`` tracks the degraded membership of the current epoch:
-        # the survivors of the most recent local round, or None for "all".
-        state = {"members": None}
     for step in steps:
         if isinstance(step, LocalStep):
             fn = step.fn
             targets = None
             if step.workers is not None:
                 targets = [cluster.workers[int(i)] for i in step.workers]
-            elif degraded:
-                # A degraded round runs on the workers that are both alive
-                # and reachable: a partitioned worker could compute, but the
-                # master cannot dispatch to it or hear back across the cut.
-                alive = cluster.reachable_worker_ids()
-                if not alive:
-                    raise WorkerLostError(
-                        0, cluster.clock.time, reason="no surviving workers"
-                    )
-                if len(alive) < cluster.n_workers:
-                    targets = [cluster.workers[i] for i in alive]
-            results = cluster.map_workers(
+            ctx[step.name] = cluster.map_workers(
                 lambda worker, _fn=fn: _fn(worker, ctx), workers=targets
             )
-            ctx[step.name] = results
-            if degraded:
-                state["members"] = list(cluster.last_round_survivors)
-                ctx["alive_workers"] = list(cluster.last_round_survivors)
         elif isinstance(step, Collective):
-            participants, base = _guard_collective(
-                cluster, step.on_failure or policy, state["members"]
+            _guard_collective(cluster, policy)
+            ctx[step.name] = getattr(comm, step.op)(
+                step.payload(ctx), joint_with_previous=step.joint_with_previous
             )
-            buffers = step.payload(ctx)
-            if (
-                participants is not None
-                and step.op != "broadcast"  # broadcast takes ONE buffer
-                and hasattr(buffers, "__len__")
-                and len(buffers) == len(base)
-            ):
-                # Per-worker buffers were built for ``base`` (in id order);
-                # slice them down to the workers still participating.
-                buffers = [buffers[base.index(wid)] for wid in participants]
-            kwargs: Dict[str, Any] = {
-                "joint_with_previous": step.joint_with_previous
-            }
-            if participants is not None:
-                kwargs["participants"] = participants
-            ctx[step.name] = getattr(comm, step.op)(buffers, **kwargs)
         elif isinstance(step, GlobalStep):
             value = step.fn(ctx)
             if step.name is not None:
@@ -570,7 +476,7 @@ def _execute_steps(
             ctx[step.name] = step.fn(cluster, ctx)
         elif isinstance(step, Repeat):
             for _ in range(step.times):
-                _execute_steps(cluster, step.steps, ctx, policy=policy, state=state)
+                _execute_steps(cluster, step.steps, ctx, policy=policy)
         else:  # pragma: no cover - defensive
             raise TypeError(f"unknown plan step {step!r}")
 
@@ -605,9 +511,6 @@ def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecuti
     collectives0 = comm.log.n_collectives
     bytes0 = comm.log.bytes_transferred
     ctx = dict(plan.context)
-    fault_state = getattr(cluster, "fault_state", None)
-    if fault_state is not None and plan.on_failure == "degrade":
-        ctx["alive_workers"] = cluster.reachable_worker_ids()
     with cluster.fault_policy(plan.on_failure):
         _execute_steps(cluster, plan.steps, ctx, policy=plan.on_failure)
 

@@ -133,9 +133,7 @@ class DistributedSolver(ABC):
         an injected :class:`~repro.distributed.faults.FailureModel`:
         ``"raise"`` (default) aborts with a structured
         :class:`~repro.distributed.faults.WorkerLostError`, ``"stall"`` idles
-        the cluster until the worker restarts, ``"degrade"`` proceeds with
-        the survivors (only meaningful for plans written to reweight).
-        Asynchronous solvers ignore it — their quorum schedules always ride
+        the cluster until the worker restarts.  Asynchronous solvers ignore it — their quorum schedules always ride
         through with the surviving workers.
     """
 

@@ -20,7 +20,7 @@ from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from repro.distributed.injection import injection_rng
+from repro.utils.rng import check_random_state
 
 
 @dataclass
@@ -59,11 +59,7 @@ class StragglerModel:
         if self.jitter < 0.0:
             raise ValueError(f"jitter must be >= 0, got {self.jitter}")
         self.persistent_stragglers = tuple(int(i) for i in self.persistent_stragglers)
-        # Default (unsalted) injection stream: bit-identical to the historical
-        # check_random_state derivation.  FailureModel draws from a *salted*
-        # stream, so attaching both models with the same seed composes
-        # reproducibly (see repro.distributed.injection).
-        self._rng = injection_rng(self.random_state)
+        self._rng = check_random_state(self.random_state)
         self._round = 0
         self._draws = 0
         self._history: list = []
@@ -170,7 +166,7 @@ class StragglerModel:
 
     def reset(self) -> None:
         """Restart the draw sequence (used by ``SimulatedCluster.reset_accounting``)."""
-        self._rng = injection_rng(self.random_state)
+        self._rng = check_random_state(self.random_state)
         self._round = 0
         self._draws = 0
         self._history = []

@@ -179,12 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SPEC",
         help=(
             "inject faults into every cluster the experiment builds: "
-            "comma-separated 'W@TIME' / 'W@rROUND' crash specs plus optional "
-            "'mtbf=S', 'restart=S', 'seed=N', network partitions "
-            "'part=W[+W2]@START-END', correlated failure groups "
-            "'group=W+W2' with 'corr=P', and checkpoint costs "
-            "'ckpt=INTERVAL[/WRITE[/RESTORE]]' "
-            "(e.g. '0@2.5,restart=1.0,ckpt=5/0.1/0.5' or 'part=0@2.0-6.0'); "
+            "comma-separated 'W@TIME' crash specs plus an optional "
+            "'restart=S' and network partitions 'part=W[+W2]@START-END' "
+            "(e.g. '0@2.5,restart=1.0' or 'part=0@2.0-6.0'); "
             "see repro.distributed.faults.FailureModel.from_spec"
         ),
     )

@@ -102,11 +102,9 @@ class ClusterConfig:
         Fault-injection spec string understood by
         :meth:`repro.distributed.faults.FailureModel.from_spec` (e.g.
         ``"0@2.5,restart=1.0"`` for a crash/restart,
-        ``"part=0@2.0-6.0"`` for a network partition,
-        ``"group=0+1,corr=0.8,mtbf=30"`` for correlated failures,
-        ``"ckpt=5/0.1/0.5"`` for checkpointed recovery costs), or ``None``
-        for the session default set via :func:`set_default_faults` (the
-        CLI's ``--faults``).
+        ``"part=0@2.0-6.0"`` for a network partition), or ``None`` for the
+        session default set via :func:`set_default_faults` (the CLI's
+        ``--faults``).
     precision:
         Storage precision of the cluster (``"mixed"``, ``"fp64"``,
         ``"fp32"``) or ``None`` for the session default set via

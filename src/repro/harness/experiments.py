@@ -1044,7 +1044,7 @@ def ablation_faults(
 
 
 # ---------------------------------------------------------------------------
-# Ablation: network partitions (fault model v2)
+# Ablation: network partitions
 # ---------------------------------------------------------------------------
 def ablation_partitions(
     scale=ExperimentScale.QUICK,

@@ -145,9 +145,7 @@ _GANTT_GLYPHS = {
 #: row markers per recorded fault-event kind (see ``trace.info["faults"]``)
 _EVENT_MARKERS = {
     "crash": "X",
-    "co-crash": "X",
     "restart": "^",
-    "restore": "+",
     "partition": "(",
     "heal": ")",
 }
@@ -174,10 +172,10 @@ def plot_gantt(
     on synchronous runs, and as staggered ``#`` blocks on quorum schedules.
 
     When the trace carries injected fault events (``info["faults"]``,
-    recorded by :mod:`repro.distributed.faults`), each crash/co-crash marks
-    ``X``, each restart ``^``, each checkpoint restore ``+``, each partition
-    cut ``(`` and each heal ``)`` on the affected worker's row, on top of the
-    ``x`` downtime / ``=`` unreachable fills.
+    recorded by :mod:`repro.distributed.faults`), each crash marks ``X``,
+    each restart ``^``, each partition cut ``(`` and each heal ``)`` on the
+    affected worker's row, on top of the ``x`` downtime / ``=`` unreachable
+    fills.
 
     ``epoch`` (1-based, requires a trace) renders a single epoch instead of
     the cumulative fit: the trace's per-epoch boundary snapshots
@@ -275,8 +273,7 @@ def plot_gantt(
     lines = [title] if title else []
     lines.append(
         f"gantt 0 .. {span:.3g}s   legend: # busy   . wait   ~ comm   "
-        f"x down   = unreachable   X crash   ^ restart   "
-        f"+ restore   ( cut   ) heal"
+        f"x down   = unreachable   X crash   ^ restart   ( cut   ) heal"
     )
     row_of = {}
     for tl in timelines:

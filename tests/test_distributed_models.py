@@ -119,9 +119,7 @@ class TestNetworkModel:
 class TestCollectiveCostInvariants:
     """Structural invariants of the collective cost model.
 
-    These costs now underpin the partition/degraded-membership accounting
-    (a degraded collective bills the reachable membership only), so the
-    claims the docstrings make — tree symmetry, reduce+broadcast
+    The claims the docstrings make — tree symmetry, reduce+broadcast
     composition, monotonicity, free single-worker degenerate case — are
     pinned here directly rather than assumed.
     """

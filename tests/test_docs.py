@@ -66,6 +66,25 @@ def test_every_example_has_smoke_mode():
         )
 
 
+def test_ci_job_ids_are_unique():
+    # YAML keeps only the last of two equal mapping keys, so a duplicated
+    # job id silently drops the earlier job from CI.
+    lines = (REPO / ".github" / "workflows" / "ci.yml").read_text(
+        encoding="utf-8"
+    ).splitlines()
+    start = lines.index("jobs:") + 1
+    job_ids = []
+    for line in lines[start:]:
+        if line and not line[0].isspace() and not line.startswith("#"):
+            break  # the next top-level key ends the jobs mapping
+        match = re.match(r"^  ([A-Za-z0-9_-]+):\s*$", line)
+        if match:
+            job_ids.append(match.group(1))
+    assert job_ids, "no jobs found in ci.yml"
+    duplicates = sorted({j for j in job_ids if job_ids.count(j) > 1})
+    assert not duplicates, f"duplicate CI job ids: {duplicates}"
+
+
 def test_faults_guide_references_the_example_and_ablation():
     guide = (REPO / "docs" / "faults.md").read_text(encoding="utf-8")
     assert "examples/faults_and_quorum.py" in guide

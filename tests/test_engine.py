@@ -166,18 +166,16 @@ class TestEventEngine:
             engine.barrier([])
 
 
-def _fit(solver_factory, dataset, *, engine="event", straggler=None):
+def _fit(solver_factory, dataset, *, straggler=None):
     strag = StragglerModel(**straggler) if straggler is not None else None
-    cluster = SimulatedCluster(
-        dataset, 4, straggler=strag, engine=engine, random_state=0
-    )
+    cluster = SimulatedCluster(dataset, 4, straggler=strag, random_state=0)
     return solver_factory().fit(cluster)
 
 
 class TestEngineEquivalence:
     """``"lockstep"``, a former in-process engine that benchmark specs still
-    name, runs the event engine: bit-identical iterates and identical
-    modelled clock/round totals under either name."""
+    name, is an alias of the event engine; two fits in one process on the
+    event engine are bit-identical in iterates and modelled clock/rounds."""
 
     def test_lockstep_is_an_alias_of_event(self, dataset):
         cluster = SimulatedCluster(dataset, 2, engine="lockstep", random_state=0)
@@ -202,27 +200,27 @@ class TestEngineEquivalence:
         ],
         ids=["newton_admm", "giant", "sync_sgd", "inexact_dane"],
     )
-    def test_bit_identical_iterates_and_times(self, factory, dataset):
-        alias = _fit(factory, dataset, engine="lockstep")
-        event = _fit(factory, dataset)
-        assert np.array_equal(alias.final_w, event.final_w)
-        assert len(alias.records) == len(event.records)
-        for a, b in zip(alias.records, event.records):
+    def test_two_fits_in_one_process_are_bit_identical(self, factory, dataset):
+        first = _fit(factory, dataset)
+        second = _fit(factory, dataset)
+        assert np.array_equal(first.final_w, second.final_w)
+        assert len(first.records) == len(second.records)
+        for a, b in zip(first.records, second.records):
             assert a.objective == b.objective
             assert a.modelled_time == b.modelled_time
             assert a.compute_time == b.compute_time
             assert a.comm_time == b.comm_time
             assert a.comm_rounds == b.comm_rounds
 
-    def test_equivalence_holds_under_stragglers(self, dataset):
+    def test_two_fits_under_stragglers_are_bit_identical(self, dataset):
         def make():
             return NewtonADMM(lam=1e-3, max_epochs=4)
 
         straggler = dict(slowdown=6.0, persistent_stragglers=[1], jitter=0.1)
-        alias = _fit(make, dataset, engine="lockstep", straggler=straggler)
-        event = _fit(make, dataset, straggler=straggler)
-        assert np.array_equal(alias.final_w, event.final_w)
-        assert alias.final.modelled_time == event.final.modelled_time
+        first = _fit(make, dataset, straggler=straggler)
+        second = _fit(make, dataset, straggler=straggler)
+        assert np.array_equal(first.final_w, second.final_w)
+        assert first.final.modelled_time == second.final.modelled_time
 
     def test_event_mode_records_timelines(self, dataset):
         event = _fit(lambda: NewtonADMM(lam=1e-3, max_epochs=3), dataset)

@@ -1,9 +1,10 @@
 """Tests for the fault-injection subsystem: the failure model and injector,
-deterministic schedules, bit-identical no-fault behavior, the three sync
-policies, quorum ride-through, degraded-membership plans,
-Gantt failure markers, the --faults CLI plumbing, and the shared RNG helper."""
+deterministic schedules, bit-identical no-fault behavior, the two sync
+policies, quorum ride-through, Gantt failure markers, and the --faults CLI
+plumbing."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,7 @@ from repro.baselines.giant import GIANT
 from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.faults import FailureModel, WorkerLostError
-from repro.distributed.injection import injection_rng, injection_worker_rngs
-from repro.distributed.schedule import RoundPlan, execute_plan
+from repro.distributed.schedule import RoundPlan
 from repro.distributed.stragglers import StragglerModel
 from repro.harness.plotting import plot_gantt
 from repro.metrics.traces import time_to_objective
@@ -46,10 +46,6 @@ class TestFailureModel:
         with pytest.raises(ValueError):
             FailureModel(crash_at_time={0: -1.0})
         with pytest.raises(ValueError):
-            FailureModel(crash_at_round={0: 0})
-        with pytest.raises(ValueError):
-            FailureModel(mtbf=0.0)
-        with pytest.raises(ValueError):
             FailureModel(restart_after=0.0)
         with pytest.raises(ValueError):
             FailureModel(crash_at_time={-1: 1.0})
@@ -57,27 +53,37 @@ class TestFailureModel:
     def test_active_flag(self):
         assert not FailureModel().active
         assert FailureModel(crash_at_time={0: 1.0}).active
-        assert FailureModel(mtbf=5.0).active
+        # restart_after alone schedules nothing.
+        assert not FailureModel(restart_after=1.0).active
 
     def test_from_spec_round_trip(self):
-        model = FailureModel.from_spec("0@2.5,w1@r3,mtbf=5.0,restart=1.0,seed=7")
-        assert model.crash_at_time == {0: 2.5}
-        assert model.crash_at_round == {1: 3}
-        assert model.mtbf == 5.0
+        model = FailureModel.from_spec("0@2.5,w1@3,restart=1.0")
+        assert model.crash_at_time == {0: 2.5, 1: 3.0}
         assert model.restart_after == 1.0
-        assert model.random_state == 7
-        assert model == FailureModel.from_spec("w0@2.5, 1@r3, mtbf=5, restart=1, seed=7")
+        assert model == FailureModel.from_spec("w0@2.5, 1@3, restart=1")
 
     def test_from_spec_rejects_garbage(self):
         with pytest.raises(ValueError):
             FailureModel.from_spec("bogus")
         with pytest.raises(ValueError):
             FailureModel.from_spec("frequency=3")
+        # Tokens of removed features (MTBF crashes, correlated groups,
+        # checkpoint costs, seeded streams, round-scheduled crashes) fail
+        # loudly, naming the token, rather than being silently ignored.
+        for token in ("mtbf=1", "corr=0.5", "group=0+1", "ckpt=5", "seed=3",
+                      "0@r2"):
+            with pytest.raises(ValueError, match=re.escape(repr(token))):
+                FailureModel.from_spec(token)
 
     def test_describe_is_json_safe(self):
         import json
 
-        json.dumps(FailureModel(crash_at_time={0: 1.0}, mtbf=2.0).describe())
+        json.dumps(
+            FailureModel(
+                crash_at_time={0: 1.0}, restart_after=2.0,
+                partitions=[((1,), 0.5, 1.5)],
+            ).describe()
+        )
 
     def test_intervals_and_restart(self):
         injector = FailureModel(crash_at_time={0: 2.0}, restart_after=1.5).start(2)
@@ -95,32 +101,6 @@ class TestFailureModel:
         assert injector.is_down(0, 1e9)
         assert math.isinf(injector.restart_time(0, 2.0))
 
-    def test_mtbf_schedule_is_deterministic_and_per_worker(self):
-        def crashes(injector, wid):
-            return [injector.first_crash_in(wid, 0.0, 100.0)]
-
-        a = FailureModel(mtbf=10.0, restart_after=1.0, random_state=3).start(4)
-        b = FailureModel(mtbf=10.0, restart_after=1.0, random_state=3).start(4)
-        # Query b in reverse worker order: schedules must still agree.
-        for wid in (3, 2, 1, 0):
-            b.first_crash_in(wid, 0.0, 100.0)
-        for wid in range(4):
-            assert crashes(a, wid) == crashes(b, wid)
-        # Different workers draw different first-crash times.
-        firsts = {a.first_crash_in(wid, 0.0, 1e6) for wid in range(4)}
-        assert len(firsts) == 4
-
-    def test_crash_at_round_triggers_at_round_start(self, dataset):
-        cluster = SimulatedCluster(
-            dataset, 4,
-            faults=FailureModel(crash_at_round={2: 2}), random_state=0,
-        )
-        with pytest.raises(WorkerLostError) as err:
-            NewtonADMM(lam=1e-3, max_epochs=4, record_accuracy=False).fit(cluster)
-        assert err.value.worker_id == 2
-        # Round 1 completes; the crash is armed at the start of sync round 2.
-        assert err.value.round >= 2
-
     def test_worker_lost_error_is_structured(self):
         err = WorkerLostError(3, 1.25, round=7, reason="testing")
         assert err.worker_id == 3
@@ -130,26 +110,12 @@ class TestFailureModel:
 
 
 # ---------------------------------------------------------------------------
-# Shared RNG plumbing (stragglers + faults compose reproducibly)
+# Straggler draws compose with an attached failure model
 # ---------------------------------------------------------------------------
 class TestInjectionStreams:
-    def test_default_stream_matches_check_random_state(self):
-        assert injection_rng(42).random() == check_random_state(42).random()
-
-    def test_named_stream_is_independent_of_default(self):
-        assert injection_rng(42).random() != injection_rng(42, stream="failures").random()
-
-    def test_worker_streams_are_stable_and_distinct(self):
-        a = injection_worker_rngs(0, 3, stream="failures")
-        b = injection_worker_rngs(0, 3, stream="failures")
-        draws_a = [g.random() for g in a]
-        draws_b = [g.random() for g in b]
-        assert draws_a == draws_b
-        assert len(set(draws_a)) == 3
-
     def test_straggler_draws_unchanged_by_refactor(self):
-        # StragglerModel still derives its generator exactly as before the
-        # shared helper existed, so historical schedules are unchanged.
+        # StragglerModel derives its generator with check_random_state, so
+        # historical straggler schedules are unchanged.
         model = StragglerModel(probability=0.5, jitter=0.2, random_state=7)
         rng = check_random_state(7)
         expected = np.ones(4)
@@ -159,8 +125,8 @@ class TestInjectionStreams:
         np.testing.assert_allclose(model.sample_factors(4), expected)
 
     def test_straggler_and_failure_schedules_compose(self, dataset):
-        # Same seed on both models: the straggler factors drawn in a run must
-        # not depend on whether a FailureModel is attached.
+        # The straggler factors drawn in a run must not depend on whether a
+        # FailureModel is attached.
         def run(faults):
             cluster = SimulatedCluster(
                 dataset, 4,
@@ -171,7 +137,7 @@ class TestInjectionStreams:
             trace = NewtonADMM(lam=1e-3, max_epochs=3, record_accuracy=False).fit(cluster)
             return trace.final.modelled_time
 
-        inactive = FailureModel(crash_at_time={0: 1e9}, random_state=5)
+        inactive = FailureModel(crash_at_time={0: 1e9})
         assert run(None) == run(inactive)
 
 
@@ -187,7 +153,7 @@ class TestInactiveModelIsInvisible:
             return NewtonADMM(lam=1e-3, max_epochs=5, record_accuracy=False).fit(cluster)
 
         plain = run(None)
-        attached = run(FailureModel(crash_at_time={0: 1e9}, mtbf=None))
+        attached = run(FailureModel(crash_at_time={0: 1e9}))
         assert np.array_equal(plain.final_w, attached.final_w)
         for a, b in zip(plain.records, attached.records):
             assert a.objective == b.objective
@@ -249,24 +215,6 @@ class TestSyncPolicies:
         kinds = [e["kind"] for e in trace.info["faults"]["events"]]
         assert kinds == ["crash", "restart"]
 
-    def test_stall_times_identical_across_engines(self, dataset, nofault_trace):
-        crash = _crash_time(nofault_trace)
-        traces = {}
-        for mode in ("lockstep", "event"):
-            cluster = SimulatedCluster(
-                dataset, 4,
-                faults=FailureModel(crash_at_time={1: crash}, restart_after=crash),
-                engine=mode, random_state=0,
-            )
-            traces[mode] = NewtonADMM(
-                lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
-            ).fit(cluster)
-        assert np.array_equal(traces["lockstep"].final_w, traces["event"].final_w)
-        assert (
-            traces["lockstep"].final.modelled_time
-            == traces["event"].final.modelled_time
-        )
-
     def test_stall_without_restart_raises(self, dataset, nofault_trace):
         cluster = SimulatedCluster(
             dataset, 4,
@@ -291,10 +239,11 @@ class TestSyncPolicies:
             GIANT(lam=1e-3, max_epochs=4, record_accuracy=False).fit(cluster)
 
     def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            NewtonADMM(on_failure="shrug")
-        with pytest.raises(ValueError):
-            RoundPlan("p", on_failure="shrug")
+        for policy in ("shrug", "degrade"):
+            with pytest.raises(ValueError):
+                NewtonADMM(on_failure=policy)
+            with pytest.raises(ValueError):
+                RoundPlan("p", on_failure=policy)
 
     def test_stall_charges_stall_category(self, dataset, nofault_trace):
         crash = _crash_time(nofault_trace)
@@ -307,142 +256,6 @@ class TestSyncPolicies:
             lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
         ).fit(cluster)
         assert cluster.clock.category("stall") > 0.0
-
-
-# ---------------------------------------------------------------------------
-# Degraded membership
-# ---------------------------------------------------------------------------
-class TestDegradePolicy:
-    def test_degraded_plan_runs_on_survivors_and_reweights(self, dataset):
-        cluster = SimulatedCluster(
-            dataset, 4, faults=FailureModel(crash_at_time={3: 0.0}),
-            engine="event", random_state=0,
-        )
-        plan = RoundPlan("degraded-mean", on_failure="degrade")
-        plan.local("vals", lambda worker, ctx: float(worker.worker_id + 1))
-        plan.reduce_scalar("total", lambda ctx: ctx["vals"])
-        plan.master(
-            lambda ctx: ctx["total"] / len(ctx["alive_workers"]), name="mean"
-        )
-        plan.returns("mean")
-        execution = execute_plan(cluster, plan)
-        # Worker 3 (value 4.0) is down from t=0: mean over survivors 1, 2, 3.
-        assert execution.result == pytest.approx(2.0)
-        assert cluster.last_round_survivors == [0, 1, 2]
-
-    def test_degraded_plan_with_no_survivors_raises(self, dataset):
-        cluster = SimulatedCluster(
-            dataset, 4,
-            faults=FailureModel(crash_at_time={w: 0.0 for w in range(4)}),
-            random_state=0,
-        )
-        plan = RoundPlan("nobody-left", on_failure="degrade")
-        plan.local("vals", lambda worker, ctx: 1.0)
-        plan.reduce_scalar("total", lambda ctx: ctx["vals"])
-        with pytest.raises(WorkerLostError, match="no surviving workers"):
-            execute_plan(cluster, plan)
-
-    def test_degraded_collective_membership_costs_less(self, dataset):
-        def bytes_with(faults):
-            cluster = SimulatedCluster(dataset, 4, faults=faults, random_state=0)
-            plan = RoundPlan("g", on_failure="degrade")
-            plan.local("vals", lambda worker, ctx: np.ones(8))
-            plan.allreduce("sum", lambda ctx: ctx["vals"])
-            plan.returns("sum")
-            execute_plan(cluster, plan)
-            return cluster.comm.log.bytes_transferred
-
-        assert bytes_with(FailureModel(crash_at_time={3: 0.0})) < bytes_with(None)
-
-    def test_per_collective_degrade_override_in_strict_plan(self, dataset):
-        # The documented combo: a plan that stalls its compute rounds but
-        # degrades a diagnostic collective.  The payload builds one buffer
-        # per worker; the executor slices it to the surviving membership.
-        from repro.distributed.schedule import Collective
-
-        def charged_value(worker, ctx):
-            # Consume FLOPs so the local round has nonzero modelled time.
-            worker.objective.value(np.zeros(worker.dim))
-            return float(worker.worker_id + 1)
-
-        # Find the modelled time at which the local round ends, so the crash
-        # lands between the local step and the collective.
-        base = SimulatedCluster(dataset, 4, random_state=0)
-        base_plan = RoundPlan("timing-probe")
-        base_plan.local("vals", charged_value)
-        execute_plan(base, base_plan)
-        after_local = base.clock.time
-        assert after_local > 0.0
-
-        cluster = SimulatedCluster(
-            dataset, 4,
-            faults=FailureModel(crash_at_time={3: after_local}),
-            random_state=0,
-        )
-        plan = RoundPlan("stall-plan-degrade-gather", on_failure="stall")
-        plan.local("vals", charged_value)
-        plan.add(
-            Collective(
-                "total", "reduce_scalar", lambda ctx: ctx["vals"],
-                on_failure="degrade",
-            )
-        )
-        plan.returns("total")
-        execution = execute_plan(cluster, plan)
-        # Worker 3's buffer (4.0) is sliced out of the degraded collective.
-        assert execution.result == pytest.approx(1.0 + 2.0 + 3.0)
-
-    def test_degrade_drops_worker_down_at_the_collective_instant(self, dataset):
-        # A worker that crashes after finishing its compute but before the
-        # barrier is dropped from the collective: its contribution is in
-        # flight when it dies, and its frozen timeline is left untouched.
-        def charged_ones(worker, ctx):
-            worker.objective.value(np.zeros(worker.dim))
-            return np.ones(4)
-
-        base = SimulatedCluster(dataset, 4, random_state=0)
-        base_plan = RoundPlan("timing-probe")
-        base_plan.local("vals", charged_ones)
-        execute_plan(base, base_plan)
-        after_local = base.clock.time
-        assert after_local > 0.0
-
-        cluster = SimulatedCluster(
-            dataset, 4,
-            faults=FailureModel(crash_at_time={1: after_local}),
-            random_state=0,
-        )
-        plan = RoundPlan("degrade", on_failure="degrade")
-        plan.local("vals", charged_ones)
-        plan.allreduce("sum", lambda ctx: ctx["vals"])
-        plan.returns("sum")
-        execution = execute_plan(cluster, plan)
-        assert np.array_equal(execution.result, 3.0 * np.ones(4))
-        # The dead worker's timeline froze at the crash: no comm segment from
-        # the collective landed on it.
-        tl = cluster.engine.timeline(1)
-        assert all(seg.kind != "comm" for seg in tl.segments)
-
-    def test_crash_at_round_not_dropped_when_worker_sits_out(self):
-        # Arming uses >= so a worker absent from the configured round crashes
-        # at its next participating round instead of never.
-        injector = FailureModel(crash_at_round={1: 2}).start(4)
-        injector.begin_round([0, 1], 0.0)   # round 1: participates, no crash
-        injector.begin_round([0], 1.0)      # round 2: worker 1 sits out
-        injector.begin_round([0, 1], 2.0)   # round 3: armed now, at t=2.0
-        assert injector.is_down(1, 2.0)
-        assert injector.first_crash_in(1, 0.0, 10.0) == 2.0
-
-    def test_all_workers_lost_raises_even_degraded(self, dataset):
-        cluster = SimulatedCluster(
-            dataset, 2,
-            faults=FailureModel(crash_at_time={0: 0.0, 1: 0.0}),
-            random_state=0,
-        )
-        plan = RoundPlan("doomed", on_failure="degrade")
-        plan.local("vals", lambda worker, ctx: 1.0)
-        with pytest.raises(WorkerLostError):
-            execute_plan(cluster, plan)
 
 
 # ---------------------------------------------------------------------------
@@ -613,15 +426,17 @@ class TestGanttFaultMarkers:
         assert row.rstrip("|").endswith("x")
 
     def test_worker_lost_before_its_first_round_rendered_down(self, dataset):
-        # Crashed at t = 0 and never restarted: its whole timeline is downtime.
+        # Crashed at t = 0 and never restarted: its whole timeline is downtime
+        # while the quorum of the other three keeps the run going.
         cluster = SimulatedCluster(
             dataset, 4, faults=FailureModel(crash_at_time={1: 0.0}), random_state=0
         )
-        trace = NewtonADMM(
-            lam=1e-3, max_epochs=3, record_accuracy=False, on_failure="degrade"
+        trace = AsyncNewtonADMM(
+            lam=1e-3, max_epochs=6, quorum=3, record_accuracy=False
         ).fit(cluster)
-        down = {tl["worker_id"]: tl["down"] for tl in trace.info["timelines"]}
-        assert down[1] == trace.final.modelled_time > 0
+        rows = trace.info["timelines"]
+        down = {tl["worker_id"]: tl["down"] for tl in rows}
+        assert down[1] == max(tl["total"] for tl in rows) > 0
         row = next(
             line for line in plot_gantt(trace, width=40).splitlines()
             if line.startswith("w1")
@@ -660,12 +475,15 @@ class TestHarnessFaults:
     def test_cli_rejects_bad_spec(self):
         from repro.harness.cli import main
 
-        lines = []
-        code = main(
-            ["run", "table1", "--faults", "nonsense"], print_fn=lines.append
-        )
-        assert code == 2
-        assert any("error" in line for line in lines)
+        # Garbage and the tokens of removed features are rejected up front.
+        for spec in ("nonsense", "mtbf=1", "corr=0.5", "group=0+1", "ckpt=5",
+                     "seed=3", "0@r2"):
+            lines = []
+            code = main(
+                ["run", "table1", "--faults", spec], print_fn=lines.append
+            )
+            assert code == 2, spec
+            assert any("error" in line and spec in line for line in lines), spec
 
     def test_cluster_describe_serializes_faults(self, dataset):
         import json

@@ -1,7 +1,6 @@
-"""Fault model v2 tests: network partitions (link loss distinct from node
-loss), correlated failure groups, checkpoint-cost restarts, the extended
-``--faults`` spec grammar (duplicate/garbled-token diagnostics and the
-spec→describe roundtrip), and the Gantt partition markers."""
+"""Fault model tests for network partitions (link loss distinct from node
+loss), the ``--faults`` spec grammar (duplicate/garbled-token diagnostics and
+the spec→describe roundtrip), and the Gantt partition markers."""
 
 import json
 import math
@@ -16,7 +15,6 @@ from repro.datasets.synthetic import make_multiclass_gaussian
 from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.engine import EventEngine
 from repro.distributed.faults import (
-    CheckpointModel,
     FailureModel,
     PartitionError,
     PartitionModel,
@@ -48,7 +46,7 @@ def _partition_faults(nofault_trace, worker=1, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# PartitionModel / CheckpointModel units
+# PartitionModel units
 # ---------------------------------------------------------------------------
 class TestPartitionModel:
     def test_windows_and_heal(self):
@@ -100,43 +98,21 @@ class TestPartitionModel:
         assert FailureModel(
             partitions=PartitionModel(cuts=[((0,), 1.0, 2.0)])
         ).active
-        # A checkpoint model alone triggers nothing.
-        assert not FailureModel(checkpoint=CheckpointModel(interval=1.0)).active
-
-
-class TestCheckpointModel:
-    def test_recovery_math(self):
-        ckpt = CheckpointModel(interval=10.0, write_cost=1.0, restore_cost=2.0)
-        assert ckpt.last_durable(25.0) == 20.0
-        assert ckpt.last_durable(20.5) == 10.0  # t=20 write not finished
-        assert ckpt.last_durable(5.0) == 0.0
-        assert ckpt.recovery_seconds(25.0) == pytest.approx(7.0)
-        assert ckpt.recovery_seconds(0.0) == pytest.approx(2.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CheckpointModel(interval=0.0)
-        with pytest.raises(ValueError):
-            CheckpointModel(interval=1.0, write_cost=-1.0)
-        with pytest.raises(ValueError):
-            CheckpointModel(interval=1.0, restore_cost=-1.0)
 
 
 # ---------------------------------------------------------------------------
-# Spec grammar v2 (satellite: duplicates + garbled tokens + roundtrip)
+# Spec grammar: duplicates, garbled tokens, roundtrip
 # ---------------------------------------------------------------------------
 class TestSpecV2:
     def test_duplicate_crash_schedule_raises_naming_the_token(self):
         with pytest.raises(ValueError, match=r"duplicate crash schedule for worker 0"):
-            FailureModel.from_spec("0@2.5,0@r3")
+            FailureModel.from_spec("0@2.5,0@3")
         with pytest.raises(ValueError, match=r"'w1@4\.0'"):
             FailureModel.from_spec("1@2.5,w1@4.0")
 
     def test_duplicate_scalar_keys_raise(self):
-        for spec in ("mtbf=1,mtbf=2", "restart=1,restart=2", "seed=1,seed=2",
-                     "corr=0.1,corr=0.2", "ckpt=1,ckpt=2"):
-            with pytest.raises(ValueError, match="duplicate fault-spec key"):
-                FailureModel.from_spec(spec)
+        with pytest.raises(ValueError, match="duplicate fault-spec key"):
+            FailureModel.from_spec("restart=1,restart=2")
 
     def test_garbled_tokens_name_the_offending_token(self):
         cases = {
@@ -145,56 +121,41 @@ class TestSpecV2:
             "w@5": "'w@5'",
             "part=0@nope": "'part=0@nope'",
             "part=0": "'part=0'",
-            "group=": "'group='",
-            "ckpt=1/2/3/4": "'ckpt=1/2/3/4'",
+            "part=@1-2": "'part=@1-2'",
             "frequency=3": "'frequency=3'",
         }
         for spec, token in cases.items():
-            with pytest.raises(ValueError, match=token.replace("/", "/")):
+            with pytest.raises(ValueError, match=token):
                 FailureModel.from_spec(spec)
 
     def test_v2_tokens_parse(self):
         model = FailureModel.from_spec(
-            "0@2.5,part=1+2@3.0-5.0,part=3@6.0-inf,group=0+1,group=2+3,"
-            "corr=0.8,ckpt=10/0.1/0.5,restart=1.0,seed=7"
+            "0@2.5,part=1+2@3.0-5.0,part=3@6.0-inf,restart=1.0"
         )
         assert model.crash_at_time == {0: 2.5}
         assert model.partitions.cuts == (
             ((1, 2), 3.0, 5.0),
             ((3,), 6.0, float("inf")),
         )
-        assert model.groups == ((0, 1), (2, 3))
-        assert model.correlation == 0.8
-        assert model.checkpoint == CheckpointModel(10.0, 0.1, 0.5)
-        assert model.random_state == 7
         # Equality with the constructor form.
         assert model == FailureModel(
             crash_at_time={0: 2.5},
             partitions=PartitionModel(
                 cuts=[((1, 2), 3.0, 5.0), ((3,), 6.0, float("inf"))]
             ),
-            groups=[[0, 1], [2, 3]],
-            correlation=0.8,
-            checkpoint=CheckpointModel(10.0, 0.1, 0.5),
             restart_after=1.0,
-            random_state=7,
         )
 
     def test_spec_describe_roundtrip(self):
-        spec = "0@2.5,w1@r3,part=2@3.0-5.0,group=0+1,corr=0.5,ckpt=4/0.2/0.3,restart=1.0,seed=9"
+        spec = "0@2.5,w1@3,part=2@3.0-5.0,restart=1.0"
         described = FailureModel.from_spec(spec).describe()
-        assert described["crash_at_time"] == {"0": 2.5}
-        assert described["crash_at_round"] == {"1": 3}
-        assert described["groups"] == [[0, 1]]
-        assert described["correlation"] == 0.5
-        assert described["partitions"] == {
-            "cuts": [{"workers": [2], "start": 3.0, "end": 5.0}]
+        assert described == {
+            "crash_at_time": {"0": 2.5, "1": 3.0},
+            "restart_after": 1.0,
+            "partitions": {
+                "cuts": [{"workers": [2], "start": 3.0, "end": 5.0}]
+            },
         }
-        assert described["checkpoint"] == {
-            "interval": 4.0, "write_cost": 0.2, "restore_cost": 0.3
-        }
-        assert described["restart_after"] == 1.0
-        assert described["random_state"] == 9
         json.dumps(described)  # stays JSON-safe
 
     def test_plain_cut_sequence_is_wrapped(self):
@@ -212,9 +173,7 @@ class TestSpecV2:
         # point at the offending token, not just the model validation.
         for spec, token in {
             "part=0@5-2": "part=0@5-2",
-            "corr=1.5": "corr=1.5",
-            "group=0+0": "group=0\\+0",
-            "ckpt=0": "ckpt=0",
+            "part=0@-1-2": "part=0@-1-2",
         }.items():
             with pytest.raises(ValueError, match=token):
                 FailureModel.from_spec(spec)
@@ -257,22 +216,6 @@ class TestPartitionSyncPolicies:
         kinds = [e["kind"] for e in trace.info["faults"]["events"]]
         assert kinds == ["partition", "heal"]
 
-    def test_stall_times_identical_across_engines(self, dataset, nofault_trace):
-        traces = {}
-        for mode in ("lockstep", "event"):
-            cluster = SimulatedCluster(
-                dataset, 4, faults=_partition_faults(nofault_trace),
-                engine=mode, random_state=0,
-            )
-            traces[mode] = NewtonADMM(
-                lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
-            ).fit(cluster)
-        assert np.array_equal(traces["lockstep"].final_w, traces["event"].final_w)
-        assert (
-            traces["lockstep"].final.modelled_time
-            == traces["event"].final.modelled_time
-        )
-
     def test_stall_on_a_never_healing_cut_raises(self, dataset, nofault_trace):
         lo, _ = _window(nofault_trace)
         cluster = SimulatedCluster(
@@ -287,20 +230,6 @@ class TestPartitionSyncPolicies:
                 lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="stall"
             ).fit(cluster)
 
-    def test_degrade_policy_excludes_cut_worker_then_rejoins(
-        self, dataset, nofault_trace
-    ):
-        cluster = SimulatedCluster(
-            dataset, 4, faults=_partition_faults(nofault_trace),
-            engine="event", random_state=0,
-        )
-        trace = NewtonADMM(
-            lam=1e-3, max_epochs=6, record_accuracy=False, on_failure="degrade"
-        ).fit(cluster)
-        kinds = [e["kind"] for e in trace.info["faults"]["events"]]
-        assert kinds == ["partition", "heal"]
-        assert np.isfinite(trace.final.objective)
-
     def test_unreachable_timeline_segments_on_event_engine(
         self, dataset, nofault_trace
     ):
@@ -314,39 +243,6 @@ class TestPartitionSyncPolicies:
         kinds = {s.kind for s in cluster.engine.timeline(1).segments}
         assert "unreachable" in kinds
         assert "down" not in kinds  # the worker never crashed
-
-    def test_stall_override_in_degraded_plan_waits_for_offmember_cut(
-        self, dataset
-    ):
-        # A cut worker excluded from the degraded membership still blocks a
-        # per-collective "stall" override: the guard stalls for the heal
-        # (instead of the Communicator backstop aborting) and the collective
-        # then runs over the membership its buffers were built for.
-        from repro.distributed.schedule import (
-            Collective,
-            RoundPlan,
-            execute_plan,
-        )
-
-        cluster = SimulatedCluster(
-            dataset, 4,
-            faults=FailureModel(
-                partitions=PartitionModel(cuts=[((0,), 0.0, 1.0)])
-            ),
-            random_state=0,
-        )
-        plan = RoundPlan("degrade-then-stall", on_failure="degrade")
-        plan.local("vals", lambda worker, ctx: float(worker.worker_id + 1))
-        plan.add(
-            Collective(
-                "total", "reduce_scalar", lambda ctx: ctx["vals"],
-                on_failure="stall",
-            )
-        )
-        plan.returns("total")
-        execution = execute_plan(cluster, plan)
-        assert execution.result == pytest.approx(2.0 + 3.0 + 4.0)
-        assert cluster.clock.category("stall") >= 1.0
 
     def test_communicator_backstop_raises_across_a_cut(self, dataset):
         # Imperative comm calls (no plan guard) cannot silently cross a cut.
@@ -366,9 +262,7 @@ class TestPartitionSyncPolicies:
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 class TestInactiveV2ModelsAreInvisible:
-    def test_sync_bit_identical_with_armed_partition_and_checkpoint(
-        self, dataset
-    ):
+    def test_sync_bit_identical_with_armed_partition(self, dataset):
         def run(faults):
             cluster = SimulatedCluster(
                 dataset, 4, faults=faults, engine="event", random_state=0
@@ -379,13 +273,7 @@ class TestInactiveV2ModelsAreInvisible:
 
         plain = run(None)
         armed = run(
-            FailureModel(
-                partitions=PartitionModel(cuts=[((0,), 1e9, 2e9)]),
-                checkpoint=CheckpointModel(interval=1.0, write_cost=0.1,
-                                           restore_cost=0.5),
-                groups=[[0, 1]],
-                correlation=0.9,
-            )
+            FailureModel(partitions=PartitionModel(cuts=[((0,), 1e9, 2e9)]))
         )
         assert np.array_equal(plain.final_w, armed.final_w)
         for a, b in zip(plain.records, armed.records):
@@ -403,10 +291,7 @@ class TestInactiveV2ModelsAreInvisible:
 
         plain = run(None)
         armed = run(
-            FailureModel(
-                partitions=PartitionModel(cuts=[((0,), 1e9, 2e9)]),
-                checkpoint=CheckpointModel(interval=1.0, restore_cost=0.5),
-            )
+            FailureModel(partitions=PartitionModel(cuts=[((0,), 1e9, 2e9)]))
         )
         assert np.array_equal(plain.final_w, armed.final_w)
         assert plain.final.modelled_time == armed.final.modelled_time
@@ -551,187 +436,7 @@ class TestPartitionAsyncRideThrough:
 
 
 # ---------------------------------------------------------------------------
-# Correlated failures (rack-level blast radius)
-# ---------------------------------------------------------------------------
-class TestCorrelatedFailures:
-    def test_certain_correlation_co_crashes_the_group(self, nofault_trace):
-        crash = 0.35 * nofault_trace.final.modelled_time
-        inj = FailureModel(
-            crash_at_time={0: crash}, groups=[[0, 1]], correlation=1.0
-        ).start(4)
-        assert inj.is_down(0, crash) and inj.is_down(1, crash)
-        assert not inj.is_down(2, crash) and not inj.is_down(3, crash)
-
-    def test_zero_correlation_never_co_crashes(self, nofault_trace):
-        crash = 0.35 * nofault_trace.final.modelled_time
-        inj = FailureModel(
-            crash_at_time={0: crash}, groups=[[0, 1]], correlation=0.0
-        ).start(4)
-        assert inj.is_down(0, crash) and not inj.is_down(1, crash)
-
-    def test_co_crash_schedule_is_deterministic_and_order_independent(self):
-        def make():
-            return FailureModel(
-                mtbf=10.0, groups=[[0, 1], [2, 3]], correlation=0.5,
-                restart_after=1.0, random_state=3,
-            ).start(4)
-
-        a, b = make(), make()
-        for wid in (3, 2, 1, 0):  # query b in reverse order
-            b.first_crash_in(wid, 0.0, 200.0)
-        for wid in range(4):
-            assert (
-                a.first_crash_in(wid, 0.0, 200.0)
-                == b.first_crash_in(wid, 0.0, 200.0)
-            )
-
-    def test_co_crash_events_are_tagged_with_the_primary(
-        self, dataset, nofault_trace
-    ):
-        crash = 0.35 * nofault_trace.final.modelled_time
-        downtime = 0.3 * nofault_trace.final.modelled_time
-        trace = AsyncNewtonADMM(
-            lam=1e-3, max_epochs=20, quorum=2, record_accuracy=False
-        ).fit(
-            SimulatedCluster(
-                dataset, 4,
-                faults=FailureModel(
-                    crash_at_time={0: crash}, groups=[[0, 1]],
-                    correlation=1.0, restart_after=downtime,
-                ),
-                random_state=0,
-            )
-        )
-        events = trace.info["faults"]["events"]
-        co = [e for e in events if e["kind"] == "co-crash"]
-        assert len(co) == 1
-        assert co[0]["worker_id"] == 1 and co[0]["with"] == 0
-
-    def test_whole_cluster_group_collapse_raises(self, dataset, nofault_trace):
-        crash = 0.35 * nofault_trace.final.modelled_time
-        with pytest.raises(WorkerLostError, match="no surviving workers"):
-            AsyncNewtonADMM(
-                lam=1e-3, max_epochs=20, record_accuracy=False
-            ).fit(
-                SimulatedCluster(
-                    dataset, 4,
-                    faults=FailureModel(
-                        crash_at_time={0: crash},
-                        groups=[[0, 1, 2, 3]],
-                        correlation=1.0,
-                    ),
-                    random_state=0,
-                )
-            )
-
-    def test_group_validation(self):
-        with pytest.raises(ValueError):
-            FailureModel(groups=[[0]])
-        with pytest.raises(ValueError):
-            FailureModel(groups=[[0, -1]])
-        with pytest.raises(ValueError):
-            FailureModel(groups=[[0, 1]], correlation=1.5)
-
-
-# ---------------------------------------------------------------------------
-# Checkpoint-cost restarts: "stall" is no longer free
-# ---------------------------------------------------------------------------
-@pytest.mark.slow
-class TestCheckpointRecovery:
-    def test_stall_charges_restore_plus_replay(self, dataset, nofault_trace):
-        total = nofault_trace.final.modelled_time
-        crash, downtime = 0.35 * total, 0.3 * total
-
-        def run(checkpoint):
-            cluster = SimulatedCluster(
-                dataset, 4,
-                faults=FailureModel(
-                    crash_at_time={1: crash}, restart_after=downtime,
-                    checkpoint=checkpoint,
-                ),
-                engine="event", random_state=0,
-            )
-            return NewtonADMM(
-                lam=1e-3, max_epochs=6, record_accuracy=False,
-                on_failure="stall",
-            ).fit(cluster)
-
-        free = run(None)
-        # Single durable checkpoint at t=0: replay the whole prefix.
-        ckpt = CheckpointModel(
-            interval=10.0 * total, write_cost=0.0, restore_cost=0.2 * total
-        )
-        paid = run(ckpt)
-        assert np.array_equal(paid.final_w, free.final_w)
-        extra = paid.final.modelled_time - free.final.modelled_time
-        assert extra >= 0.99 * (0.2 * total + crash)
-        kinds = [e["kind"] for e in paid.info["faults"]["events"]]
-        assert kinds == ["crash", "restart", "restore"]
-
-    def test_recovery_identical_across_engines(self, dataset, nofault_trace):
-        total = nofault_trace.final.modelled_time
-        traces = {}
-        for mode in ("lockstep", "event"):
-            cluster = SimulatedCluster(
-                dataset, 4,
-                faults=FailureModel(
-                    crash_at_time={1: 0.35 * total},
-                    restart_after=0.3 * total,
-                    checkpoint=CheckpointModel(
-                        interval=0.25 * total, restore_cost=0.1 * total
-                    ),
-                ),
-                engine=mode, random_state=0,
-            )
-            traces[mode] = NewtonADMM(
-                lam=1e-3, max_epochs=6, record_accuracy=False,
-                on_failure="stall",
-            ).fit(cluster)
-        assert (
-            traces["lockstep"].final.modelled_time
-            == traces["event"].final.modelled_time
-        )
-        assert np.array_equal(
-            traces["lockstep"].final_w, traces["event"].final_w
-        )
-
-    def test_async_revival_pays_recovery_before_next_cycle(
-        self, dataset, nofault_trace
-    ):
-        total = nofault_trace.final.modelled_time
-        crash, downtime = 0.3 * total, 0.2 * total
-
-        def run(checkpoint):
-            cluster = SimulatedCluster(
-                dataset, 4,
-                faults=FailureModel(
-                    crash_at_time={1: crash}, restart_after=downtime,
-                    checkpoint=checkpoint,
-                ),
-                random_state=0,
-            )
-            trace = AsyncNewtonADMM(
-                lam=1e-3, max_epochs=20, quorum=3, record_accuracy=False
-            ).fit(cluster)
-            return trace
-
-        free = run(None)
-        paid = run(
-            CheckpointModel(interval=10.0 * total, restore_cost=0.2 * total)
-        )
-        kinds = [e["kind"] for e in paid.info["faults"]["events"]]
-        assert "restore" in kinds
-        # The restore segment lands on the revived worker's timeline.
-        row = next(r for r in paid.info["timelines"] if r["worker_id"] == 1)
-        labels = {seg["label"] for seg in row["segments"]}
-        assert "restore" in labels
-        assert np.isfinite(paid.final.objective) and np.isfinite(
-            free.final.objective
-        )
-
-
-# ---------------------------------------------------------------------------
-# Gantt markers for the new event kinds
+# Gantt markers for partition events
 # ---------------------------------------------------------------------------
 class TestGanttPartitionMarkers:
     @pytest.fixture(scope="class")

@@ -233,7 +233,7 @@ class TestWallClock:
 # Chaos: kill -9 a live worker
 # ---------------------------------------------------------------------------
 class TestChaos:
-    @pytest.mark.parametrize("policy", ["raise", "stall", "degrade"])
+    @pytest.mark.parametrize("policy", ["raise", "stall"])
     def test_sigkill_raises_structured_loss(self, policy, dataset):
         cluster = SimulatedCluster(
             dataset, N_WORKERS, loss="softmax", engine="process", random_state=0
@@ -253,8 +253,6 @@ class TestChaos:
             assert f"policy '{policy}'" in str(error)
             if policy == "stall":
                 assert "cannot restart" in str(error)
-            if policy == "degrade":
-                assert "degraded membership" in str(error)
         finally:
             cluster.close()
 
