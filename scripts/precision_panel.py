@@ -16,8 +16,7 @@ per solver:
 The problems are ``python3 -m bench``'s: ``mnist_like`` on two workers with
 ``lam = 1e-5``; 10 epochs and the dense target ``0.007 ln C`` for the
 second-order solvers, 24 epochs and the SGD target ``0.12 ln C`` for the
-SGDs.  CoCoA is binary-only, so it runs on ``higgs_like`` with the logistic
-loss (target ``0.6 ln 2``).
+SGDs.
 
 Usage::
 
@@ -46,8 +45,6 @@ SCHEDULE = {
     "giant": (10, 0.007),
     "inexact_dane": (10, 0.007),
     "aide": (10, 0.007),
-    "disco": (10, 0.007),
-    "cocoa": (10, 0.6),
     "sync_sgd": (24, 0.12),
     "async_sgd": (24, 0.12),
 }
@@ -68,20 +65,12 @@ def run(name, seed, precision, sizes):
     from repro import SimulatedCluster, load_dataset
     from repro.harness.runner import SOLVER_REGISTRY
 
-    cocoa = name == "cocoa"
     n_train, n_test = sizes
     train, _ = load_dataset(
-        "higgs_like" if cocoa else "mnist_like",
-        n_train=n_train,
-        n_test=n_test,
-        random_state=seed,
+        "mnist_like", n_train=n_train, n_test=n_test, random_state=seed
     )
     cluster = SimulatedCluster(
-        train,
-        N_WORKERS,
-        loss="logistic" if cocoa else "softmax",
-        precision=precision,
-        random_state=seed,
+        train, N_WORKERS, precision=precision, random_state=seed
     )
     cls = SOLVER_REGISTRY[name]
     kwargs = {"lam": LAM, "max_epochs": SCHEDULE[name][0], "record_accuracy": False}

@@ -21,8 +21,8 @@ The package is organized as:
   numerical substrates;
 * :mod:`repro.distributed` — the simulated cluster (network/device cost
   models, collectives, workers);
-* :mod:`repro.baselines` — GIANT, InexactDANE, AIDE, DiSCO, CoCoA and
-  synchronous SGD;
+* :mod:`repro.baselines` — GIANT, InexactDANE, AIDE and synchronous
+  SGD;
 * :mod:`repro.harness` — experiment drivers that regenerate every table and
   figure of the paper.
 """
@@ -39,8 +39,6 @@ from repro.backend import (
 from repro.baselines import (
     AIDE,
     AsynchronousSGD,
-    CoCoA,
-    DiSCO,
     GIANT,
     InexactDANE,
     SynchronousSGD,
@@ -81,8 +79,6 @@ __all__ = [
     "GIANT",
     "InexactDANE",
     "AIDE",
-    "DiSCO",
-    "CoCoA",
     "SynchronousSGD",
     "AsynchronousSGD",
     "NewtonCG",

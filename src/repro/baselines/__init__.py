@@ -1,6 +1,6 @@
 """Distributed baselines the paper compares Newton-ADMM against.
 
-Second-order: GIANT, InexactDANE, AIDE, DiSCO, CoCoA.
+Second-order: GIANT, InexactDANE, AIDE.
 First-order: synchronous mini-batch SGD, plus the asynchronous parameter-server
 variant the paper dismisses for its stale-gradient convergence penalty.
 
@@ -12,8 +12,6 @@ so the harness can build every figure from interchangeable runs.
 from repro.baselines.giant import GIANT
 from repro.baselines.dane import InexactDANE
 from repro.baselines.aide import AIDE
-from repro.baselines.disco import DiSCO
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.baselines.async_sgd import AsynchronousSGD
 
@@ -21,8 +19,6 @@ __all__ = [
     "GIANT",
     "InexactDANE",
     "AIDE",
-    "DiSCO",
-    "CoCoA",
     "SynchronousSGD",
     "AsynchronousSGD",
 ]

@@ -40,7 +40,6 @@ from repro.distributed.faults import (
 from repro.distributed.engine import Event, EventEngine
 from repro.distributed.schedule import (
     Collective,
-    DynamicStep,
     GlobalStep,
     LocalStep,
     PlanExecution,
@@ -77,7 +76,6 @@ __all__ = [
     "Event",
     "EventEngine",
     "Collective",
-    "DynamicStep",
     "GlobalStep",
     "LocalStep",
     "PlanExecution",

@@ -3,16 +3,14 @@
 ``SimulatedCluster`` owns the data sharding, one :class:`Worker` per node, a
 :class:`Communicator` over a configurable interconnect, and the two clocks
 (measured wall time, modelled cluster time).  Distributed solvers are written
-against this object only, so swapping the interconnect or device model — or
-the executor used to actually run the per-worker work — never touches
-algorithm code.
+against this object only, so swapping the interconnect, the device model or
+the execution engine never touches algorithm code.
 """
 
 from __future__ import annotations
 
 import inspect
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
@@ -126,10 +124,6 @@ class SimulatedCluster:
         worker to simulate a heterogeneous cluster.
     sharding:
         Row-partitioning strategy (see :mod:`repro.datasets.sharding`).
-    executor:
-        ``"serial"`` (default) or ``"threads"`` — how per-worker work is
-        actually executed.  Results are identical; threads only change real
-        wall-clock.
     straggler:
         Optional :class:`~repro.distributed.stragglers.StragglerModel` that
         multiplies per-worker modelled compute times by sampled slowdowns at
@@ -162,10 +156,9 @@ class SimulatedCluster:
         :mod:`repro.distributed.process_engine`): iterates and modelled
         times stay bit-identical to ``"event"``, and measured wall-clock
         timelines are attached to ``trace.info["wall_clock"]``.  The process
-        engine requires the NumPy backend, the serial executor, and no
-        modelled straggler/fault models (real processes fail for real —
-        kill one and the run raises a structured
-        :class:`~repro.distributed.faults.WorkerLostError`).
+        engine requires the NumPy backend and no modelled straggler/fault
+        models (real processes fail for real — kill one and the run raises a
+        structured :class:`~repro.distributed.faults.WorkerLostError`).
     shards:
         Internal (process engine): pre-computed shards for a rank-local
         replica, skipping :func:`~repro.datasets.sharding.shard_indices` so
@@ -185,8 +178,6 @@ class SimulatedCluster:
         network: Optional[NetworkModel] = None,
         device: Union[DeviceModel, Sequence[DeviceModel], None] = None,
         sharding: str = "stratified",
-        executor: str = "serial",
-        max_threads: Optional[int] = None,
         straggler: Optional[StragglerModel] = None,
         faults: Optional[FailureModel] = None,
         backend: BackendLike = None,
@@ -197,28 +188,19 @@ class SimulatedCluster:
     ):
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
-        if executor not in ("serial", "threads"):
-            raise ValueError(
-                f"executor must be 'serial' or 'threads', got {executor!r}"
-            )
         engine = resolve_engine(engine)
         self.train = train
         self.n_workers = int(n_workers)
         self.backend: ArrayBackend = get_backend(backend)
         self.precision = resolve_precision(precision) or "mixed"
         if engine == "process":
-            # Real parallelism composes with neither the modelled perturbation
-            # models (stragglers/faults live in simulated time) nor the thread
-            # executor, and the shared-memory shard handoff is NumPy-only.
+            # Real parallelism does not compose with the modelled perturbation
+            # models (stragglers/faults live in simulated time), and the
+            # shared-memory shard handoff is NumPy-only.
             if self.backend.name != "numpy":
                 raise ValueError(
                     "engine='process' requires the numpy backend (shared-"
                     f"memory shard handoff), got backend {self.backend.name!r}"
-                )
-            if executor != "serial":
-                raise ValueError(
-                    "engine='process' already parallelizes across OS "
-                    "processes; executor must be 'serial'"
                 )
             if straggler is not None:
                 raise ValueError(
@@ -252,8 +234,6 @@ class SimulatedCluster:
         self.fault_state = faults.start(self.n_workers) if faults is not None else None
         # Per-plan fault policy; execute_plan swaps it via fault_policy().
         self._fault_policy = "raise"
-        self.executor = executor
-        self.max_threads = max_threads
         # Provenance: record how the rows were partitioned ("explicit" when
         # pre-built shards were handed in and no strategy ran).
         self.sharding = sharding if shards is None else "explicit"
@@ -394,20 +374,14 @@ class SimulatedCluster:
         return [fn(w) for w in self.workers]
 
     # -- execution -------------------------------------------------------
-    def map_workers(
-        self,
-        fn: Callable[[Worker], object],
-        *,
-        advance_clock: bool = True,
-        workers: Optional[Sequence[Worker]] = None,
-    ) -> List[object]:
+    def map_workers(self, fn: Callable[[Worker], object]) -> List[object]:
         """Run ``fn(worker)`` on every worker and advance the modelled clock.
 
         The modelled compute time charged is the *maximum* over workers of the
         FLOPs each one consumed during ``fn`` (they run in parallel on the
         modelled cluster), which is what the paper's epoch times measure.
         """
-        targets = list(self.workers if workers is None else workers)
+        targets = self.workers
         for w in targets:
             w.mark_flops()
 
@@ -416,27 +390,19 @@ class SimulatedCluster:
             # SPMD process mode: compute this rank's worker only, allgather
             # (result, modelled time, flops) triples over the real transport,
             # and drive the same event-engine accounting as every other rank.
-            return role.map_workers(self, fn, targets, advance_clock)
+            return role.map_workers(self, fn)
 
-        if self.executor == "threads" and len(targets) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_threads or len(targets)) as pool:
-                results = list(pool.map(fn, targets))
+        results = [fn(w) for w in targets]
+        times = [w.modelled_compute_time() for w in targets]
+        if self.straggler is not None:
+            factors = self.straggler.factors_for(
+                [w.worker_id for w in targets], self.n_workers
+            )
+            times = [t * f for t, f in zip(times, factors)]
+        if self.fault_state is not None:
+            self._apply_round_faults(targets, times)
         else:
-            results = [fn(w) for w in targets]
-
-        if advance_clock:
-            times = [w.modelled_compute_time() for w in targets]
-            if self.straggler is not None:
-                # Factors are keyed by worker_id (not position), so persistent
-                # stragglers hit the named workers even on subset rounds.
-                factors = self.straggler.factors_for(
-                    [w.worker_id for w in targets], self.n_workers
-                )
-                times = [t * f for t, f in zip(times, factors)]
-            if self.fault_state is not None:
-                self._apply_round_faults(targets, times)
-            else:
-                self._advance_round_clock(targets, times)
+            self._advance_round_clock(targets, times)
         return results
 
     def _advance_round_clock(self, targets: Sequence[Worker], times: Sequence[float]) -> None:
@@ -711,8 +677,6 @@ class SimulatedCluster:
             "precision": self.precision,
             "engine": self.engine_mode,
             "sharding": self.sharding,
-            "executor": self.executor,
-            "max_threads": self.max_threads,
             "random_state": self.random_state,
             "worker_sizes": self.worker_sizes(),
             "straggler": (

@@ -574,39 +574,22 @@ class ProcessRole:
     def deactivate(self) -> None:
         self.transport.active = False
 
-    def map_workers(self, cluster, fn, targets, advance_clock: bool) -> List[Any]:
-        local = next(
-            (w for w in targets if w.worker_id == self.rank), None
+    def map_workers(self, cluster, fn) -> List[Any]:
+        local = cluster.workers[self.rank]
+        t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
+        result = fn(local)
+        self.wall.advance(time.perf_counter() - t0, "busy", "map_workers")  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
+        entries = self.transport.allgather(
+            (result, local.modelled_compute_time(), local.flops_since_mark()),
+            label="map_workers",
         )
-        payload = None
-        if local is not None:
-            t0 = time.perf_counter()  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-            result = fn(local)
-            self.wall.advance(time.perf_counter() - t0, "busy", "map_workers")  # repro-lint: ignore[RPR002] measured wall-clock is this engine's contract
-            payload = (
-                result,
-                local.modelled_compute_time(),
-                local.flops_since_mark(),
-            )
-        gathered = self.transport.allgather(payload, label="map_workers")
-        entries = []
-        for w in targets:
-            entry = gathered[w.worker_id]
-            if entry is None:  # pragma: no cover - defensive SPMD check
-                raise ProcessTransportError(
-                    f"rank {w.worker_id} produced no result for a local round "
-                    "— the replicas diverged"
-                )
-            entries.append(entry)
         if cluster._process_flops is None:
             cluster._process_flops = np.zeros(cluster.n_workers)
-        for w, (_, _, flops) in zip(targets, entries):
-            cluster._process_flops[w.worker_id] += flops
-        if advance_clock:
-            cluster.engine.run_round(
-                {w.worker_id: t for w, (_, t, _) in zip(targets, entries)},
-                category="compute",
-            )
+        for wid, (_, _, flops) in enumerate(entries):
+            cluster._process_flops[wid] += flops
+        cluster.engine.run_round(
+            {wid: t for wid, (_, t, _) in enumerate(entries)}, category="compute"
+        )
         return [result for result, _, _ in entries]
 
 

@@ -1,11 +1,11 @@
 """Declarative round-schedule IR: compile a solver epoch into an engine plan.
 
 The paper's central systems claim is *schedule-shaped*: Newton-ADMM needs one
-communication round per outer iteration where GIANT needs three and DiSCO one
-per CG matvec.  Before this module, every distributed solver encoded its
-schedule imperatively — ad-hoc ``cluster.map_workers`` and ``cluster.comm.*``
-calls whose round count was an emergent property of call order.  The IR here
-makes the round structure a first-class, inspectable object:
+communication round per outer iteration where GIANT needs three.  Before this
+module, every distributed solver encoded its schedule imperatively — ad-hoc
+``cluster.map_workers`` and ``cluster.comm.*`` calls whose round count was an
+emergent property of call order.  The IR here makes the round structure a
+first-class, inspectable object:
 
 ``LocalStep``
     One parallel compute phase: a per-worker thunk ``fn(worker, ctx)`` whose
@@ -30,18 +30,13 @@ makes the round structure a first-class, inspectable object:
     per-mini-batch round): declared counts multiply through while the
     description stays one body long.
 
-``DynamicStep``
-    Escape hatch for data-dependent inner loops (DiSCO's distributed CG runs
-    one allreduce per matvec until convergence): the thunk receives the
-    cluster and may issue rounds itself.  A plan containing one cannot declare
-    a static round count; its collectives are still logged and reported.
-
 A :class:`RoundPlan` is an ordered list of steps plus an initial context.
 :func:`execute_plan` runs it against a :class:`SimulatedCluster` on any
 engine (the steps call the same ``map_workers`` / ``comm`` primitives the
 imperative code called, so iterates and modelled times are bit-identical)
 and *checks the declared structure*: if the observed communication rounds
-differ from the plan's declared count, a :class:`ScheduleError` is raised.
+or collectives differ from the plan's declared counts, a
+:class:`ScheduleError` is raised.
 ``RunTrace.info["schedule"]`` records the declared plan and the per-epoch
 observations for the harness and plotting to consume.
 """
@@ -83,8 +78,6 @@ class LocalStep:
     name: str
     fn: Callable[..., Any]
     label: str = "compute"
-    #: optional subset of worker ids (default: every worker)
-    workers: Optional[Sequence[int]] = None
 
     def describe(self) -> dict:
         return {"step": "local", "name": self.name, "label": self.label}
@@ -130,18 +123,6 @@ class GlobalStep:
 
 
 @dataclass
-class DynamicStep:
-    """Data-dependent section ``fn(cluster, ctx)`` issuing its own rounds."""
-
-    name: str
-    fn: Callable[..., Any]
-    rounds: str = "data-dependent"
-
-    def describe(self) -> dict:
-        return {"step": "dynamic", "name": self.name, "rounds": self.rounds}
-
-
-@dataclass
 class Repeat:
     """A body of steps executed ``times`` times (one trip through per round).
 
@@ -166,28 +147,12 @@ class Repeat:
         }
 
 
-Step = Union[LocalStep, Collective, GlobalStep, DynamicStep, Repeat]
+Step = Union[LocalStep, Collective, GlobalStep, Repeat]
 
 
 # ---------------------------------------------------------------------------
 # Introspection
 # ---------------------------------------------------------------------------
-def _count(steps: Sequence[Step], measure: Callable[[Collective], int]) -> Optional[int]:
-    """Sum ``measure`` over the collectives of ``steps``; ``None`` if dynamic."""
-    total = 0
-    for step in steps:
-        if isinstance(step, DynamicStep):
-            return None
-        if isinstance(step, Collective):
-            total += measure(step)
-        elif isinstance(step, Repeat):
-            inner = _count(step.steps, measure)
-            if inner is None:
-                return None
-            total += step.times * inner
-    return total
-
-
 def _tally(steps: Sequence[Step], counts: Callable[[Step], bool]) -> int:
     """Number of steps ``counts`` accepts, a :class:`Repeat` body counted
     ``times`` times (module-level: a self-recursive closure is a reference
@@ -258,12 +223,10 @@ class RoundPlan:
         fn: Callable[..., Any],
         *,
         label: str = "compute",
-        workers: Optional[Sequence[int]] = None,
     ) -> "RoundPlan":
         """Append a :class:`LocalStep`: run ``fn(worker, ctx)`` on every
-        worker (or the ``workers`` subset) in parallel; the list of results
-        binds to ``ctx[name]``."""
-        return self.add(LocalStep(name, fn, label=label, workers=workers))
+        worker in parallel; the list of results binds to ``ctx[name]``."""
+        return self.add(LocalStep(name, fn, label=label))
 
     def collective(
         self,
@@ -316,17 +279,6 @@ class RoundPlan:
         whose return value binds to ``ctx[name]`` when named."""
         return self.add(GlobalStep(fn, name=name))
 
-    def dynamic(
-        self,
-        name: str,
-        fn: Callable[..., Any],
-        *,
-        rounds: str = "data-dependent",
-    ) -> "RoundPlan":
-        """Append a :class:`DynamicStep` ``fn(cluster, ctx)`` issuing its own
-        data-dependent rounds; makes the plan's round count undeclarable."""
-        return self.add(DynamicStep(name, fn, rounds=rounds))
-
     def repeat(self, times: int, build: Callable[["RoundPlan"], Any]) -> "RoundPlan":
         """Append a body of steps executed ``times`` times.
 
@@ -344,18 +296,16 @@ class RoundPlan:
 
     # -- declared structure ------------------------------------------------
     @property
-    def is_static(self) -> bool:
-        """True when the plan's round count is known before execution."""
-        return _count(self.steps, lambda c: 0) is not None
+    def declared_rounds(self) -> int:
+        """Communication rounds this plan opens."""
+        return _tally(
+            self.steps, lambda s: isinstance(s, Collective) and s.opens_round
+        )
 
     @property
-    def declared_rounds(self) -> Optional[int]:
-        """Communication rounds this plan opens (``None`` for dynamic plans)."""
-        return _count(self.steps, lambda c: int(c.opens_round))
-
-    @property
-    def declared_collectives(self) -> Optional[int]:
-        return _count(self.steps, lambda c: 1)
+    def declared_collectives(self) -> int:
+        """Collectives this plan issues, joint or not."""
+        return _tally(self.steps, lambda s: isinstance(s, Collective))
 
     def describe(self) -> dict:
         """Serializable declared structure (``RunTrace.info['schedule']``)."""
@@ -364,16 +314,14 @@ class RoundPlan:
             "rounds": self.declared_rounds,
             "collectives": self.declared_collectives,
             "local_steps": _tally(self.steps, lambda s: isinstance(s, LocalStep)),
-            "dynamic": not self.is_static,
             "on_failure": self.on_failure,
             "steps": [s.describe() for s in self.steps],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        rounds = self.declared_rounds
         return (
             f"RoundPlan({self.name!r}, steps={len(self.steps)}, "
-            f"rounds={'dynamic' if rounds is None else rounds})"
+            f"rounds={self.declared_rounds})"
         )
 
 
@@ -457,11 +405,8 @@ def _execute_steps(cluster, steps: Sequence[Step], ctx: dict, *, policy: str) ->
     for step in steps:
         if isinstance(step, LocalStep):
             fn = step.fn
-            targets = None
-            if step.workers is not None:
-                targets = [cluster.workers[int(i)] for i in step.workers]
             ctx[step.name] = cluster.map_workers(
-                lambda worker, _fn=fn: _fn(worker, ctx), workers=targets
+                lambda worker, _fn=fn: _fn(worker, ctx)
             )
         elif isinstance(step, Collective):
             _guard_collective(cluster, policy)
@@ -472,8 +417,6 @@ def _execute_steps(cluster, steps: Sequence[Step], ctx: dict, *, policy: str) ->
             value = step.fn(ctx)
             if step.name is not None:
                 ctx[step.name] = value
-        elif isinstance(step, DynamicStep):
-            ctx[step.name] = step.fn(cluster, ctx)
         elif isinstance(step, Repeat):
             for _ in range(step.times):
                 _execute_steps(cluster, step.steps, ctx, policy=policy)
@@ -481,7 +424,7 @@ def _execute_steps(cluster, steps: Sequence[Step], ctx: dict, *, policy: str) ->
             raise TypeError(f"unknown plan step {step!r}")
 
 
-def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecution:
+def execute_plan(cluster, plan: RoundPlan) -> PlanExecution:
     """Run ``plan`` on ``cluster`` and verify its declared round structure.
 
     The executor issues the *same* ``map_workers`` / ``comm`` calls, in the
@@ -523,16 +466,14 @@ def execute_plan(cluster, plan: RoundPlan, *, check: bool = True) -> PlanExecuti
         collectives=comm.log.n_collectives - collectives0,
         bytes_transferred=comm.log.bytes_transferred - bytes0,
     )
-    if check and plan.declared_rounds is not None:
-        if execution.rounds != plan.declared_rounds:
-            raise ScheduleError(
-                f"plan {plan.name!r} declares {plan.declared_rounds} "
-                f"communication round(s) per epoch but executed "
-                f"{execution.rounds}"
-            )
-        if execution.collectives != plan.declared_collectives:
-            raise ScheduleError(
-                f"plan {plan.name!r} declares {plan.declared_collectives} "
-                f"collective(s) per epoch but executed {execution.collectives}"
-            )
+    if execution.rounds != plan.declared_rounds:
+        raise ScheduleError(
+            f"plan {plan.name!r} declares {plan.declared_rounds} "
+            f"communication round(s) per epoch but executed {execution.rounds}"
+        )
+    if execution.collectives != plan.declared_collectives:
+        raise ScheduleError(
+            f"plan {plan.name!r} declares {plan.declared_collectives} "
+            f"collective(s) per epoch but executed {execution.collectives}"
+        )
     return execution

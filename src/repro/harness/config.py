@@ -120,7 +120,6 @@ class ClusterConfig:
     network: str = "infiniband_100g"
     device: str = "tesla_p100"
     sharding: str = "stratified"
-    executor: str = "serial"
     backend: Optional[str] = None
     engine: Optional[str] = None
     faults: Optional[str] = None

@@ -306,15 +306,9 @@ def format_schedule(trace: RunTrace) -> str:
     if not schedule:
         return f"{trace.method}: no declared schedule (event-driven or legacy run)"
     declared = schedule.get("declared") or {}
-    rounds = declared.get("rounds")
     lines = [
         f"schedule of {trace.method} ({declared.get('plan', trace.method)}):",
-        "  declared: "
-        + (
-            f"{rounds} communication round(s)/epoch"
-            if rounds is not None
-            else "dynamic rounds (data-dependent inner loop)"
-        )
+        f"  declared: {declared.get('rounds')} communication round(s)/epoch"
         + f", {declared.get('local_steps', 0)} local step(s)"
         + (
             f", on worker failure: {declared['on_failure']}"
@@ -332,10 +326,6 @@ def format_schedule(trace: RunTrace) -> str:
             elif kind == "collective":
                 suffix = " [joint]" if step.get("joint_with_previous") else ""
                 lines.append(f"{indent}comm      {step['op']}({step['name']}){suffix}")
-            elif kind == "dynamic":
-                lines.append(
-                    f"{indent}dynamic   {step['name']}: {step.get('rounds', '')}"
-                )
             elif kind == "repeat":
                 lines.append(f"{indent}repeat    x{step['times']}:")
                 render_steps(step.get("steps", ()), indent + "  ")

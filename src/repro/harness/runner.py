@@ -10,9 +10,7 @@ from repro.admm.async_newton_admm import AsyncNewtonADMM
 from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.aide import AIDE
 from repro.baselines.async_sgd import AsynchronousSGD
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.dane import InexactDANE
-from repro.baselines.disco import DiSCO
 from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.base import ClassificationDataset
@@ -51,8 +49,6 @@ SOLVER_REGISTRY: Dict[str, Type[DistributedSolver]] = {
     "giant": GIANT,
     "inexact_dane": InexactDANE,
     "aide": AIDE,
-    "disco": DiSCO,
-    "cocoa": CoCoA,
     "sync_sgd": SynchronousSGD,
     "async_sgd": AsynchronousSGD,
 }
@@ -115,7 +111,6 @@ def build_cluster(
         network=resolve_network(config.network),
         device=resolve_device(config.device, backend=config.backend),
         sharding=config.sharding,
-        executor=config.executor,
         backend=config.backend,
         precision=config.precision,
         engine=config.engine if config.engine is not None else default_engine(),

@@ -2,11 +2,10 @@
 
 Kept alongside :class:`~repro.objectives.softmax.SoftmaxCrossEntropy` because
 binary problems (HIGGS) admit a ``p``-dimensional parameterization with a
-cheaper Hessian-vector product; it is also the model CoCoA's dual formulation
-targets.  Like the softmax objective it computes on a configurable
-:mod:`repro.backend`, and its products with ``X`` run in the storage dtype: a
-float64 iterate or direction meeting float32 storage is cast first, and
-margins, gradients and HVPs come back in the iterate's dtype.
+cheaper Hessian-vector product.  Like the softmax objective it computes on a
+configurable :mod:`repro.backend`, and its products with ``X`` run in the
+storage dtype: a float64 iterate or direction meeting float32 storage is cast
+first, and margins, gradients and HVPs come back in the iterate's dtype.
 """
 
 from __future__ import annotations

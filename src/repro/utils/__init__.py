@@ -4,7 +4,7 @@ This package deliberately has no dependencies on the rest of :mod:`repro`,
 so that every other subpackage may import it freely.
 """
 
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import check_random_state
 from repro.utils.timer import Stopwatch, SimulatedClock
 from repro.utils.validation import (
     check_array,
@@ -25,7 +25,6 @@ from repro.utils.flops import (
 
 __all__ = [
     "check_random_state",
-    "spawn_rngs",
     "Stopwatch",
     "SimulatedClock",
     "check_array",

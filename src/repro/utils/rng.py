@@ -1,15 +1,13 @@
 """Random-number-generator plumbing.
 
 Every stochastic component of the library accepts a ``random_state`` argument
-that is normalized through :func:`check_random_state`.  Distributed components
-give each simulated worker an *independent* child generator via
-:func:`spawn_rngs`, so results are identical whether workers run serially,
-in a thread pool, or in separate processes.
+that is normalized through :func:`check_random_state`, so passing the same
+seed reproduces a run.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -40,38 +38,3 @@ def check_random_state(random_state: RandomStateLike = None) -> np.random.Genera
         f"random_state must be None, an int, a SeedSequence or a Generator, "
         f"got {type(random_state).__name__}"
     )
-
-
-def spawn_rngs(
-    random_state: RandomStateLike, n: int, *, salt: Optional[Sequence[int]] = None
-) -> List[np.random.Generator]:
-    """Create ``n`` statistically independent child generators.
-
-    The children are derived with :class:`numpy.random.SeedSequence` spawning
-    so that they do not overlap regardless of how many draws each consumer
-    makes.  Passing an existing :class:`numpy.random.Generator` uses a seed
-    drawn from it, which keeps the overall run reproducible.
-
-    Parameters
-    ----------
-    random_state:
-        Parent seed material (see :func:`check_random_state`).
-    n:
-        Number of child generators.
-    salt:
-        Optional extra entropy words mixed into the seed sequence; useful to
-        decorrelate otherwise identically-seeded subsystems.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if isinstance(random_state, np.random.SeedSequence):
-        ss = random_state
-    elif isinstance(random_state, np.random.Generator):
-        ss = np.random.SeedSequence(int(random_state.integers(0, 2**63 - 1)))
-    else:
-        ss = np.random.SeedSequence(random_state)
-    if salt is not None:
-        ss = np.random.SeedSequence(
-            entropy=ss.entropy, spawn_key=tuple(int(s) for s in salt)
-        )
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

@@ -22,9 +22,7 @@ from pathlib import Path
 
 from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.aide import AIDE
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.dane import InexactDANE
-from repro.baselines.disco import DiSCO
 from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
@@ -34,60 +32,30 @@ GOLDEN_PATH = Path(__file__).parent / "schedule_equivalence.json"
 
 N_WORKERS = 4
 
-#: solver name -> (factory, dataset kind); epoch counts are kept tiny so the
-#: whole fixture replays in seconds.
+#: solver name -> factory, one per plan-driven solver of the harness registry
+#: (``tests/test_process_engine.py`` checks it); epoch counts are kept tiny so
+#: the whole fixture replays in seconds.
 CASES = {
-    "newton_admm": (
-        lambda: NewtonADMM(lam=1e-3, max_epochs=4, record_accuracy=False),
-        "multiclass",
-    ),
-    "giant": (
-        lambda: GIANT(lam=1e-3, max_epochs=4, record_accuracy=False),
-        "multiclass",
-    ),
-    "inexact_dane": (
-        lambda: InexactDANE(lam=1e-3, max_epochs=2, record_accuracy=False),
-        "multiclass",
-    ),
-    "aide": (
-        lambda: AIDE(lam=1e-3, max_epochs=2, tau=0.5, record_accuracy=False),
-        "multiclass",
-    ),
-    "disco": (
-        lambda: DiSCO(lam=1e-3, max_epochs=3, record_accuracy=False),
-        "multiclass",
-    ),
-    "cocoa": (
-        lambda: CoCoA(lam=1e-3, max_epochs=3, record_accuracy=False),
-        "binary",
-    ),
-    "sync_sgd": (
-        lambda: SynchronousSGD(
-            lam=1e-3, max_epochs=2, step_size=0.2, record_accuracy=False
-        ),
-        "multiclass",
+    "newton_admm": lambda: NewtonADMM(lam=1e-3, max_epochs=4, record_accuracy=False),
+    "giant": lambda: GIANT(lam=1e-3, max_epochs=4, record_accuracy=False),
+    "inexact_dane": lambda: InexactDANE(lam=1e-3, max_epochs=2, record_accuracy=False),
+    "aide": lambda: AIDE(lam=1e-3, max_epochs=2, tau=0.5, record_accuracy=False),
+    "sync_sgd": lambda: SynchronousSGD(
+        lam=1e-3, max_epochs=2, step_size=0.2, record_accuracy=False
     ),
 }
 
 
-def make_dataset(kind: str):
-    if kind == "binary":
-        return make_multiclass_gaussian(
-            200, 8, 2, class_separation=3.0, random_state=1
-        )
-    return make_multiclass_gaussian(
-        240, 10, 3, class_separation=3.0, random_state=0
-    )
-
-
 def run_case(name: str):
-    factory, kind = CASES[name]
     cluster = SimulatedCluster(
-        make_dataset(kind), N_WORKERS, engine="event", random_state=0
+        make_multiclass_gaussian(240, 10, 3, class_separation=3.0, random_state=0),
+        N_WORKERS,
+        engine="event",
+        random_state=0,
     )
-    trace = factory().fit(cluster)
+    trace = CASES[name]().fit(cluster)
     return {
-        "dataset": kind,
+        "dataset": "multiclass",
         "final_w": [float(v) for v in trace.final_w],
         "objectives": [r.objective for r in trace.records],
         "modelled_times": [r.modelled_time for r in trace.records],

@@ -1,14 +1,12 @@
-"""Tests for the distributed baselines (GIANT, InexactDANE, AIDE, DiSCO, CoCoA,
-synchronous SGD) and the shared distributed-solver machinery."""
+"""Tests for the distributed baselines (GIANT, InexactDANE, AIDE, synchronous
+SGD) and the shared distributed-solver machinery."""
 
 import numpy as np
 import pytest
 
 from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.aide import AIDE
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.dane import InexactDANE
-from repro.baselines.disco import DiSCO
 from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.distributed.cluster import SimulatedCluster
@@ -107,62 +105,6 @@ class TestInexactDANEAndAIDE:
     def test_dane_invalid_mu_rejected(self):
         with pytest.raises(ValueError):
             InexactDANE(mu=-1.0)
-
-
-class TestDiSCO:
-    def test_converges_near_optimum(self, cluster4, f_star_small):
-        trace = DiSCO(lam=1e-3, max_epochs=15, cg_max_iter=30).fit(cluster4)
-        assert trace.best_objective() <= f_star_small + 0.05 * abs(f_star_small) + 1e-3
-
-    def test_communication_rounds_include_cg(self, cluster4):
-        trace = DiSCO(lam=1e-3, max_epochs=2, cg_max_iter=5).fit(cluster4)
-        # per epoch: 1 gradient round + cg rounds + 1 damping HVP round
-        per_epoch = trace.final.comm_rounds / trace.n_epochs
-        assert per_epoch > 2
-        assert per_epoch <= 7
-
-    def test_more_rounds_than_admm(self, cluster4):
-        disco = DiSCO(lam=1e-3, max_epochs=4, cg_max_iter=10).fit(cluster4)
-        admm = NewtonADMM(lam=1e-3, max_epochs=4).fit(cluster4)
-        assert disco.final.comm_rounds > admm.final.comm_rounds
-
-    def test_undamped_option(self, cluster4):
-        trace = DiSCO(lam=1e-3, max_epochs=3, damped=False).fit(cluster4)
-        assert trace.final.extras["step_size"] == 1.0
-
-
-class TestCoCoA:
-    @pytest.fixture(scope="class")
-    def binary_cluster(self, tiny_binary):
-        return SimulatedCluster(tiny_binary, 3, random_state=0)
-
-    def test_primal_objective_decreases(self, binary_cluster, tiny_binary):
-        trace = CoCoA(lam=1e-2, max_epochs=20, local_passes=2).fit(binary_cluster)
-        assert trace.final.objective < np.log(2)
-        assert trace.final.objective <= trace.records[0].objective
-
-    def test_duality_gap_shrinks(self, binary_cluster):
-        trace = CoCoA(lam=1e-2, max_epochs=25, local_passes=2).fit(binary_cluster)
-        gap_first = trace.records[1].objective - trace.records[1].extras["dual_objective"]
-        gap_last = trace.final.objective - trace.final.extras["dual_objective"]
-        assert gap_last < gap_first
-        assert gap_last >= -1e-6  # weak duality
-
-    def test_one_round_per_iteration(self, binary_cluster):
-        trace = CoCoA(lam=1e-2, max_epochs=5).fit(binary_cluster)
-        assert trace.final.comm_rounds == 5
-
-    def test_multiclass_rejected(self, cluster4):
-        # The message explains itself instead of pointing at a file.
-        with pytest.raises(ValueError, match=r"binary .* binary logistic loss$") as excinfo:
-            CoCoA(lam=1e-3, max_epochs=1).fit(cluster4)
-        assert ".md" not in str(excinfo.value)
-
-    def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            CoCoA(local_passes=0)
-        with pytest.raises(ValueError):
-            CoCoA(alpha_init=0.0)
 
 
 class TestSynchronousSGD:

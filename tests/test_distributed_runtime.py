@@ -164,15 +164,6 @@ class TestSimulatedCluster:
         per_worker = [wk.modelled_compute_time() for wk in cluster.workers]
         assert after - before == pytest.approx(max(per_worker))
 
-    def test_threads_executor_matches_serial(self, dataset):
-        serial = SimulatedCluster(dataset, 4, executor="serial", random_state=0)
-        threads = SimulatedCluster(dataset, 4, executor="threads", random_state=0)
-        w = np.random.default_rng(3).standard_normal(serial.dim) * 0.1
-        a = serial.map_workers(lambda wk: wk.objective.gradient(w))
-        b = threads.map_workers(lambda wk: wk.objective.gradient(w))
-        for x, y in zip(a, b):
-            np.testing.assert_allclose(x, y)
-
     def test_reset_accounting(self, dataset):
         cluster = SimulatedCluster(dataset, 2, random_state=0)
         cluster.map_workers(lambda wk: wk.objective.gradient(np.zeros(cluster.dim)))
@@ -197,8 +188,6 @@ class TestSimulatedCluster:
     def test_invalid_options_rejected(self, dataset):
         with pytest.raises(ValueError):
             SimulatedCluster(dataset, 0)
-        with pytest.raises(ValueError):
-            SimulatedCluster(dataset, 2, executor="mpi")
         with pytest.raises(ValueError):
             SimulatedCluster(dataset, 2, loss="hinge")
 

@@ -68,8 +68,6 @@ class TestRunner:
             "giant",
             "inexact_dane",
             "aide",
-            "disco",
-            "cocoa",
             "sync_sgd",
             "async_sgd",
         }

@@ -154,17 +154,6 @@ class TestHeadlineComparisons:
         assert abs(admm.final.test_accuracy - giant.final.test_accuracy) < 0.1
 
 
-class TestDeterminismAcrossExecutors:
-    def test_serial_and_threaded_clusters_agree(self, mnist_small):
-        train, _ = mnist_small
-        serial = SimulatedCluster(train, 4, executor="serial", random_state=0)
-        threads = SimulatedCluster(train, 4, executor="threads", random_state=0)
-        a = NewtonADMM(lam=1e-4, max_epochs=5).fit(serial)
-        b = NewtonADMM(lam=1e-4, max_epochs=5).fit(threads)
-        np.testing.assert_allclose(a.objectives(), b.objectives(), rtol=1e-10)
-        np.testing.assert_allclose(a.final_w, b.final_w, rtol=1e-10)
-
-
 @pytest.mark.slow
 class TestSparseHighDimensionalPath:
     def test_e18_like_hessian_free_run(self):

@@ -18,6 +18,7 @@ Three pillars:
   transport over bare pipes, and nothing left in ``/dev/shm``.
 """
 
+import importlib.util
 import json
 import multiprocessing as mp
 import os
@@ -32,9 +33,7 @@ import pytest
 from repro.admm.async_newton_admm import AsyncNewtonADMM
 from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.aide import AIDE
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.dane import InexactDANE
-from repro.baselines.disco import DiSCO
 from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
@@ -66,8 +65,6 @@ SOLVER_FACTORIES = {
     "giant": lambda: GIANT(lam=1e-3, max_epochs=4, record_accuracy=False),
     "inexact_dane": lambda: InexactDANE(lam=1e-3, max_epochs=2, record_accuracy=False),
     "aide": lambda: AIDE(lam=1e-3, max_epochs=2, tau=0.5, record_accuracy=False),
-    "disco": lambda: DiSCO(lam=1e-3, max_epochs=3, record_accuracy=False),
-    "cocoa": lambda: CoCoA(lam=1e-3, max_epochs=3, record_accuracy=False),
     "sync_sgd": lambda: SynchronousSGD(
         lam=1e-3, max_epochs=2, step_size=0.2, record_accuracy=False
     ),
@@ -77,15 +74,6 @@ SOLVER_FACTORIES = {
 @pytest.fixture(scope="module")
 def dataset():
     return make_multiclass_gaussian(240, 10, 3, class_separation=3.0, random_state=0)
-
-
-@pytest.fixture(scope="module")
-def binary_dataset():
-    return make_multiclass_gaussian(200, 8, 2, class_separation=3.0, random_state=1)
-
-
-def _dataset_for(name, dataset, binary_dataset):
-    return binary_dataset if name == "cocoa" else dataset
 
 
 class _DiesOnRecord(SoftmaxCrossEntropy):
@@ -141,12 +129,23 @@ class TestEngineEquivalence:
         }
         assert set(SOLVER_FACTORIES) == plan_driven
 
+    def test_goldens_cover_every_plan_driven_solver(self):
+        """Adding or removing a plan-driven solver adds or removes its golden."""
+        path = GOLDEN_PATH.parent / "generate_schedule_goldens.py"
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        generator = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(generator)
+        assert set(generator.CASES) == {
+            name
+            for name, cls in SOLVER_REGISTRY.items()
+            if cls.supports_process_engine
+        }
+
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
-    def test_process_matches_simulated_engines(self, name, dataset, binary_dataset):
-        data = _dataset_for(name, dataset, binary_dataset)
+    def test_process_matches_simulated_engines(self, name, dataset):
         traces = {}
         for engine in ("event", "process"):
-            traces[engine], _ = _fit(data, name, engine)
+            traces[engine], _ = _fit(dataset, name, engine)
         reference, process = traces["event"], traces["process"]
         assert process.final_w.dtype == np.float64
         assert np.array_equal(process.final_w, reference.final_w)
@@ -185,13 +184,10 @@ class TestEngineEquivalence:
 
     @pytest.mark.slow
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
-    def test_matches_pre_refactor_golden_at_four_workers(
-        self, name, dataset, binary_dataset
-    ):
+    def test_matches_pre_refactor_golden_at_four_workers(self, name, dataset):
         with GOLDEN_PATH.open() as fh:
             golden = json.load(fh)
-        data = _dataset_for(name, dataset, binary_dataset)
-        trace, cluster = _fit(data, name, "process", n_workers=4)
+        trace, cluster = _fit(dataset, name, "process", n_workers=4)
         expected = golden[name]
         assert trace.final_w.tolist() == expected["final_w"]
         assert [r.objective for r in trace.records] == expected["objectives"]
@@ -448,12 +444,6 @@ class TestDispatchPolicy:
                 engine="process",
                 faults=FailureModel.from_spec("0@2.5,restart=1.0"),
                 random_state=0,
-            )
-
-    def test_non_serial_executor_rejected(self, dataset):
-        with pytest.raises(ValueError, match="executor"):
-            SimulatedCluster(
-                dataset, N_WORKERS, engine="process", executor="thread", random_state=0
             )
 
 

@@ -10,9 +10,7 @@ import pytest
 
 from repro.admm.newton_admm import NewtonADMM
 from repro.baselines.aide import AIDE
-from repro.baselines.cocoa import CoCoA
 from repro.baselines.dane import InexactDANE
-from repro.baselines.disco import DiSCO
 from repro.baselines.giant import GIANT
 from repro.baselines.sync_sgd import SynchronousSGD
 from repro.datasets.synthetic import make_multiclass_gaussian
@@ -36,21 +34,17 @@ SOLVER_FACTORIES = {
     "giant": lambda: GIANT(lam=1e-3, max_epochs=4, record_accuracy=False),
     "inexact_dane": lambda: InexactDANE(lam=1e-3, max_epochs=2, record_accuracy=False),
     "aide": lambda: AIDE(lam=1e-3, max_epochs=2, tau=0.5, record_accuracy=False),
-    "disco": lambda: DiSCO(lam=1e-3, max_epochs=3, record_accuracy=False),
-    "cocoa": lambda: CoCoA(lam=1e-3, max_epochs=3, record_accuracy=False),
     "sync_sgd": lambda: SynchronousSGD(
         lam=1e-3, max_epochs=2, step_size=0.2, record_accuracy=False
     ),
 }
 
-#: statically declarable communication rounds per outer iteration
+#: declared communication rounds per outer iteration
 DECLARED_ROUNDS = {
     "newton_admm": 1,
     "giant": 3,
     "inexact_dane": 2,
     "aide": 2,
-    "disco": None,  # one all-reduce per CG matvec — data-dependent
-    "cocoa": 1,
     "sync_sgd": 1,  # one per mini-batch step; one step at this shard size
 }
 
@@ -61,18 +55,9 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def binary_dataset():
-    return make_multiclass_gaussian(200, 8, 2, class_separation=3.0, random_state=1)
-
-
-@pytest.fixture(scope="module")
 def golden():
     with GOLDEN_PATH.open() as fh:
         return json.load(fh)
-
-
-def _dataset_for(name, dataset, binary_dataset):
-    return binary_dataset if name == "cocoa" else dataset
 
 
 # ---------------------------------------------------------------------------
@@ -87,14 +72,6 @@ class TestRoundPlanStructure:
         plan.allreduce("t", lambda ctx: ctx["a"])
         assert plan.declared_rounds == 2
         assert plan.declared_collectives == 3
-        assert plan.is_static
-
-    def test_dynamic_step_makes_rounds_undeclarable(self):
-        plan = RoundPlan("demo")
-        plan.allreduce("s", lambda ctx: [])
-        plan.dynamic("inner", lambda cluster, ctx: None)
-        assert plan.declared_rounds is None
-        assert not plan.is_static
 
     def test_describe_is_serializable(self):
         plan = RoundPlan("demo")
@@ -107,7 +84,6 @@ class TestRoundPlanStructure:
             "rounds": 1,
             "collectives": 2,
             "local_steps": 1,
-            "dynamic": False,
             "on_failure": "raise",
             "steps": [
                 {"step": "local", "name": "a", "label": "work"},
@@ -173,15 +149,6 @@ class TestDeclaredRoundChecking:
         with pytest.raises(ScheduleError, match="declares 1"):
             execute_plan(cluster, plan)
 
-    def test_check_can_be_disabled(self, dataset):
-        cluster = SimulatedCluster(dataset, 4, random_state=0)
-        plan = RoundPlan("smuggler")
-        plan.local("g", lambda w, ctx: np.zeros(cluster.dim))
-        plan.allreduce("s", lambda ctx: ctx["g"])
-        plan.master(lambda ctx: cluster.comm.allreduce(ctx["g"]))
-        execution = execute_plan(cluster, plan, check=False)
-        assert execution.rounds == 2
-
     def test_execution_summary(self, dataset):
         cluster = SimulatedCluster(dataset, 4, random_state=0)
         plan = RoundPlan("one-round")
@@ -220,9 +187,8 @@ class TestGoldenEquivalence:
     bit-identical iterates, identical modelled times and communication totals."""
 
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
-    def test_matches_pre_refactor_golden(self, name, dataset, binary_dataset, golden):
-        data = _dataset_for(name, dataset, binary_dataset)
-        cluster = SimulatedCluster(data, 4, engine="event", random_state=0)
+    def test_matches_pre_refactor_golden(self, name, dataset, golden):
+        cluster = SimulatedCluster(dataset, 4, engine="event", random_state=0)
         trace = SOLVER_FACTORIES[name]().fit(cluster)
         expected = golden[name]
         assert trace.final_w.tolist() == expected["final_w"]
@@ -233,35 +199,28 @@ class TestGoldenEquivalence:
         assert cluster.comm.log.n_collectives == expected["n_collectives"]
         assert cluster.comm.log.bytes_transferred == expected["bytes_transferred"]
 
-    def test_golden_problems_fit_one_row_tile(self, dataset, binary_dataset):
+    def test_golden_problems_fit_one_row_tile(self, dataset):
         """The goldens pin bits, and a design matrix spanning several row
         tiles sums its rows in another association: the training set and
         every worker's shard must stay one tile under the shipped constant."""
-        for data in (dataset, binary_dataset):
-            shards = [w.shard for w in SimulatedCluster(data, 4, random_state=0).workers]
-            for part in [data, *shards]:
-                loss = SoftmaxCrossEntropy(part.X, part.y, data.n_classes)
-                assert len(loss._tiles) == 1, (
-                    f"softmax.TILE_BYTES = {TILE_BYTES} splits a golden problem "
-                    f"({part.X.shape[0]}x{part.X.shape[1]}) into {len(loss._tiles)} row "
-                    "tiles; the golden mismatches that follow are reassociation, "
-                    "not a solver bug — keep golden problems single-tile"
-                )
+        shards = [w.shard for w in SimulatedCluster(dataset, 4, random_state=0).workers]
+        for part in [dataset, *shards]:
+            loss = SoftmaxCrossEntropy(part.X, part.y, dataset.n_classes)
+            assert len(loss._tiles) == 1, (
+                f"softmax.TILE_BYTES = {TILE_BYTES} splits a golden problem "
+                f"({part.X.shape[0]}x{part.X.shape[1]}) into {len(loss._tiles)} row "
+                "tiles; the golden mismatches that follow are reassociation, "
+                "not a solver bug — keep golden problems single-tile"
+            )
 
     @pytest.mark.parametrize("name", sorted(SOLVER_FACTORIES))
-    def test_schedule_declares_expected_rounds(
-        self, name, dataset, binary_dataset
-    ):
-        data = _dataset_for(name, dataset, binary_dataset)
-        cluster = SimulatedCluster(data, 4, random_state=0)
+    def test_schedule_declares_expected_rounds(self, name, dataset):
+        cluster = SimulatedCluster(dataset, 4, random_state=0)
         trace = SOLVER_FACTORIES[name]().fit(cluster)
         schedule = trace.info["schedule"]
         assert schedule["declared"]["rounds"] == DECLARED_ROUNDS[name]
         for epoch_row in schedule["epochs"]:
-            if DECLARED_ROUNDS[name] is not None:
-                assert epoch_row["rounds"] == DECLARED_ROUNDS[name]
-            else:
-                assert epoch_row["rounds"] >= 1
+            assert epoch_row["rounds"] == DECLARED_ROUNDS[name]
 
     def test_schedule_info_serializable(self, dataset):
         cluster = SimulatedCluster(dataset, 4, random_state=0)

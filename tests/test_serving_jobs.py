@@ -27,9 +27,10 @@ class TestValidation:
         with pytest.raises(JobError, match="solver.name is required"):
             TrainingJobManager().submit({"cluster": {"dataset": "mnist_like"}})
 
-    def test_unknown_solver(self):
+    @pytest.mark.parametrize("name", ["adamw", "disco", "cocoa"])
+    def test_unknown_solver(self, name):
         payload = _payload()
-        payload["solver"]["name"] = "adamw"
+        payload["solver"]["name"] = name
         with pytest.raises(JobError, match="unknown solver"):
             TrainingJobManager().submit(payload)
 
@@ -39,9 +40,10 @@ class TestValidation:
         with pytest.raises(JobError, match="cluster.dataset is required"):
             TrainingJobManager().submit(payload)
 
-    def test_unknown_cluster_option(self):
+    @pytest.mark.parametrize("option", ["gpus", "executor"])
+    def test_unknown_cluster_option(self, option):
         payload = _payload()
-        payload["cluster"]["gpus"] = 8
+        payload["cluster"][option] = 8
         with pytest.raises(JobError, match="unknown cluster option"):
             TrainingJobManager().submit(payload)
 

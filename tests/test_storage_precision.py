@@ -31,7 +31,6 @@ from repro.distributed.cluster import SimulatedCluster
 from repro.distributed.comm import Communicator
 from repro.distributed.solver_base import DistributedSolver, ShardedLoss
 from repro.harness.runner import SOLVER_REGISTRY
-from repro.objectives.logistic import BinaryLogistic
 from repro.objectives.softmax import SoftmaxCrossEntropy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -42,12 +41,6 @@ LAM = 1e-3
 def split():
     data = make_multiclass_gaussian(400, 50, 4, class_separation=3.0, random_state=0)
     return train_test_split(data, test_size=80, random_state=0)
-
-
-@pytest.fixture(scope="module")
-def binary_split():
-    data = make_multiclass_gaussian(240, 8, 2, class_separation=3.0, random_state=1)
-    return train_test_split(data, test_size=40, random_state=1)
 
 
 def _solver(name):
@@ -70,9 +63,12 @@ class _Dtypes:
             return record(solver, epoch, w, *args)
 
         monkeypatch.setattr(DistributedSolver, "_make_record", make_record)
-        for cls in (SoftmaxCrossEntropy, BinaryLogistic):
-            for method in ("gradient", "value_and_gradient", "hvp"):
-                monkeypatch.setattr(cls, method, self._gradient(getattr(cls, method)))
+        for method in ("gradient", "value_and_gradient", "hvp"):
+            monkeypatch.setattr(
+                SoftmaxCrossEntropy,
+                method,
+                self._gradient(getattr(SoftmaxCrossEntropy, method)),
+            )
         check = Communicator._check_buffers
 
         def check_buffers(buffers, n):
@@ -103,11 +99,11 @@ class TestFloat64IteratesOverFloat32Shards:
         ["event", pytest.param("process", marks=pytest.mark.process_engine)],
     )
     @pytest.mark.parametrize("name", sorted(SOLVER_REGISTRY))
-    def test_every_solver(self, name, engine, split, binary_split, monkeypatch):
+    def test_every_solver(self, name, engine, split, monkeypatch):
         solver = _solver(name)
         if engine == "process" and not solver.supports_process_engine:
             pytest.skip("asynchronous solvers run on the event engine")
-        train, test = binary_split if name == "cocoa" else split
+        train, test = split
         cluster = SimulatedCluster(train, 2, engine=engine, random_state=0)
         try:
             assert cluster.precision == "mixed"

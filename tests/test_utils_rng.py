@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import check_random_state, spawn_rngs
+from repro.utils.rng import check_random_state
 
 
 class TestCheckRandomState:
@@ -36,37 +36,3 @@ class TestCheckRandomState:
     def test_numpy_integer_seed(self):
         gen = check_random_state(np.int64(5))
         assert isinstance(gen, np.random.Generator)
-
-
-class TestSpawnRngs:
-    def test_count(self):
-        assert len(spawn_rngs(0, 5)) == 5
-
-    def test_zero_children(self):
-        assert spawn_rngs(0, 0) == []
-
-    def test_negative_raises(self):
-        with pytest.raises(ValueError):
-            spawn_rngs(0, -1)
-
-    def test_children_independent(self):
-        children = spawn_rngs(0, 3)
-        draws = [c.standard_normal(50) for c in children]
-        assert not np.allclose(draws[0], draws[1])
-        assert not np.allclose(draws[1], draws[2])
-
-    def test_reproducible_from_int_seed(self):
-        a = [g.standard_normal(10) for g in spawn_rngs(99, 3)]
-        b = [g.standard_normal(10) for g in spawn_rngs(99, 3)]
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_salt_changes_streams(self):
-        a = spawn_rngs(0, 2, salt=[1])[0].standard_normal(10)
-        b = spawn_rngs(0, 2, salt=[2])[0].standard_normal(10)
-        assert not np.allclose(a, b)
-
-    def test_generator_parent_accepted(self):
-        parent = np.random.default_rng(3)
-        children = spawn_rngs(parent, 2)
-        assert len(children) == 2
